@@ -4,17 +4,37 @@ Per-frame-pair costs (1 - cosine) feed a soft-minimum dynamic program
 over monotone alignment paths (moves: right, down, diagonal; fixed
 corners, optional free start/end along the query axis). The soft minimum
 is a log-sum-exp at temperature gamma, so the score is differentiable
-and converges to the exact minimal path cost as gamma shrinks.
+and converges to the exact minimal path cost as gamma shrinks. This is
+OTAM's scoring rule (Cao et al. 2020, arXiv:1906.11415).
 
 Sign convention: alignment yields a cost; the combined score is its
 negation (a similarity) so that the classification softmax favors the
 nearest class.
 
-The DP is vectorized two ways at once: over a batch of equally sized
-cost matrices, and over anti-diagonals within each matrix (rows are
-skewed so an anti-diagonal becomes a column). Invalid cells are padded
-with a large finite sentinel instead of infinity to keep every
-subtraction well defined.
+``otam_distance`` is one fused tape op. Its forward runs the soft-min
+recursion R[i, j] = C[i, j] + softmin(R[i, j-1], R[i-1, j], R[i-1, j-1])
+in plain numpy, vectorized over a batch of equally sized cost matrices
+and over anti-diagonals within each matrix: the table is kept
+diagonal-major, so anti-diagonal k is one contiguous (B, m) slab and its
+three predecessors are slices of the two slabs before it. Cells off the
+matrix hold a large finite sentinel instead of infinity, which keeps
+every subtraction well defined and gives those candidates an exactly
+zero soft-min weight.
+
+While it runs, the forward stores each cell's three normalized soft-min
+weights W (left, up, diagonal), which are the partial derivatives of
+R[i, j] with respect to its predecessors. The backward pass is the
+expected-alignment recursion of soft-DTW (Cuturi & Blondel 2017,
+arXiv:1703.01541; in general form, Mensch & Blondel 2018,
+arXiv:1802.03676): walking the anti-diagonals in reverse,
+E[pred] += E[cell] * W[cell, dir], and dL/dC = E. Reusing the stored
+weights instead of recomputing them from the table, as
+exp((R[cell] - C[cell] - R[pred]) / gamma), avoids cancellation between
+nearly equal path costs, which loses float32 gradient accuracy.
+
+Both orientations of a bidirectional score and the relaxed-ends zero
+padding fold into the same op; when the two orientations have the same
+shape they run as one stacked batch.
 """
 
 from __future__ import annotations
@@ -75,87 +95,107 @@ def _row_norms(x: Tensor) -> Tensor:
     return T.exp(T.scale(T.log(sq), 0.5))
 
 
-def _softmin3(a: Tensor, b: Tensor, c: Tensor, gamma: float) -> Tensor:
-    """Stabilized -gamma*log(sum exp(-x/gamma)) over three candidates.
+def _soft_dp(X: np.ndarray, gamma: float, keep_weights: bool):
+    """Fixed-corner soft-min path cost of a (B, m, n) batch.
 
-    The subtracted minimum is a constant: the result is mathematically
-    independent of the shift, so taking it off-tape is exact, keeps
-    sentinel-padded candidates underflowing cleanly to zero weight, and
-    saves tape nodes.
+    Returns the (B,) costs and, when ``keep_weights``, the per-cell
+    soft-min weights in the table's diagonal-major layout, (K, 3, B, m)
+    with K = m + n - 1 anti-diagonals.
     """
-    z = Tensor(np.minimum(np.minimum(a.data, b.data), c.data))
+    batch, m, n = X.shape
+    diagonals = m + n - 1
+    rows, cols = np.indices((m, n))
+    # skewed[k, :, i] is cell (i, k - i) of anti-diagonal k
+    skewed = np.full((diagonals, batch, m), BIG, X.dtype)
+    skewed[rows + cols, :, rows] = X.transpose(1, 2, 0)
+    # R[k + 1, :, i + 1] is the path cost of cell (i, k - i); R[0] (a
+    # virtual diagonal -1) and column 0 (a virtual row -1) stay sentinels
+    R = np.full((diagonals + 1, batch, m + 1), BIG, X.dtype)
+    R[1, :, 1:] = skewed[0]
+    W = (np.empty((diagonals, 3, batch, m), X.dtype) if keep_weights
+         else None)
     inv = 1.0 / gamma
-    total = T.add(T.add(T.exp(T.scale(T.sub(z, a), inv)),
-                        T.exp(T.scale(T.sub(z, b), inv))),
-                  T.exp(T.scale(T.sub(z, c), inv)))
-    return T.sub(z, T.scale(T.log(total), gamma))
+    for k in range(1, diagonals):
+        left, up, diag = R[k, :, 1:], R[k, :, :-1], R[k - 1, :, :-1]
+        # the subtracted minimum is exact to shift by and keeps sentinel
+        # candidates underflowing cleanly to zero weight
+        z = np.minimum(np.minimum(left, up), diag)
+        e_left = np.exp((z - left) * inv)
+        e_up = np.exp((z - up) * inv)
+        e_diag = np.exp((z - diag) * inv)
+        total = e_left + e_up + e_diag
+        R[k + 1, :, 1:] = skewed[k] + (z - np.log(total) * gamma)
+        if W is not None:
+            np.divide(e_left, total, out=W[k, 0])
+            np.divide(e_up, total, out=W[k, 1])
+            np.divide(e_diag, total, out=W[k, 2])
+    return R[diagonals, :, m].copy(), W
 
 
-def _skew(C: Tensor) -> Tensor:
-    """Shift row i of each matrix right by i so anti-diagonals become
-    columns; new cells are BIG sentinels. (B, m, n) -> (B, m, m+n-1)."""
-    batch, m, n = C.shape
-    rows = []
-    for i in range(m):
-        parts = []
-        if i > 0:
-            parts.append(Tensor(np.full((batch, 1, i), BIG)))
-        parts.append(T.slice_axis(C, 1, i, i + 1))
-        if m - 1 - i > 0:
-            parts.append(Tensor(np.full((batch, 1, m - 1 - i), BIG)))
-        rows.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=2))
-    return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
+def _soft_dp_backward(W: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """Gradient of ``_soft_dp`` costs with respect to its (B, m, n) input.
 
-
-def _soft_dp(C: Tensor, gamma: float) -> Tensor:
-    """Fixed-corner soft-min path cost for a (B, m, n) batch -> (B,)."""
-    batch, m, n = C.shape
-    skewed = _skew(C)
-    big_col = Tensor(np.full((batch, 1), BIG))
-    big_all = Tensor(np.full((batch, m), BIG))
-
-    def column(k):
-        return T.reshape(T.slice_axis(skewed, 2, k, k + 1), (batch, m))
-
-    def shifted(x):
-        # row i reads its predecessor at row i-1; row 0 has none
-        if m == 1:
-            return big_col
-        return T.concat([big_col, T.slice_axis(x, 1, 0, m - 1)], axis=1)
-
-    prev2 = None
-    prev1 = column(0)  # only cell (0, 0) is real here; the rest are sentinels
-    for k in range(1, m + n - 1):
-        best = _softmin3(prev1, shifted(prev1),
-                         shifted(prev2) if prev2 is not None else big_all,
-                         gamma)
-        prev2, prev1 = prev1, T.add(column(k), best)
-    return T.reshape(T.slice_axis(prev1, 1, m - 1, m), (batch,))
+    E, laid out like R, accumulates dL/dR: each cell, once complete,
+    passes E * W to its three predecessors, and dL/dC equals E.
+    """
+    batch, m, n = shape
+    diagonals = m + n - 1
+    E = np.zeros((diagonals + 1, batch, m + 1), W.dtype)
+    E[diagonals, :, m] = g
+    for k in range(diagonals - 1, 0, -1):
+        e = E[k + 1, :, 1:]
+        E[k, :, 1:] += e * W[k, 0]
+        E[k, :, :-1] += e * W[k, 1]
+        E[k - 1, :, :-1] += e * W[k, 2]
+    rows, cols = np.indices((m, n))
+    return E[rows + cols + 1, :, rows + 1].transpose(2, 0, 1)
 
 
 def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
     """Soft alignment cost of one (m, n) matrix or a (B, m, n) batch.
 
-    Returns a scalar for a single matrix, a (B,) vector for a batch.
+    Returns a scalar for a single matrix, a (B,) vector for a batch. The
+    whole alignment, both orientations included, is one tape node.
     """
     if C.size == 0:
         raise ShapeError("otam_distance: empty cost matrix")
-    single = C.ndim == 2
-    if single:
-        C = T.reshape(C, (1,) + C.shape)
-    if C.ndim != 3:
+    if C.ndim not in (2, 3):
         raise ShapeError(f"otam_distance: rank {C.ndim} input")
+    # the backward closure must not hold C: a Tensor refers to its tape,
+    # and that cycle would keep every tape alive until a full collection
+    shape = C.shape
+    X = C.data if C.ndim == 3 else C.data[None]
+    batch = X.shape[0]
+    views = [X, X.transpose(0, 2, 1)] if cfg.bidirectional else [X]
+    if cfg.relaxed_ends:
+        # zero-cost columns before and after the query axis
+        views = [np.pad(V, ((0, 0), (0, 0), (1, 1))) for V in views]
+    if len(views) == 2 and views[0].shape == views[1].shape:
+        groups = [np.concatenate(views)]
+    else:
+        groups = views
+    keep = C.requires_grad and T.active_tape() is not None
+    runs = [_soft_dp(V, cfg.gamma, keep) for V in groups]
+    costs = np.concatenate([cost for cost, _ in runs])
+    dist = costs if len(views) == 1 else (costs[:batch] + costs[batch:]) * 0.5
 
-    def one_direction(X):
+    def bwd(g):
+        share = np.reshape(g, (batch,))
+        if len(views) == 2:
+            share = share * 0.5
+        per_view = []
+        for V, (_, W) in zip(groups, runs):
+            dV = _soft_dp_backward(W, np.tile(share, len(V) // batch),
+                                   V.shape)
+            per_view += [dV[i:i + batch] for i in range(0, len(V), batch)]
         if cfg.relaxed_ends:
-            pad = Tensor(np.zeros((X.shape[0], X.shape[1], 1)))
-            X = T.concat([pad, X, pad], axis=2)
-        return _soft_dp(X, cfg.gamma)
+            per_view = [d[:, :, 1:-1] for d in per_view]
+        dC = per_view[0]
+        if len(views) == 2:
+            dC = dC + per_view[1].transpose(0, 2, 1)
+        return (dC.reshape(shape),)
 
-    dist = one_direction(C)
-    if cfg.bidirectional:
-        dist = T.scale(T.add(dist, one_direction(T.transpose(C, 1, 2))), 0.5)
-    return T.reshape(dist, ()) if single else dist
+    return T._record(dist.reshape(shape[:-2]), (C,), bwd)
 
 
 def _frame_rows(enhanced: Tensor) -> Tensor:

@@ -153,7 +153,7 @@ def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k,
     With losses, every video runs under both its real token and its fake
     token and the consistency pieces (sum of squared differences, element
     count) are returned; without, supports run real-only and queries
-    fake-only.
+    fake-only, and ``fake_tokens`` holds the query videos' tokens only.
     """
     support = n * k
     total = frames.shape[0]
@@ -173,7 +173,7 @@ def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k,
             Tensor(real_tokens[:support]), train=train)
         fake_query = cpm.feature_enhance_batch(
             branch, T.slice_axis(frames, 0, support, total),
-            Tensor(fake_tokens[support:]), train=train)
+            Tensor(fake_tokens), train=train)
         con, numel = None, 0
     seq, dim = real_support.shape[1], real_support.shape[2]
     protos = T.reduce_mean(T.reshape(real_support, (n, k, seq, dim)), axis=1)
@@ -203,13 +203,14 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     frames_np, prompts_np, labels = _episode_frames(episode)
     total = frames_np.shape[0]
     frames = Tensor(frames_np)
-    all_indices = range(total)
+    # without losses only the queries' fake tokens are ever read
+    token_indices = range(0 if compute_losses else n * k, total)
 
     total_cost = None
     con_sum, con_numel = None, 0
     if ablation.use_normal:
         fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             all_indices, "normal")
+                             token_indices, "normal")
         protos, queries, con, numel = _branch_pass(
             model.normal, frames, prompts_np, fakes, n, k,
             train, compute_losses)
@@ -221,7 +222,7 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     if ablation.use_motion:
         motion_frames = motion_features(model.phi, frames, train=train)
         fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             all_indices, "motion")
+                             token_indices, "motion")
         protos, queries, con, numel = _branch_pass(
             model.motion, motion_frames, prompts_np, fakes, n, k,
             train, compute_losses)

@@ -159,6 +159,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._leaves: dict[int, Tensor] = {}
+        self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node id
 
     def __enter__(self) -> "Tape":
         _tls().tapes.append(self)
@@ -173,11 +174,16 @@ class Tape:
     def _ensure(self, t: Tensor) -> int:
         if t.tape is self and t.node is not None:
             return t.node
+        # leaves are found by id, not by a back-reference: a leaf pointing
+        # at its tape would form a cycle that keeps a finished tape, and
+        # every activation it holds, alive until a full garbage collection
+        nid = self._leaf_ids.get(id(t))
+        if nid is not None:
+            return nid
         nid = len(self._nodes)
         self._nodes.append(_Node((), None))
         self._leaves[nid] = t
-        t.tape = self
-        t.node = nid
+        self._leaf_ids[id(t)] = nid
         return nid
 
     def _add(self, inputs, backward) -> int:

@@ -1,6 +1,8 @@
 """Alignment tests: cost matrices, path-enumeration oracles, classification."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cpm2c.errors import ConfigError, DomainError, ShapeError
 from cpm2c.metric import AlignmentConfig
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
+from oracles import taped_otam_distance
 
 
 @pytest.fixture(autouse=True)
@@ -231,6 +234,91 @@ def test_otam_gradcheck():
         return metric.otam_distance(C, cfg)
 
     check_grads(f, C, tol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (4, 3), (3, 3),
+                                   (3, 4, 3)])
+@pytest.mark.parametrize("relaxed_ends", [False, True])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_otam_gradcheck_orientations_ends_and_shapes(shape, relaxed_ends,
+                                                      bidirectional):
+    # edge rows and columns, degenerate single-row/column tables, the
+    # stacked (square) and sequential (non-square) bidirectional paths
+    rng = np.random.default_rng(21)
+    C = Tensor(rng.uniform(0.1, 1.9, size=shape), requires_grad=True)
+    cfg = AlignmentConfig(gamma=0.1, bidirectional=bidirectional,
+                          relaxed_ends=relaxed_ends)
+    w = Tensor(rng.normal(size=shape[:-2]))
+
+    def f():
+        return T.reduce_sum(T.mul(metric.otam_distance(C, cfg), w))
+
+    check_grads(f, C, tol=1e-6)
+
+
+def _value_and_grad(otam, C, cfg, dtype):
+    with T.precision(dtype):
+        t = Tensor(C, requires_grad=True)
+        with T.Tape():
+            d = otam(t, cfg)
+            loss = T.reduce_sum(d)
+        T.backward(loss)
+        return d.data, t.grad
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_forward_is_bit_identical_to_taped_oracle(dtype):
+    rng = np.random.default_rng(18)
+    configs = [AlignmentConfig(gamma=g, bidirectional=b, relaxed_ends=r)
+               for g in (0.01, 0.1) for b in (False, True)
+               for r in (False, True)]
+    for shape in [(5, 8, 8), (3, 8, 6), (4, 2, 7), (1, 1, 5), (2, 3, 3),
+                  (8, 7)]:
+        C = rng.uniform(0.0, 2.0, size=shape)
+        for cfg in configs:
+            got, g_fused = _value_and_grad(metric.otam_distance, C, cfg,
+                                           dtype)
+            want, g_taped = _value_and_grad(taped_otam_distance, C, cfg,
+                                            dtype)
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (shape, cfg)
+            tol = 1e-5 if dtype == "float32" else 1e-12
+            assert np.allclose(g_fused, g_taped, rtol=0, atol=tol), (shape,
+                                                                      cfg)
+
+
+def test_fused_float32_gradient_error_within_2x_of_taped():
+    # the stored soft-min weights keep float32 gradients as accurate as
+    # replaying the taped DP; recomputing them from R would not
+    rng = np.random.default_rng(19)
+    errs = {"fused": 0.0, "taped": 0.0}
+    for _ in range(10):
+        C = rng.uniform(0.0, 2.0, size=(25, 8, 8))
+        C = C.astype(np.float32).astype(np.float64)  # exact in both dtypes
+        _, ref = _value_and_grad(taped_otam_distance, C, AlignmentConfig(),
+                                 "float64")
+        for name, otam in (("fused", metric.otam_distance),
+                           ("taped", taped_otam_distance)):
+            _, g32 = _value_and_grad(otam, C, AlignmentConfig(), "float32")
+            errs[name] = max(errs[name], float(np.abs(g32 - ref).max()))
+    assert 0.0 < errs["fused"] <= 2.0 * errs["taped"], errs
+
+
+def test_otam_tape_is_freed_without_garbage_collection():
+    # a Tensor held by the backward closure refers back to its tape; that
+    # cycle keeps each training step's tape alive until a full collection
+    leaf = Tensor(np.random.default_rng(20).uniform(0, 2, size=(2, 3, 3)),
+                  requires_grad=True)
+    gc.disable()
+    try:
+        with T.Tape() as tape:
+            d = metric.otam_distance(T.scale(leaf, 1.0), AlignmentConfig())
+        freed = weakref.ref(tape)
+        del tape, d
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_otam_gradient_is_soft_argmin_weights():

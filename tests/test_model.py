@@ -221,6 +221,23 @@ def test_disabled_motion_leaves_phi_untouched():
             assert p.grad is None, f"unexpected gradient for {name}"
 
 
+def test_training_episode_tape_stays_small():
+    # the soft-alignment DP is one fused node per distance call; taping it
+    # cell by cell put about 1650 nodes on a 5-way 1-shot episode at T=8
+    cfg = data.SyntheticConfig(num_classes=20, dim=8, frames=8, scale=1.0,
+                               sigma=0.3, seed=3)
+    manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
+    mdl = model.Model(dim=8, frames=8, num_heads=2, seed=11)
+    episode = data.sample_episode(manifest, data.episode_rng(5, 0), 5, 1, 1,
+                                  "train")
+    with T.Tape() as tape:
+        res = model.episode_forward(mdl, episode, run_seed=5,
+                                    episode_index=0, align=ALIGN,
+                                    bank=manifest.prompt_bank(), train=True)
+    assert res.loss.tape is tape
+    assert len(tape) <= 600, len(tape)
+
+
 def test_same_inputs_reproduce_bitwise():
     manifest, mdl, episode = tiny_setup()
     kw = dict(run_seed=5, episode_index=0, align=ALIGN,

@@ -5,7 +5,9 @@ python loops, math module) rather than the numpy expressions used by the
 library. All gradient checks run in float64 with central differences.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +350,23 @@ def test_backward_requires_scalar_and_tape():
     assert x.grad is not None
     with pytest.raises(GraphError):
         T.backward(T.tensor(1.0))  # never taped
+
+
+def test_finished_tape_is_freed_while_its_leaves_live_on():
+    # parameters outlive every tape they were used on; they must not keep
+    # one alive, or a dropped model's last tape waits for a full collection
+    x = T.tensor(np.ones((3, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(x, x))
+        T.backward(loss)
+        freed = weakref.ref(tape)
+        del tape, loss
+        assert freed() is None
+        assert np.array_equal(x.grad, 2.0 * np.ones((3, 4)))
+    finally:
+        gc.enable()
 
 
 def test_untaped_ops_do_not_record():
