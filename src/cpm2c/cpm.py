@@ -67,16 +67,36 @@ def feature_enhance(branch: CpmBranch, frames: Tensor, token: Tensor,
                                       train=train)
 
 
-def stack_token_frames_batch(tokens: Tensor, frames: Tensor) -> Tensor:
-    """Batched token stacks: (B, D) tokens over (B, L-1, D) frames -> (B, L, D)."""
+def stack_token_frames_batch(tokens: Tensor, frames: Tensor,
+                             table: Optional[Tensor] = None) -> Tensor:
+    """Batched token stacks: (B, D) tokens over (B, L-1, D) frames -> (B, L, D).
+
+    Row 0 of stack b is tokens[b] and row r is tokens[b] + frames[b, r-1];
+    a positional ``table`` of shape (L, D), when given, is then added to
+    every stack. Either way the result is one tape node.
+    """
     if tokens.ndim != 2 or frames.ndim != 3 or \
             tokens.shape[0] != frames.shape[0] or \
             tokens.shape[1] != frames.shape[2]:
         raise ShapeError(f"tokens {tokens.shape} do not match frames "
                          f"{frames.shape}")
-    batch, n, dim = frames.shape
-    conditioned = T.add(T.broadcast_repeat(tokens, 1, n), frames)
-    return T.concat([T.reshape(tokens, (batch, 1, dim)), conditioned], axis=1)
+    length, dim = frames.shape[1] + 1, frames.shape[2]
+    parents = (tokens, frames)
+    head = tokens.data[:, None, :]
+    stacked = np.concatenate([head, head + frames.data], axis=1)
+    if table is not None:
+        if table.shape != (length, dim):
+            raise ShapeError(f"positional table {table.shape} does not "
+                             f"match token stacks of {(length, dim)}")
+        stacked = stacked + table.data
+        parents += (table,)
+    count = len(parents)  # the closure must hold no Tensor
+
+    def bwd(g):
+        rows = g[:, 1:]
+        return (g[:, 0] + rows.sum(axis=1), rows, g.sum(axis=0))[:count]
+
+    return T._record(stacked, parents, bwd)
 
 
 def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,
@@ -86,12 +106,8 @@ def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,
     Equivalent to feature_enhance video by video (the per-video loop is the
     test oracle), but every video of an episode shares a single pass.
     """
-    stacked = stack_token_frames_batch(tokens, frames)
-    if stacked.shape[1] != branch.seq_len:
-        raise ShapeError(f"branch expects length {branch.seq_len}, got "
-                         f"{stacked.shape[1]}")
-    return branch.transformer.forward(T.add(stacked, branch.pos.table),
-                                      train=train)
+    stacked = stack_token_frames_batch(tokens, frames, branch.pos.table)
+    return branch.transformer.forward(stacked, train=train)
 
 
 def consistency_loss(reals, fakes, reduction: str = "sum") -> Tensor:

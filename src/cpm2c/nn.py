@@ -4,6 +4,14 @@ Layers hold their parameters as ``Tensor`` leaves and expose
 ``named_parameters`` (trainable) plus ``named_state`` (trainable and
 persistent buffers such as batch-norm running statistics). Checkpoints
 serialize ``named_state`` into a flat binary format.
+
+Each layer's forward is one tape op: plain numpy forward, one node, and
+a hand-written backward closure that holds only arrays (a Tensor refers
+to its tape, so holding one would keep finished tapes alive). The
+forwards run the numpy operations of the primitive-op compositions they
+replace in the same order, so their outputs are bit-identical to those
+compositions; ``tests/oracles.py`` keeps the compositions as references.
+A ``TransformerBlock`` records 12 nodes and a Phi block 3.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, NumericalError, ShapeError
+from .errors import CheckpointError, DomainError, NumericalError, ShapeError
 from .tensor import Tensor
 
 
@@ -23,9 +31,42 @@ def _join(prefix: str, name: str) -> str:
     return name if not prefix else f"{prefix}.{name}"
 
 
-def _sqrt(x: Tensor) -> Tensor:
-    """Differentiable square root of a strictly positive tensor."""
-    return T.exp(T.scale(T.log(x), 0.5))
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
+               eps: float):
+    """(x - mean) / sqrt(var + eps) * gamma + beta over ``axis``, one node.
+
+    The moments are biased and taken over ``axis``. The square root is
+    exp(0.5 * log(.)), which is what the composition this replaces
+    computed. Returns the output and the (mean, var) arrays, which batch
+    norm folds into its running statistics.
+    """
+    xd = x.data
+    mean = xd.mean(axis=axis, keepdims=True)
+    centered = xd - mean
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    shifted = var + np.asarray(eps, dtype=T.default_dtype())
+    if (shifted <= 0).any():
+        idx = tuple(np.argwhere(shifted <= 0)[0])
+        raise DomainError(f"log: non-positive input at index {idx}")
+    denom = np.exp(np.log(shifted) * 0.5)
+    normed = centered / denom
+    gd, bd = gamma.data, beta.data
+    out = normed * gd + bd
+    count = xd.shape[axis]
+
+    def bwd(g):
+        # the composition's chain rule step by step; the textbook closed
+        # form doubles the float32 error when the axis is short (4 frames)
+        dn = g * gd
+        ddenom = -(dn * centered / (denom * denom)).sum(axis=axis,
+                                                         keepdims=True)
+        dvar = ddenom * denom * 0.5 / shifted / count
+        dc = dn / denom + dvar * centered + dvar * centered
+        dx = dc - dc.sum(axis=axis, keepdims=True) / count
+        return (dx, T._unbroadcast(g * normed, gd.shape),
+                T._unbroadcast(g, bd.shape))
+
+    return T._record(out, (x, gamma, beta), bwd), mean, var
 
 
 class Linear:
@@ -54,16 +95,25 @@ class Linear:
         return layer
 
     def forward(self, x: Tensor) -> Tensor:
+        """(..., in) -> (..., out); leading axes fold into one row axis."""
+        if x.ndim < 2:
+            raise ShapeError(f"linear: rank {x.ndim} input")
         if x.shape[-1] != self.weight.shape[1]:
             raise ShapeError(f"linear: input dim {x.shape[-1]} != "
                              f"{self.weight.shape[1]}")
         shape = x.shape
-        if len(shape) > 2:
-            x = T.reshape(x, (int(np.prod(shape[:-1])), shape[-1]))
-        out = T.add(T.matmul(x, T.transpose(self.weight, 0, 1)), self.bias)
-        if len(shape) > 2:
-            out = T.reshape(out, shape[:-1] + (self.weight.shape[0],))
-        return out
+        xd = x.data.reshape(-1, shape[-1]) if x.ndim > 2 else x.data
+        wd = self.weight.data
+        out = xd @ wd.swapaxes(0, 1) + self.bias.data
+        need_x = x.requires_grad
+
+        def bwd(g):
+            g = g.reshape(-1, g.shape[-1])
+            dx = (g @ wd).reshape(shape) if need_x else None
+            return dx, (xd.swapaxes(0, 1) @ g).swapaxes(0, 1), g.sum(axis=0)
+
+        return T._record(out.reshape(shape[:-1] + (wd.shape[0],)),
+                         (x, self.weight, self.bias), bwd)
 
     def named_parameters(self, prefix: str = ""):
         return [(_join(prefix, "weight"), self.weight),
@@ -81,17 +131,59 @@ class LayerNorm:
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = T.reduce_mean(x, axis=-1, keepdims=True)
-        centered = T.sub(x, mean)
-        var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
-        denom = _sqrt(T.add(var, Tensor(self.eps)))
-        return T.add(T.mul(T.div(centered, denom), self.gamma), self.beta)
+        return _normalize(x, self.gamma, self.beta, -1, self.eps)[0]
 
     def named_parameters(self, prefix: str = ""):
         return [(_join(prefix, "gamma"), self.gamma),
                 (_join(prefix, "beta"), self.beta)]
 
     named_state = named_parameters
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
+    """Multi-head scaled dot-product attention over projected inputs.
+
+    ``q``, ``k`` and ``v`` are (L, D) or (B, L, D). Heads are split off
+    the feature axis, each head's scores are scaled by 1/sqrt(D/H) and
+    softmaxed over keys, and the per-head contexts are merged back to the
+    input's shape. One tape node; returns the context and the softmax
+    weights as an array, (B, H, L, L), or (H, L, L) for 2-d input.
+    """
+    if q.ndim not in (2, 3) or not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape}, "
+                         f"{v.shape} do not agree")
+    shape = q.shape
+    length, dim = shape[-2], shape[-1]
+    batch = shape[0] if q.ndim == 3 else 1
+    head_dim = dim // num_heads
+
+    def split(a):
+        # (B, L, D) -> (B, H, L, d)
+        return a.reshape(batch, length, num_heads, head_dim).swapaxes(1, 2)
+
+    def merge(a):
+        return a.swapaxes(1, 2).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(head_dim)
+    scores = (qh @ kh.swapaxes(2, 3)) * scale
+    if np.isnan(scores).any():
+        raise DomainError("softmax: NaN in input")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    ctx = weights @ vh
+
+    def bwd(g):
+        g = g.reshape(batch, length, num_heads, head_dim).swapaxes(1, 2)
+        dw = g @ vh.swapaxes(-1, -2)
+        ds = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights
+        ds = ds * scale
+        return (merge(ds @ kh),
+                merge((qh.swapaxes(-1, -2) @ ds).swapaxes(2, 3)),
+                merge(weights.swapaxes(-1, -2) @ g))
+
+    out = T._record(merge(ctx), (q, k, v), bwd)
+    return out, (weights if q.ndim == 3 else weights[0])
 
 
 class MultiHeadAttention:
@@ -113,33 +205,18 @@ class MultiHeadAttention:
         self.value = Linear(dim, dim, rng)
         self.out = Linear.zeros(dim, dim)
 
-    def _split(self, x: Tensor, batch: int, length: int) -> Tensor:
-        # (B, L, D) -> (B, H, L, d)
-        return T.transpose(
-            T.reshape(x, (batch, length, self.num_heads, self.head_dim)), 1, 2)
-
     def forward(self, x: Tensor, return_weights: bool = False):
-        """Self-attention over a (L, D) sequence or a (B, L, D) batch."""
-        single = x.ndim == 2
-        if single:
-            x = T.reshape(x, (1,) + x.shape)
-        batch, length = x.shape[0], x.shape[1]
-        q = self._split(self.query.forward(x), batch, length)
-        k = self._split(self.key.forward(x), batch, length)
-        v = self._split(self.value.forward(x), batch, length)
-        scores = T.scale(T.matmul(q, T.transpose(k, 2, 3)),
-                         1.0 / math.sqrt(self.head_dim))
-        weights = T.softmax(scores, axis=-1)
-        ctx = T.matmul(weights, v)                       # (B, H, L, d)
-        merged = T.reshape(T.transpose(ctx, 1, 2), (batch, length, self.dim))
-        out = self.out.forward(merged)
-        if single:
-            out = T.reshape(out, (length, self.dim))
+        """Self-attention over a (L, D) sequence or a (B, L, D) batch.
+
+        With ``return_weights`` the softmax weights come back too, as a
+        Tensor off the tape: (H, L, L) for a sequence, (B, H, L, L) for a
+        batch.
+        """
+        ctx, weights = attention(self.query.forward(x), self.key.forward(x),
+                                 self.value.forward(x), self.num_heads)
+        out = self.out.forward(ctx)
         if return_weights:
-            if single:
-                weights = T.reshape(
-                    weights, (self.num_heads, length, length))
-            return out, weights
+            return out, Tensor(weights)
         return out
 
     def named_parameters(self, prefix: str = ""):
@@ -204,29 +281,25 @@ class BatchNorm:
         self.frozen = False  # identity harness: never update running stats
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if train:
-            mean = T.reduce_mean(x, axis=-2, keepdims=True)
-            centered = T.sub(x, mean)
-            var = T.reduce_mean(T.mul(centered, centered), axis=-2, keepdims=True)
-            if not self.frozen:
-                n = x.shape[-2]
-                correction = n / (n - 1) if n > 1 else 1.0
-                m = self.momentum
-                dim = self.running_mean.shape[0]
-                batch_mean = mean.data.reshape(-1, dim).mean(axis=0)
-                batch_var = var.data.reshape(-1, dim).mean(axis=0)
-                self.running_mean = ((1 - m) * self.running_mean
-                                     + m * batch_mean).astype(
-                    self.running_mean.dtype)
-                self.running_var = ((1 - m) * self.running_var
-                                    + m * correction * batch_var).astype(
-                    self.running_var.dtype)
-            denom = _sqrt(T.add(var, Tensor(self.eps)))
-            normed = T.div(centered, denom)
-        else:
+        if not train:
             denom = np.sqrt(self.running_var + self.eps)
             normed = T.div(T.sub(x, Tensor(self.running_mean)), Tensor(denom))
-        return T.add(T.mul(normed, self.gamma), self.beta)
+            return T.add(T.mul(normed, self.gamma), self.beta)
+        out, mean, var = _normalize(x, self.gamma, self.beta, -2, self.eps)
+        if not self.frozen:
+            n = x.shape[-2]
+            correction = n / (n - 1) if n > 1 else 1.0
+            m = self.momentum
+            dim = self.running_mean.shape[0]
+            batch_mean = mean.reshape(-1, dim).mean(axis=0)
+            batch_var = var.reshape(-1, dim).mean(axis=0)
+            self.running_mean = ((1 - m) * self.running_mean
+                                 + m * batch_mean).astype(
+                self.running_mean.dtype)
+            self.running_var = ((1 - m) * self.running_var
+                                + m * correction * batch_var).astype(
+                self.running_var.dtype)
+        return out
 
     def named_parameters(self, prefix: str = ""):
         return [(_join(prefix, "gamma"), self.gamma),

@@ -5,10 +5,19 @@ executed while a ``Tape`` is active record backward rules onto the tape;
 ``backward(loss)`` replays them in reverse append order and accumulates
 gradients into every ``requires_grad`` leaf that contributed to the loss.
 
-Precision is a process-wide switch: float32 for training and evaluation,
+The primitive ops here are the building blocks. A composite that runs
+often (each layer in ``nn``, the token stack in ``cpm``, the alignment DP
+in ``metric``) is recorded instead as one node through ``_record``: a
+numpy forward plus a backward closure that maps the output gradient to
+one partial per parent (None for a parent that needs none). The closure
+must hold arrays only: a Tensor refers to its tape, and that cycle would
+keep a finished tape alive until a full garbage collection.
+
+Precision is a per-thread switch: float32 for training and evaluation,
 float64 for finite-difference gradient checking (use the ``precision``
-context manager). Tapes are per-forward-pass and thread-local; independent
-tapes may run concurrently on disjoint data.
+context manager). Tapes are per-forward-pass and thread-local; a new
+thread starts in float32 with no tape, and independent tapes may run
+concurrently on disjoint data.
 """
 
 from __future__ import annotations
@@ -23,37 +32,39 @@ from .errors import DomainError, GraphError, ShapeError
 
 _FLOAT_DTYPES = {"float32": np.float32, "float64": np.float64}
 
-_state = threading.local()
+
+class _ThreadState(threading.local):
+    """Per-thread open tapes and default dtype; each thread starts with
+    no tape and float32."""
+
+    def __init__(self):
+        self.tapes: list = []
+        self.dtype = np.float32
 
 
-def _tls():
-    if not hasattr(_state, "tapes"):
-        _state.tapes = []
-        _state.dtype = np.float32
-    return _state
+_state = _ThreadState()
 
 
 def default_dtype():
     """Currently active float dtype (per thread)."""
-    return _tls().dtype
+    return _state.dtype
 
 
 def set_default_dtype(name: str) -> None:
     if name not in _FLOAT_DTYPES:
         raise ValueError(f"unknown float dtype {name!r}")
-    _tls().dtype = _FLOAT_DTYPES[name]
+    _state.dtype = _FLOAT_DTYPES[name]
 
 
 @contextlib.contextmanager
 def precision(name: str):
     """Temporarily switch the default float dtype ('float32' or 'float64')."""
-    tls = _tls()
-    old = tls.dtype
+    old = _state.dtype
     set_default_dtype(name)
     try:
         yield
     finally:
-        tls.dtype = old
+        _state.dtype = old
 
 
 class Tensor:
@@ -67,7 +78,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "tape", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=default_dtype())
+        arr = np.asarray(data, dtype=_state.dtype)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
@@ -162,11 +173,11 @@ class Tape:
         self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node id
 
     def __enter__(self) -> "Tape":
-        _tls().tapes.append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        tapes = _tls().tapes
+        tapes = _state.tapes
         if tapes and tapes[-1] is self:
             tapes.pop()
         return False
@@ -196,13 +207,14 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    tapes = _tls().tapes
+    tapes = _state.tapes
     return tapes[-1] if tapes else None
 
 
 def _record(out_data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable) -> Tensor:
-    tape = active_tape()
+    tapes = _state.tapes
+    tape = tapes[-1] if tapes else None
     if tape is None or not any(p.requires_grad for p in parents):
         return Tensor(out_data)
     ids = tuple(tape._ensure(p) if p.requires_grad else None for p in parents)
@@ -261,9 +273,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _binary_shape_check(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(fn, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's broadcasting error reported as
+    a ShapeError before anything is recorded."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} "
                          f"are not broadcast-compatible") from None
@@ -274,47 +288,48 @@ def _binary_shape_check(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "add")
+    out = _broadcast(np.add, a, b, "add")
     sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
         return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _record(a.data + b.data, (a, b), bwd)
+    return _record(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "sub")
+    out = _broadcast(np.subtract, a, b, "sub")
     sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
         return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
-    return _record(a.data - b.data, (a, b), bwd)
+    return _record(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "mul")
+    out = _broadcast(np.multiply, a, b, "mul")
     ad, bd = a.data, b.data
 
     def bwd(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _record(ad * bd, (a, b), bwd)
+    return _record(out, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "div")
-    if (b.data == 0).any():
-        idx = tuple(np.argwhere(b.data == 0)[0])
-        raise DomainError(f"div: zero divisor at index {idx}")
     ad, bd = a.data, b.data
+    if (bd == 0).any():
+        _broadcast(np.add, a, b, "div")  # a shape error is reported first
+        idx = tuple(np.argwhere(bd == 0)[0])
+        raise DomainError(f"div: zero divisor at index {idx}")
+    out = _broadcast(np.divide, a, b, "div")
 
     def bwd(g):
         return (_unbroadcast(g / bd, ad.shape),
                 _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _record(ad / bd, (a, b), bwd)
+    return _record(out, (a, b), bwd)
 
 
 def exp(a: Tensor) -> Tensor:

@@ -7,6 +7,7 @@ library. All gradient checks run in float64 with central differences.
 
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -394,4 +395,31 @@ def test_precision_context_switches_and_restores():
         with T.precision("float64"):
             assert T.tensor([1.0]).data.dtype == np.float64
         assert T.tensor([1.0]).data.dtype == np.float32
+    assert T.tensor([1.0]).data.dtype == np.float64  # fixture-installed mode
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+def test_broadcast_mismatch_raises_shape_error_before_recording(op):
+    a = T.tensor(np.ones((2, 3)), requires_grad=True)
+    b = T.tensor(np.zeros((4,)) if op is T.div else np.ones((4,)))
+    with T.Tape() as tape:
+        with pytest.raises(ShapeError, match="not broadcast-compatible"):
+            op(a, b)
+    assert len(tape) == 0
+
+
+def test_fresh_thread_starts_in_float32_with_no_tape():
+    seen = {}
+
+    def probe():
+        seen["dtype"] = T.tensor([1.0]).data.dtype
+        seen["tape"] = T.active_tape()
+
+    with T.Tape() as tape:
+        worker = threading.Thread(target=probe)
+        worker.start()
+        worker.join(timeout=10)
+        assert T.active_tape() is tape
+    assert not worker.is_alive()
+    assert seen == {"dtype": np.float32, "tape": None}
     assert T.tensor([1.0]).data.dtype == np.float64  # fixture-installed mode
