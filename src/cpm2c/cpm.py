@@ -68,12 +68,12 @@ def feature_enhance(branch: CpmBranch, frames: Tensor, token: Tensor,
 
 
 def stack_token_frames_batch(tokens: Tensor, frames: Tensor,
-                             table: Optional[Tensor] = None) -> Tensor:
-    """Batched token stacks: (B, D) tokens over (B, L-1, D) frames -> (B, L, D).
+                             table: Tensor) -> Tensor:
+    """Batched token stacks plus positions: (B, D) tokens over (B, L-1, D)
+    frames and an (L, D) positional table -> (B, L, D), one tape node.
 
     Row 0 of stack b is tokens[b] and row r is tokens[b] + frames[b, r-1];
-    a positional ``table`` of shape (L, D), when given, is then added to
-    every stack. Either way the result is one tape node.
+    ``table`` is then added to every stack.
     """
     if tokens.ndim != 2 or frames.ndim != 3 or \
             tokens.shape[0] != frames.shape[0] or \
@@ -81,22 +81,17 @@ def stack_token_frames_batch(tokens: Tensor, frames: Tensor,
         raise ShapeError(f"tokens {tokens.shape} do not match frames "
                          f"{frames.shape}")
     length, dim = frames.shape[1] + 1, frames.shape[2]
-    parents = (tokens, frames)
+    if table.shape != (length, dim):
+        raise ShapeError(f"positional table {table.shape} does not "
+                         f"match token stacks of {(length, dim)}")
     head = tokens.data[:, None, :]
-    stacked = np.concatenate([head, head + frames.data], axis=1)
-    if table is not None:
-        if table.shape != (length, dim):
-            raise ShapeError(f"positional table {table.shape} does not "
-                             f"match token stacks of {(length, dim)}")
-        stacked = stacked + table.data
-        parents += (table,)
-    count = len(parents)  # the closure must hold no Tensor
+    stacked = np.concatenate([head, head + frames.data], axis=1) + table.data
 
     def bwd(g):
         rows = g[:, 1:]
-        return (g[:, 0] + rows.sum(axis=1), rows, g.sum(axis=0))[:count]
+        return g[:, 0] + rows.sum(axis=1), rows, g.sum(axis=0)
 
-    return T._record(stacked, parents, bwd)
+    return T._record(stacked, (tokens, frames, table), bwd)
 
 
 def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,

@@ -5,9 +5,8 @@ motion-compensated difference sequences, and both contribute soft
 alignment costs to the query-vs-prototype similarity. The episode
 forward pass batches every video of the episode through each branch in
 a single transformer call and batches every prototype/query alignment
-into a single DP call. Each layer and the DP record one tape node, so a
-5-way 1-shot training episode records about 230 nodes, and per-node
-bookkeeping stays a small share of a training step.
+into a single DP call. Each layer and the DP record one tape node, so
+per-node bookkeeping stays a small share of a training step.
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ Layers hold their parameters as ``Tensor`` leaves and expose
 persistent buffers such as batch-norm running statistics). Checkpoints
 serialize ``named_state`` into a flat binary format.
 
-Each layer's forward is one tape op: plain numpy forward, one node, and
-a hand-written backward closure that holds only arrays (a Tensor refers
-to its tape, so holding one would keep finished tapes alive). The
-forwards run the numpy operations of the primitive-op compositions they
-replace in the same order, so their outputs are bit-identical to those
+Each layer's forward is one tape op (see ``tensor._record``): plain
+numpy forward, one node, and a hand-written backward. The forwards run
+the numpy operations of the primitive-op compositions they replace in
+the same order, so their outputs are bit-identical to those
 compositions; ``tests/oracles.py`` keeps the compositions as references.
-A ``TransformerBlock`` records 12 nodes and a Phi block 3.
 """
 
 from __future__ import annotations

@@ -320,7 +320,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if (bd == 0).any():
-        _broadcast(np.add, a, b, "div")  # a shape error is reported first
+        try:
+            np.broadcast_shapes(ad.shape, bd.shape)
+        except ValueError:
+            raise ShapeError(f"div: shapes {ad.shape} and {bd.shape} "
+                             f"are not broadcast-compatible") from None
         idx = tuple(np.argwhere(bd == 0)[0])
         raise DomainError(f"div: zero divisor at index {idx}")
     out = _broadcast(np.divide, a, b, "div")

@@ -186,7 +186,7 @@ def taped_batchnorm_forward(self: nn.BatchNorm, x: Tensor,
 
 
 def taped_stack_token_frames_batch(tokens: Tensor, frames: Tensor,
-                                   table=None) -> Tensor:
+                                   table: Tensor) -> Tensor:
     if tokens.ndim != 2 or frames.ndim != 3 or \
             tokens.shape[0] != frames.shape[0] or \
             tokens.shape[1] != frames.shape[2]:
@@ -196,7 +196,7 @@ def taped_stack_token_frames_batch(tokens: Tensor, frames: Tensor,
     conditioned = T.add(T.broadcast_repeat(tokens, 1, n), frames)
     stacked = T.concat([T.reshape(tokens, (batch, 1, dim)), conditioned],
                        axis=1)
-    return stacked if table is None else T.add(stacked, table)
+    return T.add(stacked, table)
 
 
 def patch_layer_oracles(monkeypatch) -> None:

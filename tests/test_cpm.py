@@ -234,7 +234,8 @@ def test_stack_token_frames_batch_matches_single():
     rng = np.random.default_rng(40)
     tokens = rng.normal(size=(3, 4))
     frames = rng.normal(size=(3, 5, 4))
-    batched = cpm.stack_token_frames_batch(Tensor(tokens), Tensor(frames)).data
+    batched = cpm.stack_token_frames_batch(Tensor(tokens), Tensor(frames),
+                                           Tensor(np.zeros((6, 4)))).data
     for i in range(3):
         single = cpm.stack_token_frames(Tensor(tokens[i]), Tensor(frames[i])).data
         assert np.array_equal(batched[i], single)
@@ -243,7 +244,8 @@ def test_stack_token_frames_batch_matches_single():
 def test_stack_token_frames_batch_shape_mismatch():
     with pytest.raises(ShapeError):
         cpm.stack_token_frames_batch(Tensor(np.zeros((3, 4))),
-                                     Tensor(np.zeros((2, 5, 4))))
+                                     Tensor(np.zeros((2, 5, 4))),
+                                     Tensor(np.zeros((6, 4))))
 
 
 def test_feature_enhance_batch_matches_per_video():

@@ -24,7 +24,7 @@ CASES = [
     ("layernorm", (5, 6)), ("layernorm", (3, 4, 6)),
     ("attention", (5, 6)), ("attention", (3, 4, 6)),
     ("batchnorm", (5, 6)), ("batchnorm", (3, 4, 6)),
-    ("stack", (3, 4, 6)), ("stack_no_table", (3, 4, 6)),
+    ("stack", (3, 4, 6)), ("stack_zero_table", (3, 4, 6)),
 ]
 
 
@@ -66,11 +66,13 @@ def build(name, shape, seed=0):
     inputs = [_param(rng, batch, dim), _param(rng, batch, rows, dim)]
     if name == "stack":
         table = _param(rng, rows + 1, dim)
-        return (lambda t, f: cpm.stack_token_frames_batch(t, f, table),
-                lambda t, f: taped_stack_token_frames_batch(t, f, table),
-                inputs, [table])
-    return (cpm.stack_token_frames_batch, taped_stack_token_frames_batch,
-            inputs, [])
+        params = [table]
+    else:  # a constant zero table: only the tokens and frames get gradients
+        table = Tensor(np.zeros((rows + 1, dim)))
+        params = []
+    return (lambda t, f: cpm.stack_token_frames_batch(t, f, table),
+            lambda t, f: taped_stack_token_frames_batch(t, f, table),
+            inputs, params)
 
 
 def _loss(out):
