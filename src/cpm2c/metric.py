@@ -74,7 +74,8 @@ def cost_matrix(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cost 1 - cos(a_i, b_j) between row sets.
 
     Accepts (m, D) x (n, D) or batched (..., m, D) x (..., n, D) with
-    equal leading shapes; costs land in [0, 2].
+    leading shapes that broadcast, so (N, 1, m, D) x (1, Q, n, D) costs
+    every pair without copying either side; costs land in [0, 2].
     """
     if a.shape[-1] != b.shape[-1] or a.ndim != b.ndim:
         raise ShapeError(f"cost_matrix: shapes {a.shape} and {b.shape} "
@@ -199,8 +200,10 @@ def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor
 
 
 def _frame_rows(enhanced: Tensor) -> Tensor:
-    """Drop the token row: alignment sees frames only."""
-    return T.slice_axis(enhanced, 0, 1, enhanced.shape[0])
+    """Drop the token row of an (L, D) enhanced sequence or of each
+    sequence of a (B, L, D) batch: alignment sees frames only."""
+    axis = enhanced.ndim - 2
+    return T.slice_axis(enhanced, axis, 1, enhanced.shape[axis])
 
 
 def combined_distance(normal_s, normal_q, motion_s, motion_q, alpha: float,

@@ -2,16 +2,30 @@
 
 The normal branch enhances raw frame stacks, the motion branch enhances
 motion-compensated difference sequences, and both contribute soft
-alignment costs to the query-vs-prototype similarity. The episode
-forward pass batches every video of the episode through each branch in
-a single transformer call and batches every prototype/query alignment
-into a single DP call. Each layer and the DP record one tape node, so
-per-node bookkeeping stays a small share of a training step.
+alignment costs to the query-vs-prototype similarity.
+
+There are two entry points. ``episode_forward`` with losses (training,
+and evaluation that reports losses) runs one episode at a time: every
+video of the episode goes through each branch under both its real and
+its fake token in one transformer call, and every prototype/query
+alignment runs in one DP call. Each layer and the DP record one tape
+node, so per-node bookkeeping stays a small share of a training step.
+
+``score_episodes`` is the only path that scores without losses, and it
+never updates the model. In eval mode a support video's real-token
+features depend on nothing but the video and its class prompt, so each
+distinct support video is enhanced once per call and per branch, and
+every episode of the call builds its prototypes from those features.
+Queries are scored in fixed blocks of episodes: per block and branch,
+one Phi pass, one fake-token enhancement pass, one cost-matrix call and
+one DP call. ``episode_forward`` without losses is this scorer run on
+one episode.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,13 +34,23 @@ import numpy as np
 from . import cpm, metric, objective, tensor as T
 from .data import EpisodeBatch, keyed_rng
 from .errors import ConfigError, ProtocolError
-from .metric import AlignmentConfig
+from .metric import AlignmentConfig, _frame_rows
 from .motion import motion_features
 from .nn import PhiStack, _join
 from .objective import LossWeights
 from .tensor import Tensor
 
 _INIT_TAG = 8
+
+# Episodes that ``score_episodes`` scores together, and the most support
+# videos it enhances in one pass. On 5-way 5-shot evaluation at dim 64,
+# blocks of 8 to 32 episodes and chunks of 32 to 256 videos all ran at
+# about the same speed, and a single block of 200 episodes ran slower.
+# The smallest of these sizes hold the transient memory of a call to
+# about 2 MiB above scoring one episode at a time, most of it the kept
+# support features.
+_BLOCK_EPISODES = 8
+_SUPPORT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -125,11 +149,6 @@ def _fake_tokens(dim, run_seed, episode_index, indices, branch):
         for v in indices])
 
 
-def _frame_rows(enhanced: Tensor) -> Tensor:
-    """Drop the token row of a (B, L, D) enhanced batch."""
-    return T.slice_axis(enhanced, 1, 1, enhanced.shape[1])
-
-
 def _pair_distances(protos: Tensor, queries: Tensor,
                     align: AlignmentConfig) -> Tensor:
     """Alignment cost of every query against every prototype -> (Q, N).
@@ -146,38 +165,26 @@ def _pair_distances(protos: Tensor, queries: Tensor,
     return T.reshape(dists, (q, n))
 
 
-def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k,
-                 train, with_losses):
-    """Enhance one branch's videos and return (protos, queries, con_parts).
+def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
+    """Enhance one branch's videos under both tokens.
 
-    With losses, every video runs under both its real token and its fake
-    token and the consistency pieces (sum of squared differences, element
-    count) are returned; without, supports run real-only and queries
-    fake-only, and ``fake_tokens`` holds the query videos' tokens only.
+    Returns the prototypes, the queries' fake-token features, and the
+    consistency pieces: the sum of squared real/fake differences and its
+    element count.
     """
     support = n * k
     total = frames.shape[0]
-    if with_losses:
-        real = cpm.feature_enhance_batch(branch, frames,
-                                         Tensor(real_tokens), train=train)
-        fake = cpm.feature_enhance_batch(branch, frames,
-                                         Tensor(fake_tokens), train=train)
-        diff = T.sub(fake, real)
-        con = T.reduce_sum(T.mul(diff, diff))
-        numel = real.size
-        real_support = T.slice_axis(real, 0, 0, support)
-        fake_query = T.slice_axis(fake, 0, support, total)
-    else:
-        real_support = cpm.feature_enhance_batch(
-            branch, T.slice_axis(frames, 0, 0, support),
-            Tensor(real_tokens[:support]), train=train)
-        fake_query = cpm.feature_enhance_batch(
-            branch, T.slice_axis(frames, 0, support, total),
-            Tensor(fake_tokens), train=train)
-        con, numel = None, 0
+    real = cpm.feature_enhance_batch(branch, frames, Tensor(real_tokens),
+                                     train=train)
+    fake = cpm.feature_enhance_batch(branch, frames, Tensor(fake_tokens),
+                                     train=train)
+    diff = T.sub(fake, real)
+    con = T.reduce_sum(T.mul(diff, diff))
+    real_support = T.slice_axis(real, 0, 0, support)
+    fake_query = T.slice_axis(fake, 0, support, total)
     seq, dim = real_support.shape[1], real_support.shape[2]
     protos = T.reduce_mean(T.reshape(real_support, (n, k, seq, dim)), axis=1)
-    return protos, fake_query, con, numel
+    return protos, fake_query, con, real.size
 
 
 def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
@@ -193,59 +200,57 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     split; when given (and losses are on) the adaptation loss scores
     every episode video against the whole bank. Queries always classify
     through their fake-token features; support prototypes always come
-    from real-token features.
+    from real-token features. Without losses this is ``score_episodes``
+    on the one episode, which runs in eval mode only.
     """
     if alpha < 0:
         raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
     if consistency_reduction not in ("sum", "mean"):
         raise ConfigError(f"unknown reduction {consistency_reduction!r}")
+    if not compute_losses:
+        if train:
+            raise ConfigError("scoring without losses runs in eval mode; "
+                              "train=True needs compute_losses=True")
+        return score_episodes(model, [episode], [episode_index],
+                              run_seed=run_seed, align=align, alpha=alpha,
+                              ablation=ablation)[0]
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     frames_np, prompts_np, labels = _episode_frames(episode)
     total = frames_np.shape[0]
     frames = Tensor(frames_np)
-    # without losses only the queries' fake tokens are ever read
-    token_indices = range(0 if compute_losses else n * k, total)
 
     total_cost = None
     con_sum, con_numel = None, 0
     if ablation.use_normal:
         fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             token_indices, "normal")
-        protos, queries, con, numel = _branch_pass(
-            model.normal, frames, prompts_np, fakes, n, k,
-            train, compute_losses)
-        dists = _pair_distances(_frame_rows(protos), _frame_rows(queries),
-                                align)
-        total_cost = dists
-        if con is not None:
-            con_sum, con_numel = con, numel
+                             range(total), "normal")
+        protos, queries, con_sum, con_numel = _branch_pass(
+            model.normal, frames, prompts_np, fakes, n, k, train)
+        total_cost = _pair_distances(_frame_rows(protos),
+                                     _frame_rows(queries), align)
     if ablation.use_motion:
         motion_frames = motion_features(model.phi, frames, train=train)
         fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             token_indices, "motion")
+                             range(total), "motion")
         protos, queries, con, numel = _branch_pass(
-            model.motion, motion_frames, prompts_np, fakes, n, k,
-            train, compute_losses)
+            model.motion, motion_frames, prompts_np, fakes, n, k, train)
         dists = T.scale(
             _pair_distances(_frame_rows(protos), _frame_rows(queries),
                             align), alpha)
         total_cost = dists if total_cost is None else T.add(total_cost, dists)
-        if con is not None:
-            con_sum = con if con_sum is None else T.add(con_sum, con)
-            con_numel += numel
+        con_sum = con if con_sum is None else T.add(con_sum, con)
+        con_numel += numel
 
     probs = T.softmax(T.neg(total_cost), axis=-1)
     probs_np = np.asarray(probs.data)
     predictions = probs_np.argmax(axis=1)
     correct = int((predictions == labels).sum())
     result = EpisodeResult(probs_np.copy(), predictions, labels, correct)
-    if not compute_losses:
-        return result
 
     rows = [T.reshape(T.slice_axis(probs, 0, i, i + 1), (n,))
             for i in range(probs.shape[0])]
     task = objective.task_loss(rows, labels)
-    consistency = con_sum if con_sum is not None else Tensor(0.0)
+    consistency = con_sum
     if consistency_reduction == "mean" and con_numel:
         consistency = T.scale(consistency, 1.0 / con_numel)
     if bank is not None:
@@ -270,3 +275,156 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
                     "consistency": float(consistency.data),
                     "total": float(result.loss.data)}
     return result
+
+
+# ---------------------------------------------------------------------------
+# scoring without losses
+
+
+def _enhance(model: Model, name: str, branch, frames: np.ndarray,
+             tokens: np.ndarray) -> np.ndarray:
+    """Eval-mode enhanced features of a video batch, token row dropped;
+    the motion branch first runs the frames through ``motion_features``."""
+    x = Tensor(frames)
+    if name == "motion":
+        x = motion_features(model.phi, x)
+    return _frame_rows(cpm.feature_enhance_batch(branch, x,
+                                                 Tensor(tokens))).data
+
+
+def _support_features(model: Model, episodes, branches):
+    """Enhance every distinct support video of ``episodes`` once per branch.
+
+    A support video is identified by its class and video id. Returns the
+    (E, N*K) row of each episode's supports, in canonical order, and per
+    branch name a (V, L-1, D) array of real-token features. The distinct
+    videos are split into near-equal chunks of at most
+    ``_SUPPORT_CHUNK``, so no pass is much smaller than the others.
+    """
+    rows: dict = {}
+    frames, prompts, index = [], [], []
+    for ep in episodes:
+        episode_rows = []
+        for c in range(ep.way):
+            for rec in ep.support[c]:
+                key = (ep.class_ids[c], rec.video_id)
+                if key not in rows:
+                    rows[key] = len(frames)
+                    frames.append(rec.features())
+                    prompts.append(ep.prompts[c])
+                episode_rows.append(rows[key])
+        index.append(episode_rows)
+    count = len(frames)
+    chunks = np.array_split(np.arange(count), -(-count // _SUPPORT_CHUNK))
+    features = {}
+    for name, branch in branches:
+        out = None
+        for chunk in chunks:
+            lo, hi = chunk[0], chunk[-1] + 1
+            feats = _enhance(model, name, branch, np.stack(frames[lo:hi]),
+                             np.stack(prompts[lo:hi]))
+            if out is None:
+                out = np.empty((count,) + feats.shape[1:], feats.dtype)
+            out[lo:hi] = feats
+        features[name] = out
+    return np.asarray(index), features
+
+
+def _block_costs(model: Model, name: str, branch, episodes, indices,
+                 frames: np.ndarray, support_rows, support: np.ndarray,
+                 run_seed: int, align: AlignmentConfig) -> Tensor:
+    """One branch's alignment cost of every block query against every
+    prototype of its episode -> (E, Q, N)."""
+    n, k = episodes[0].way, episodes[0].shot
+    count, q = len(episodes), n * episodes[0].queries_per_class
+    tokens = np.concatenate([
+        _fake_tokens(model.dim, run_seed, index, range(n * k, n * k + q),
+                     name) for index in indices])
+    queries = _enhance(model, name, branch, frames, tokens)
+    length, dim = support.shape[1], support.shape[2]
+    # the same mean over the K supports as the per-episode path takes
+    protos = support[support_rows].reshape(count * n, k, length, dim)
+    protos = protos.mean(axis=1).reshape(count, 1, n, length, dim)
+    costs = metric.cost_matrix(
+        Tensor(protos), Tensor(queries.reshape(count, q, 1, length, dim)))
+    dists = metric.otam_distance(
+        T.reshape(costs, (count * q * n, length, length)), align)
+    return T.reshape(dists, (count, q, n))
+
+
+def _score_block(model: Model, episodes, indices, support_rows,
+                 support, branches, run_seed: int, align: AlignmentConfig,
+                 alpha: float):
+    """Score a block of same-shaped episodes against their prototypes."""
+    n, p = episodes[0].way, episodes[0].queries_per_class
+    frames = np.stack([rec.features() for ep in episodes
+                       for recs in ep.query for rec in recs])
+    total_cost = None
+    for name, branch in branches:
+        dists = _block_costs(model, name, branch, episodes, indices, frames,
+                             support_rows, support[name], run_seed, align)
+        if name == "motion":
+            dists = T.scale(dists, alpha)
+        total_cost = dists if total_cost is None else T.add(total_cost, dists)
+    probs = T.softmax(T.neg(total_cost), axis=-1).data
+    labels = np.repeat(np.arange(n), p)
+    results = []
+    for episode_probs in probs:
+        predictions = episode_probs.argmax(axis=1)
+        results.append(EpisodeResult(
+            episode_probs.copy(), predictions, labels,
+            int((predictions == labels).sum())))
+    return results
+
+
+def score_episodes(model: Model, episodes, indices, *, run_seed: int,
+                   align: AlignmentConfig = AlignmentConfig(),
+                   alpha: float = 1.0, ablation: Ablation = Ablation(),
+                   workers: int = 1) -> list:
+    """Class probabilities of every episode, in eval mode, without losses.
+
+    ``episodes`` share one way/shot/queries shape; ``indices`` are their
+    episode indices, which key the queries' fake tokens exactly as
+    ``episode_forward`` does. Each distinct support video is enhanced
+    once per branch, then the episodes are scored in fixed blocks of
+    ``_BLOCK_EPISODES``; ``workers`` threads map over the blocks and
+    share the support features. Block boundaries do not depend on
+    ``workers``, so neither do the results. Each episode's probabilities
+    equal ``episode_forward``'s on that episode alone bit for bit,
+    except where BLAS picks another kernel for the block's larger
+    batches, which moves only the last bits. Returns one EpisodeResult
+    per episode, in order. The model is never updated, and nothing is
+    kept after the call.
+    """
+    if alpha < 0:
+        raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
+    episodes, indices = list(episodes), list(indices)
+    if len(episodes) != len(indices):
+        raise ProtocolError(f"{len(episodes)} episodes but "
+                            f"{len(indices)} episode indices")
+    if not episodes:
+        return []
+    if len({(ep.way, ep.shot, ep.queries_per_class)
+            for ep in episodes}) > 1:
+        raise ProtocolError("episodes scored together must share one "
+                            "way/shot/queries shape")
+    branches = [(name, branch) for name, branch, used in (
+        ("normal", model.normal, ablation.use_normal),
+        ("motion", model.motion, ablation.use_motion)) if used]
+    support_rows, support = _support_features(model, episodes, branches)
+    dtype = T.default_dtype().__name__
+
+    def block(lo: int):
+        hi = lo + _BLOCK_EPISODES
+        with T.precision(dtype):         # worker threads start in float32
+            return _score_block(model, episodes[lo:hi], indices[lo:hi],
+                                support_rows[lo:hi], support, branches,
+                                run_seed, align, alpha)
+
+    starts = range(0, len(episodes), _BLOCK_EPISODES)
+    if workers == 1:
+        blocks = [block(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(block, starts))
+    return [res for results in blocks for res in results]

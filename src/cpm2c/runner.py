@@ -1,10 +1,14 @@
-"""Episodic training, parallel evaluation, and the model gradient audit.
+"""Episodic training, block evaluation, and the model gradient audit.
 
 Training accumulates gradients over a window of episodes per optimizer
 step (the window mean, so window size changes variance but not scale),
 logs one metrics row per step, and keeps the last healthy parameter
 snapshot so a non-finite gradient aborts without corrupting the run.
-Evaluation distributes episodes over worker threads but reduces in
+Evaluation without losses samples every episode of the call first and
+hands them to ``model.score_episodes``, which enhances each distinct
+support video once and scores the episodes in fixed blocks, with worker
+threads mapping over the blocks. Evaluation with losses runs episode by
+episode on the training path. Either way results are reduced in
 episode-index order, so the reported numbers do not depend on the
 worker count.
 """
@@ -26,7 +30,7 @@ from .data import DatasetManifest, episode_rng, keyed_rng, sample_episode, \
     write_manifest
 from .errors import ConfigError, DataError, NumericalError
 from .metric import AlignmentConfig
-from .model import Ablation, Model, episode_forward
+from .model import Ablation, Model, episode_forward, score_episodes
 from .nn import Adam, apply_state, load_checkpoint, save_checkpoint
 from .objective import LossWeights
 from .tensor import Tensor
@@ -262,12 +266,16 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
              workers: Optional[int] = None, bank=None,
              way: Optional[int] = None, shot: Optional[int] = None,
              queries: Optional[int] = None) -> EvalResult:
-    """Score the model over a block of evaluation episodes.
+    """Score the model over a run of evaluation episodes.
 
     Episode i draws from the stream keyed by (seed, start_index + i), so
-    the block is reproducible and disjoint from training. Results are
-    reduced in index order with float64 accumulators; any worker count
-    gives the same numbers. Parameters are never mutated.
+    the run is reproducible and disjoint from training. Without losses,
+    all episodes are sampled first and scored by ``score_episodes``: each
+    distinct support video is enhanced once per branch for this call
+    only, and ``workers`` threads map over fixed blocks of episodes.
+    With losses, ``workers`` threads map over single episodes. Results
+    are reduced in index order with float64 accumulators; any worker
+    count gives the same numbers. Parameters are never mutated.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
     split = cfg.eval_split if split is None else split
@@ -286,11 +294,18 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
                                      way, shot, queries, split)
             return episode_forward(mdl, episode, run_seed=cfg.seed,
                                    episode_index=index, bank=bank,
-                                   train=False,
-                                   compute_losses=compute_losses, **kwargs)
+                                   train=False, **kwargs)
 
     t0 = time.perf_counter()
-    if workers == 1:
+    if not compute_losses:
+        indices = [start + i for i in range(episodes)]
+        sampled = [sample_episode(manifest, episode_rng(cfg.seed, index),
+                                  way, shot, queries, split)
+                   for index in indices]
+        results = score_episodes(mdl, sampled, indices, run_seed=cfg.seed,
+                                 align=cfg.align(), alpha=cfg.alpha,
+                                 ablation=cfg.ablation(), workers=workers)
+    elif workers == 1:
         results = [run_one(i) for i in range(episodes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -325,10 +340,6 @@ class GradcheckEntry:
     max_err: float
     worst_coord: int
     checked: int
-
-    @property
-    def ok(self) -> bool:
-        return self.max_err <= 1e-4
 
 
 @dataclass

@@ -389,15 +389,21 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. 2-d operands give the standard product; equal-rank
-    stacked operands (e.g. heads x L x d) are multiplied batch-wise."""
+    stacked operands (e.g. heads x L x d) are multiplied batch-wise, and
+    their leading axes broadcast, so a size-1 axis pairs one matrix with
+    every matrix of the other operand without copying it."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.ndim != bd.ndim:
         raise ShapeError(f"matmul: ranks {ad.ndim} and {bd.ndim} unsupported")
-    if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
+    if ad.shape[-1] != bd.shape[-2] or any(
+            x != y and 1 not in (x, y)
+            for x, y in zip(ad.shape[:-2], bd.shape[:-2])):
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not agree")
+    sa, sb = ad.shape, bd.shape
 
     def bwd(g):
-        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+        return (_unbroadcast(g @ bd.swapaxes(-1, -2), sa),
+                _unbroadcast(ad.swapaxes(-1, -2) @ g, sb))
 
     return _record(ad @ bd, (a, b), bwd)
 

@@ -11,15 +11,22 @@ for; ``taped_stack_token_frames_batch`` is the same for the token stack.
 Each fused layer op must reproduce its composition's forward bit for bit
 and its gradients to rounding. ``patch_layer_oracles`` swaps them all
 in, so a whole model can run on the compositions.
+
+``per_episode_scores`` scores one episode without losses the way
+evaluation did before it scored episodes in blocks: every support video
+is enhanced again for every episode, and each episode gets its own
+transformer, cost-matrix and DP calls. ``model.score_episodes`` must
+reproduce its probabilities bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from cpm2c import cpm, nn, tensor as T
+from cpm2c import cpm, model, nn, tensor as T
 from cpm2c.errors import ShapeError
-from cpm2c.metric import BIG, AlignmentConfig
+from cpm2c.metric import BIG, AlignmentConfig, _frame_rows
+from cpm2c.motion import motion_features
 from cpm2c.tensor import Tensor
 
 
@@ -208,3 +215,49 @@ def patch_layer_oracles(monkeypatch) -> None:
     monkeypatch.setattr(nn.BatchNorm, "forward", taped_batchnorm_forward)
     monkeypatch.setattr(cpm, "stack_token_frames_batch",
                         taped_stack_token_frames_batch)
+
+
+# ---------------------------------------------------------------------------
+# per-episode scoring without losses
+
+
+def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
+                       episode_index: int,
+                       align: AlignmentConfig = AlignmentConfig(),
+                       alpha: float = 1.0,
+                       ablation: model.Ablation = model.Ablation()):
+    """Same contract as ``episode_forward(..., compute_losses=False)``,
+    one episode at a time: the supports under their real tokens and the
+    queries under their fake tokens, one pass each per branch."""
+    n, k = episode.way, episode.shot
+    frames_np, prompts_np, labels = model._episode_frames(episode)
+    total = frames_np.shape[0]
+    support = n * k
+    frames = Tensor(frames_np)
+
+    def branch_cost(branch, branch_frames, name):
+        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
+                                   range(support, total), name)
+        real = cpm.feature_enhance_batch(
+            branch, T.slice_axis(branch_frames, 0, 0, support),
+            Tensor(prompts_np[:support]))
+        queries = cpm.feature_enhance_batch(
+            branch, T.slice_axis(branch_frames, 0, support, total),
+            Tensor(fakes))
+        seq, dim = real.shape[1], real.shape[2]
+        protos = T.reduce_mean(T.reshape(real, (n, k, seq, dim)), axis=1)
+        return model._pair_distances(_frame_rows(protos),
+                                     _frame_rows(queries), align)
+
+    total_cost = None
+    if ablation.use_normal:
+        total_cost = branch_cost(mdl.normal, frames, "normal")
+    if ablation.use_motion:
+        dists = T.scale(branch_cost(mdl.motion,
+                                    motion_features(mdl.phi, frames),
+                                    "motion"), alpha)
+        total_cost = dists if total_cost is None else T.add(total_cost, dists)
+    probs = np.asarray(T.softmax(T.neg(total_cost), axis=-1).data).copy()
+    predictions = probs.argmax(axis=1)
+    return model.EpisodeResult(probs, predictions, labels,
+                               int((predictions == labels).sum()))

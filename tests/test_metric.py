@@ -100,6 +100,17 @@ def test_cost_matrix_batched_matches_loop():
         assert np.allclose(got[k], single, atol=1e-12)
 
 
+def test_cost_matrix_broadcast_matches_repeated_pairs():
+    rng = np.random.default_rng(3)
+    protos = rng.normal(size=(2, 1, 3, 4, 5))
+    queries = rng.normal(size=(2, 4, 1, 6, 5))
+    got = metric.cost_matrix(Tensor(protos), Tensor(queries)).data
+    want = metric.cost_matrix(Tensor(np.repeat(protos, 4, axis=1)),
+                              Tensor(np.repeat(queries, 3, axis=2))).data
+    assert got.shape == (2, 4, 3, 4, 6)
+    assert np.array_equal(got, want)
+
+
 def test_cost_matrix_gradcheck():
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

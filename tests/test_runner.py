@@ -211,8 +211,12 @@ def test_evaluate_never_mutates_the_model():
     cfg = tiny_config()
     mdl = runner.build_model(manifest, cfg)
     before = state_arrays(mdl)
+    assert any(name.endswith("running_var") for name, _ in before)
     runner.evaluate(manifest, mdl, cfg, episodes=4, split="train",
                     compute_losses=True, workers=2)
+    assert_states_equal(before, state_arrays(mdl))
+    runner.evaluate(manifest, mdl, cfg, episodes=4, split="train",
+                    compute_losses=False, workers=2)
     assert_states_equal(before, state_arrays(mdl))
 
 

@@ -1,0 +1,210 @@
+"""Scoring without losses: blocks of episodes against the per-episode oracle.
+
+``model.score_episodes`` enhances each distinct support video once per
+call and scores the episodes in fixed blocks. Its probabilities must be
+bit-identical to ``per_episode_scores``, which scores one episode at a
+time, at every episode count and worker count. The shapes here match
+the 5-way 5-shot evaluation workload at dim 64, where every matrix
+product of either path is large enough for BLAS to take the same kernel
+whatever the batch size.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from cpm2c import cpm, data, model, nn, runner, tensor as T
+from cpm2c.errors import ConfigError, ProtocolError
+from oracles import per_episode_scores
+
+DIM = 64
+BLOCK = model._BLOCK_EPISODES
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    synth = data.SyntheticConfig(num_classes=12, dim=DIM, frames=8,
+                                 scale=1.0, sigma=0.3, mode="permuted",
+                                 common_ratio=12.0, seed=4)
+    return data.build_synthetic_manifest(synth, videos_per_class=8,
+                                         fractions=(0.25, 0.25, 0.5))
+
+
+def eval_config(**over):
+    base = dict(way=5, shot=5, queries=1, seed=11, alpha=0.7,
+                eval_split="test")
+    base.update(over)
+    return runner.RunConfig(**base)
+
+
+def scrambled_model(manifest, cfg):
+    """A model whose transformers are not the identity and whose Phi
+    running statistics are not the defaults."""
+    mdl = runner.build_model(manifest, cfg)
+    rng = np.random.default_rng(12)
+    for branch in (mdl.normal, mdl.motion):
+        block = branch.transformer
+        block.attn.out = nn.Linear(DIM, DIM, rng)
+        block.ffn2 = nn.Linear(4 * DIM, DIM, rng)
+    for bn in mdl.phi.norms:
+        bn.running_mean = rng.normal(0.0, 0.1, DIM).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, DIM).astype(np.float32)
+    return mdl
+
+
+def sample(manifest, cfg, count):
+    indices = [cfg.eval_start + i for i in range(count)]
+    episodes = [data.sample_episode(manifest, data.episode_rng(cfg.seed, i),
+                                    cfg.way, cfg.shot, cfg.queries,
+                                    cfg.eval_split) for i in indices]
+    return episodes, indices
+
+
+def assert_same_result(got, ref):
+    assert got.probabilities.dtype == ref.probabilities.dtype
+    assert np.array_equal(got.probabilities, ref.probabilities)
+    assert np.array_equal(got.predictions, ref.predictions)
+    assert np.array_equal(got.true_labels, ref.true_labels)
+    assert got.correct == ref.correct
+    assert got.loss is None and got.parts == {}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["full", "no-motion", "motion-only"])
+@pytest.mark.parametrize("bidirectional,relaxed_ends",
+                         [(True, True), (True, False), (False, True),
+                          (False, False)])
+def test_blocks_are_bit_identical_to_per_episode_scoring(
+        manifest, dtype, preset, bidirectional, relaxed_ends):
+    with T.precision(dtype):
+        cfg = eval_config(preset=preset, bidirectional=bidirectional,
+                          relaxed_ends=relaxed_ends)
+        mdl = scrambled_model(manifest, cfg)
+        kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+                  ablation=cfg.ablation())
+        episodes, indices = sample(manifest, cfg, BLOCK + 3)
+        ref = [per_episode_scores(mdl, ep, episode_index=i, **kw)
+               for ep, i in zip(episodes, indices)]
+        assert_same_result(
+            model.episode_forward(mdl, episodes[0], episode_index=indices[0],
+                                  compute_losses=False, **kw), ref[0])
+        for count in (0, 1, BLOCK - 1, BLOCK + 3):   # the last is ragged
+            for workers in (1, 2, 4):
+                got = model.score_episodes(mdl, episodes[:count],
+                                           indices[:count], workers=workers,
+                                           **kw)
+                assert len(got) == count
+                for g, r in zip(got, ref):
+                    assert_same_result(g, r)
+                res = runner.evaluate(manifest, mdl, cfg, episodes=count,
+                                      workers=workers)
+                assert res.per_episode_correct == [r.correct
+                                                   for r in ref[:count]]
+
+
+def test_more_threads_than_cores_with_fast_switching_match_serial(manifest):
+    cfg = eval_config()
+    mdl = scrambled_model(manifest, cfg)
+    kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+              ablation=cfg.ablation())
+    episodes, indices = sample(manifest, cfg, 4 * BLOCK + 1)
+    serial = model.score_episodes(mdl, episodes, indices, **kw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = model.score_episodes(mdl, episodes, indices, workers=8,
+                                        **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == len(serial)
+    for got, ref in zip(threaded, serial):
+        assert_same_result(got, ref)
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-6),
+                                       ("float64", 1e-14)])
+def test_small_models_match_per_episode_scoring_to_rounding(dtype, tol):
+    # at dim 8 a batch of more rows can take another BLAS kernel, so only
+    # the last bits of the probabilities may move
+    synth = data.SyntheticConfig(num_classes=12, dim=8, frames=4, seed=1,
+                                 mode="permuted")
+    small = data.build_synthetic_manifest(synth, videos_per_class=8,
+                                          fractions=(0.25, 0.25, 0.5))
+    with T.precision(dtype):
+        cfg = eval_config(num_heads=2)
+        mdl = runner.build_model(small, cfg)
+        kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+                  ablation=cfg.ablation())
+        episodes, indices = sample(small, cfg, 2 * BLOCK + 3)
+        got = model.score_episodes(mdl, episodes, indices, **kw)
+        for g, ep, i in zip(got, episodes, indices):
+            ref = per_episode_scores(mdl, ep, episode_index=i, **kw)
+            assert np.allclose(g.probabilities, ref.probabilities, rtol=0,
+                               atol=tol)
+            assert g.correct == ref.correct
+
+
+def test_one_call_enhances_each_support_video_once_per_branch(manifest,
+                                                              monkeypatch):
+    cfg = eval_config(seed=3)
+    mdl = runner.build_model(manifest, cfg)
+    calls = []
+    original = cpm.feature_enhance_batch
+
+    def recording(branch, frames, tokens, train=False):
+        calls.append((branch, frames.data.copy(), tokens.data.copy()))
+        return original(branch, frames, tokens, train=train)
+
+    monkeypatch.setattr(cpm, "feature_enhance_batch", recording)
+    count = 2 * BLOCK + 3
+    episodes, _ = sample(manifest, cfg, count)
+    distinct = {(ep.class_ids[c], rec.video_id): rec
+                for ep in episodes for c in range(ep.way)
+                for rec in ep.support[c]}
+    assert len(distinct) < count * cfg.way * cfg.shot   # reuse is possible
+    prompts = {manifest.prompts[c].tobytes()
+               for c in manifest.classes_in("test")}
+
+    def rows_per_branch():
+        # sorted: worker threads append their blocks' rows in any order
+        out = {}
+        for branch, frames, tokens in calls:
+            support, queries = out.setdefault(id(branch), ([], []))
+            for video, token in zip(frames, tokens):
+                (support if token.tobytes() in prompts else queries).append(
+                    video.tobytes())
+        return {key: (sorted(support), sorted(queries))
+                for key, (support, queries) in out.items()}
+
+    runner.evaluate(manifest, mdl, cfg, episodes=count, workers=2)
+    first = rows_per_branch()
+    assert set(first) == {id(mdl.normal), id(mdl.motion)}
+    for support, queries in first.values():
+        assert len(support) == len(set(support)) == len(distinct)
+        assert len(queries) == count * cfg.way * cfg.queries
+    normal_support = first[id(mdl.normal)][0]
+    assert set(normal_support) == {rec.features().tobytes()
+                                   for rec in distinct.values()}
+
+    # nothing is kept between calls: the next call enhances them again
+    calls.clear()
+    runner.evaluate(manifest, mdl, cfg, episodes=count)
+    assert rows_per_branch() == first
+
+
+def test_scoring_rejects_mismatched_inputs(manifest):
+    cfg = eval_config()
+    mdl = runner.build_model(manifest, cfg)
+    episodes, indices = sample(manifest, cfg, 2)
+    other = data.sample_episode(manifest, data.episode_rng(cfg.seed, 0),
+                                4, 5, 1, "test")
+    with pytest.raises(ProtocolError, match="indices"):
+        model.score_episodes(mdl, episodes, indices[:1], run_seed=cfg.seed)
+    with pytest.raises(ProtocolError, match="shape"):
+        model.score_episodes(mdl, episodes + [other], indices + [0],
+                             run_seed=cfg.seed)
+    with pytest.raises(ConfigError, match="eval mode"):
+        model.episode_forward(mdl, episodes[0], run_seed=cfg.seed,
+                              episode_index=indices[0], train=True,
+                              compute_losses=False)

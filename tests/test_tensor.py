@@ -48,11 +48,23 @@ def test_matmul_batched_forward_matches_loop():
         assert np.allclose(got[h], a[h] @ b[h], atol=1e-12)
 
 
+def test_matmul_broadcast_forward_matches_repeated_operands():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 1, 4, 5, 6))
+    b = rng.normal(size=(3, 2, 1, 6, 5))
+    got = T.matmul(T.tensor(a), T.tensor(b)).data
+    want = np.repeat(a, 2, axis=1) @ np.repeat(b, 4, axis=2)
+    assert got.shape == (3, 2, 4, 5, 5)
+    assert np.array_equal(got, want)
+
+
 def test_matmul_shape_mismatch_raises():
     a = T.tensor(np.zeros((2, 3)))
     b = T.tensor(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         T.matmul(a, b)
+    with pytest.raises(ShapeError):
+        T.matmul(T.tensor(np.zeros((2, 3, 4))), T.tensor(np.zeros((3, 4, 2))))
 
 
 def test_matmul_grads():
@@ -75,6 +87,19 @@ def test_matmul_batched_grads():
 
     def f():
         return T.reduce_sum(T.matmul(a, b))
+
+    check_grads(f, a)
+    check_grads(f, b)
+
+
+def test_matmul_broadcast_grads():
+    rng = np.random.default_rng(6)
+    a = T.tensor(rng.normal(size=(2, 1, 3, 4)), requires_grad=True)
+    b = T.tensor(rng.normal(size=(1, 3, 4, 2)), requires_grad=True)
+    w = rng.normal(size=(2, 3, 3, 2))
+
+    def f():
+        return T.reduce_sum(T.mul(T.matmul(a, b), T.tensor(w)))
 
     check_grads(f, a)
     check_grads(f, b)
