@@ -177,6 +177,26 @@ def write_prompts(path, prompts: dict) -> None:
             fh.write(vec.tobytes())
 
 
+def _as_int(value) -> Optional[int]:
+    """An index field as an int, or None unless it names one exactly.
+
+    Accepts JSON integers and strings of decimal digits; refuses booleans,
+    fractional or non-finite numbers, and anything else.
+    """
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    return None
+
+
 def load_manifest(index_path, prompts_path=None) -> DatasetManifest:
     """Read and validate a JSON-lines index plus its prompt sidecar.
 
@@ -202,15 +222,26 @@ def load_manifest(index_path, prompts_path=None) -> DatasetManifest:
             except json.JSONDecodeError as exc:
                 problems.append(f"line {lineno}: bad JSON ({exc.msg})")
                 continue
+            if not isinstance(obj, dict):
+                problems.append(f"line {lineno}: not a JSON object")
+                continue
             missing = [k for k in ("video_id", "class_id", "split",
                                    "feature_file", "T", "D") if k not in obj]
             if missing:
                 problems.append(f"line {lineno}: missing fields {missing}")
                 continue
+            ints = {k: _as_int(obj[k]) for k in ("class_id", "T", "D")}
+            bad = [f"{k}={obj[k]!r}" for k, val in ints.items() if val is None]
+            if not isinstance(obj["feature_file"], str):
+                bad.append(f"feature_file={obj['feature_file']!r}")
+            if bad:
+                problems.append(f"line {lineno}: bad field values "
+                                f"{', '.join(bad)}")
+                continue
             rec = VideoRecord(video_id=str(obj["video_id"]),
-                              class_id=int(obj["class_id"]),
+                              class_id=ints["class_id"],
                               split=str(obj["split"]),
-                              frames=int(obj["T"]), dim=int(obj["D"]),
+                              frames=ints["T"], dim=ints["D"],
                               feature_file=os.path.join(base, obj["feature_file"]))
             if rec.frames < 1 or rec.dim < 1:
                 problems.append(f"{rec.video_id}: non-positive T or D")
@@ -351,18 +382,27 @@ def class_prompt(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
     return rng.standard_normal(cfg.dim).astype(np.float32)
 
 
+def _clean_frames(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
+    """The noise-free T x D frames every video of a class shares."""
+    if cfg.mode == "static":
+        return np.tile(class_prototype(cfg, class_id), (cfg.frames, 1))
+    return _base_frames(cfg)[_permutations(cfg)[class_id]]
+
+
+def _add_noise(cfg: SyntheticConfig, clean: np.ndarray, class_id: int,
+               instance_seed: int) -> np.ndarray:
+    noise_rng = keyed_rng(cfg.seed, _FRAME_TAG, class_id, instance_seed)
+    noise = cfg.sigma * noise_rng.standard_normal((cfg.frames, cfg.dim))
+    return (clean + noise).astype(np.float32)
+
+
 def synth_encode(cfg: SyntheticConfig, class_id: int,
                  instance_seed: int) -> np.ndarray:
     """Features of one synthetic video, deterministic in all arguments."""
     if not 0 <= class_id < cfg.num_classes:
         raise DataError(f"class {class_id} outside 0..{cfg.num_classes - 1}")
-    noise_rng = keyed_rng(cfg.seed, _FRAME_TAG, class_id, instance_seed)
-    noise = cfg.sigma * noise_rng.standard_normal((cfg.frames, cfg.dim))
-    if cfg.mode == "static":
-        clean = np.tile(class_prototype(cfg, class_id), (cfg.frames, 1))
-    else:
-        clean = _base_frames(cfg)[_permutations(cfg)[class_id]]
-    return (clean + noise).astype(np.float32)
+    return _add_noise(cfg, _clean_frames(cfg, class_id), class_id,
+                      instance_seed)
 
 
 def split_classes(num_classes: int, fractions=(0.5, 0.25, 0.25)) -> dict:
@@ -382,16 +422,21 @@ def split_classes(num_classes: int, fractions=(0.5, 0.25, 0.25)) -> dict:
 
 def build_synthetic_manifest(cfg: SyntheticConfig, videos_per_class: int,
                              fractions=(0.5, 0.25, 0.25)) -> DatasetManifest:
-    """In-memory manifest over the synthetic encoder."""
+    """In-memory manifest over the synthetic encoder.
+
+    Features equal ``synth_encode``'s, but each class's clean frames are
+    built once, not once per video.
+    """
     splits = split_classes(cfg.num_classes, fractions)
     records = []
     for split, ids in splits.items():
         for cid in ids:
+            clean = _clean_frames(cfg, cid)
             for v in range(videos_per_class):
                 records.append(VideoRecord(
                     video_id=f"c{cid:03d}_v{v:03d}", class_id=cid, split=split,
                     frames=cfg.frames, dim=cfg.dim,
-                    _features=synth_encode(cfg, cid, v)))
+                    _features=_add_noise(cfg, clean, cid, v)))
     prompts = {cid: class_prompt(cfg, cid) for cid in range(cfg.num_classes)}
     return DatasetManifest(records, prompts)
 

@@ -108,7 +108,8 @@ class Linear:
         def bwd(g):
             g = g.reshape(-1, g.shape[-1])
             dx = (g @ wd).reshape(shape) if need_x else None
-            return dx, (xd.swapaxes(0, 1) @ g).swapaxes(0, 1), g.sum(axis=0)
+            # g^T x is C-contiguous, so the leaf deposit is a plain copy
+            return dx, g.swapaxes(0, 1) @ xd, g.sum(axis=0)
 
         return T._record(out.reshape(shape[:-1] + (wd.shape[0],)),
                          (x, self.weight, self.bias), bwd)
@@ -376,8 +377,19 @@ class PositionalEmbedding:
     named_state = named_parameters
 
 
+_ADAM_BLOCK = 1 << 16     # elements; a float32 block is 256 KiB
+
+
 class Adam:
-    """Adam with bias correction over a fixed list of named parameters."""
+    """Adam with bias correction over a fixed list of named parameters.
+
+    Updates happen in place: each parameter keeps its array object and
+    dtype, and so do the moment estimates. The elementwise operations are
+    the textbook formula's, in its order, so results are bit for bit those
+    of the out-of-place form (``tests/oracles.py::reference_adam_step``).
+    A parameter is updated in blocks of rows of about ``_ADAM_BLOCK``
+    elements, so that each block's operations run in cache.
+    """
 
     def __init__(self, named_params, lr: float = 1e-5, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -393,23 +405,51 @@ class Adam:
     def step(self) -> None:
         """Apply one update from the gradients currently held by the params.
 
-        The whole step aborts (no parameter touched) if any gradient is
-        non-finite, naming the offending parameter.
+        The whole step aborts (no parameter or moment touched) if any
+        gradient is non-finite, naming the offending parameter.
         """
         for name, p in self.named:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
+        c1, c2 = 1 - self.beta1 ** t, 1 - self.beta2 ** t
         for name, p in self.named:
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # 0-d arrays become 1-element views, so the row blocks below
+            # write through to them
+            g, m, v, w = np.atleast_1d(p.grad, self._m[name], self._v[name],
+                                       p.data)
+            rows = max(1, _ADAM_BLOCK // max(1, math.prod(w.shape[1:])))
+            s = np.empty((min(rows, len(w)),) + w.shape[1:], w.dtype)
+            r = np.empty_like(s)
+            for lo in range(0, len(w), rows):
+                hi = min(lo + rows, len(w))
+                self._update(g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi],
+                             s[:hi - lo], r[:hi - lo], c1, c2)
+
+    def _update(self, g, m, v, w, s, r, c1, c2) -> None:
+        """w -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment
+        updates, in place; ``s`` and ``r`` are scratch."""
+        b1, b2 = self.beta1, self.beta2
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(g, 1 - b1, out=s)
+        np.multiply(m, b1, out=m)
+        np.add(m, s, out=m)
+        # v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1 - b2, out=s)
+        np.multiply(v, b2, out=v)
+        np.add(v, s, out=v)
+        # w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=s)
+        np.multiply(s, self.lr, out=s)
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        np.add(r, self.eps, out=r)
+        np.divide(s, r, out=s)
+        np.subtract(w, s, out=w)
 
     def zero_grad(self) -> None:
         for _, p in self.named:
@@ -470,7 +510,11 @@ def load_checkpoint(path) -> dict:
     out = {}
     for _ in range(count):
         name_len = u32()
-        name = blob[off:off + name_len].decode("utf-8")
+        try:
+            name = blob[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name at byte {off} is not "
+                                  f"UTF-8") from None
         off += name_len
         rank = u32()
         shape = tuple(u32() for _ in range(rank))

@@ -2,8 +2,11 @@
 
 Training accumulates gradients over a window of episodes per optimizer
 step (the window mean, so window size changes variance but not scale),
-logs one metrics row per step, and keeps the last healthy parameter
-snapshot so a non-finite gradient aborts without corrupting the run.
+logs one metrics row per step, and aborts on a non-finite gradient
+without corrupting the run: the optimizer refuses the step before it
+touches a parameter, and the BatchNorm running statistics, the only
+state the step's forward passes changed, roll back to their values
+before the step.
 Evaluation without losses samples every episode of the call first and
 hands them to ``model.score_episodes``, which enhances each distinct
 support video once and scores the episodes in fixed blocks, with worker
@@ -142,20 +145,21 @@ class TrainResult:
     metrics_path: Optional[str] = None
 
 
-def _snapshot(mdl: Model):
-    return [(name, np.array(value.data if isinstance(value, Tensor)
-                            else value, copy=True))
-            for name, value in mdl.named_state()]
+def _buffers(mdl: Model):
+    """Copies of the model's buffers: the BatchNorm running statistics.
+
+    A training forward pass updates them; they are the only state a step
+    changes before ``Adam.step`` has checked every gradient.
+    """
+    return [(name, value.copy()) for name, value in mdl.named_state()
+            if not isinstance(value, Tensor)]
 
 
-def _restore_snapshot(mdl: Model, snap) -> None:
-    state = dict(snap)
+def _restore_buffers(mdl: Model, saved) -> None:
+    state = dict(saved)
     for name, value in mdl.named_state():
-        saved = state[name]
-        if isinstance(value, Tensor):
-            value.data = saved.copy()
-        else:
-            value[...] = saved
+        if not isinstance(value, Tensor):
+            value[...] = state[name]
 
 
 def train(manifest: DatasetManifest, cfg: RunConfig,
@@ -164,10 +168,13 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
     """Run cfg.steps optimizer steps of episodic training.
 
     Each step averages gradients over ``cfg.window`` episodes. A
-    non-finite gradient aborts the run: parameters roll back to the end
-    of the last healthy step (written to the checkpoint when ``out_dir``
-    is given) and a NumericalError names the step. Same config plus same
-    seed reproduces the run bit for bit.
+    non-finite gradient aborts the run and a NumericalError names the
+    step. ``Adam.step`` refuses such a gradient before it touches any
+    parameter or moment, so only the BatchNorm running statistics, which
+    the step's forward passes updated, roll back to the end of the last
+    healthy step; the model as it stood then is written to the checkpoint
+    when ``out_dir`` is given. Same config plus same seed reproduces the
+    run bit for bit.
     """
     if mdl is None:
         mdl = build_model(manifest, cfg)
@@ -184,12 +191,12 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         metrics_fh = open(metrics_path, "w", encoding="utf-8")
 
-    good = _snapshot(mdl)
     start = time.perf_counter()
     header_done = False
     try:
         for step in range(cfg.steps):
             optimizer.zero_grad()
+            buffers = _buffers(mdl)
             sums = {"adapt": 0.0, "task": 0.0, "consistency": 0.0,
                     "total": 0.0}
             for j in range(cfg.window):
@@ -212,13 +219,12 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
             try:
                 optimizer.step()
             except NumericalError as exc:
-                _restore_snapshot(mdl, good)
+                _restore_buffers(mdl, buffers)
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, mdl.named_state())
                 raise NumericalError(
-                    f"aborted at optimizer step {step}: {exc}; parameters "
-                    f"rolled back to the end of step {step - 1}") from exc
-            good = _snapshot(mdl)
+                    f"aborted at optimizer step {step}: {exc}; the model "
+                    f"is as it was at the end of step {step - 1}") from exc
             row = {"step": step + 1,
                    "wall": round(time.perf_counter() - start, 3)}
             row.update((k, sums[k] / cfg.window) for k in sums)

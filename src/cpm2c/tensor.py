@@ -358,12 +358,13 @@ def log(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(x, 0). A NaN input stays NaN; its gradient there is 0."""
+    out = np.maximum(a.data, 0)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _record(np.where(mask, a.data, 0), (a,), bwd)
+    return _record(out, (a,), bwd)
 
 
 def neg(a: Tensor) -> Tensor:

@@ -17,6 +17,12 @@ evaluation did before it scored episodes in blocks: every support video
 is enhanced again for every episode, and each episode gets its own
 transformer, cost-matrix and DP calls. ``model.score_episodes`` must
 reproduce its probabilities bit for bit.
+
+``transposed_weight_grad``, ``reference_adam_step`` and ``where_relu``
+are the out-of-place forms of the linear weight gradient, the Adam
+update and relu that the training step used to run. ``nn.Linear``'s
+backward, ``nn.Adam.step`` and ``tensor.relu`` must match them bit for
+bit (relu on finite input).
 """
 
 import math
@@ -24,7 +30,7 @@ import math
 import numpy as np
 
 from cpm2c import cpm, model, nn, tensor as T
-from cpm2c.errors import ShapeError
+from cpm2c.errors import NumericalError, ShapeError
 from cpm2c.metric import BIG, AlignmentConfig, _frame_rows
 from cpm2c.motion import motion_features
 from cpm2c.tensor import Tensor
@@ -261,3 +267,42 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
     predictions = probs.argmax(axis=1)
     return model.EpisodeResult(probs, predictions, labels,
                                int((predictions == labels).sum()))
+
+
+# ---------------------------------------------------------------------------
+# training-step arithmetic in its out-of-place form
+
+
+def transposed_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Linear's weight gradient as (x^T g)^T: an F-ordered view."""
+    return (x.swapaxes(0, 1) @ g).swapaxes(0, 1)
+
+
+def reference_adam_step(opt: nn.Adam) -> None:
+    """One Adam step on ``opt``'s parameters, allocating every
+    intermediate and rebinding the parameter and moment arrays."""
+    for name, p in opt.named:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    opt.step_count += 1
+    t = opt.step_count
+    for name, p in opt.named:
+        g = p.grad
+        if g is None:
+            continue
+        m = opt._m[name] = opt.beta1 * opt._m[name] + (1 - opt.beta1) * g
+        v = opt._v[name] = (opt.beta2 * opt._v[name]
+                            + (1 - opt.beta2) * (g * g))
+        m_hat = m / (1 - opt.beta1 ** t)
+        v_hat = v / (1 - opt.beta2 ** t)
+        p.data = p.data - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def where_relu(a: Tensor) -> Tensor:
+    """relu as np.where(x > 0, x, 0): a NaN input becomes 0."""
+    mask = a.data > 0
+
+    def bwd(g):
+        return (g * mask,)
+
+    return T._record(np.where(mask, a.data, 0), (a,), bwd)

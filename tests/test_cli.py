@@ -1,11 +1,12 @@
 """Command line behavior: merging of settings, exit codes, round trips."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from cpm2c import cli, data
+from cpm2c import cli, data, nn
 
 
 def make_tiny_manifest(tmp_path, **over):
@@ -103,6 +104,41 @@ def test_corrupt_checkpoint_exits_two(tmp_path):
     code = cli.main(["eval", "--manifest", index, "--checkpoint", str(bad),
                      "--way", "2", "--num-heads", "2"])
     assert code == 2
+
+
+def test_non_utf8_checkpoint_entry_name_exits_two(tmp_path, capsys):
+    index = make_tiny_manifest(tmp_path)
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--manifest", index, "--out", out,
+                     "--steps", "0", "--way", "2", "--num-heads", "2"]) == 0
+    path = os.path.join(out, "checkpoint.bin")
+    blob = bytearray(open(path, "rb").read())
+    blob[len(nn.CHECKPOINT_MAGIC) + 12] = 0xFF   # first byte of entry 0's name
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    capsys.readouterr()
+    code = cli.main(["eval", "--manifest", index, "--checkpoint", path,
+                     "--way", "2", "--num-heads", "2"])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("class_id", "abc"), ("T", 2.5),
+                                         ("D", None), ("class_id", True)])
+def test_non_integer_index_field_exits_two(tmp_path, capsys, field, value):
+    index = make_tiny_manifest(tmp_path)
+    with open(index, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = json.loads(lines[0])
+    row[field] = value
+    lines[0] = json.dumps(row)
+    with open(index, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--manifest", index, "--way", "2",
+                     "--num-heads", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and f"{field}={value!r}" in err
 
 
 def test_gradcheck_impossible_tolerance_exits_three(tmp_path, capsys):

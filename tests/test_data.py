@@ -123,6 +123,20 @@ def test_build_synthetic_manifest_counts_and_prompts():
                               data.class_prompt(cfg, cid))
 
 
+@pytest.mark.parametrize("mode", ["static", "permuted"])
+def test_manifest_features_equal_per_video_synth_encode(mode):
+    cfg = small_cfg(mode=mode, num_classes=6)
+    manifest = data.build_synthetic_manifest(cfg, videos_per_class=3)
+    assert len(manifest.records) == 18
+    for rec in manifest.records:
+        instance = int(rec.video_id.split("_v")[1])
+        want = data.synth_encode(cfg, rec.class_id, instance)
+        assert rec.features().tobytes() == want.tobytes(), rec.video_id
+    for cid in range(cfg.num_classes):
+        assert manifest.prompts[cid].tobytes() == \
+            data.class_prompt(cfg, cid).tobytes()
+
+
 def test_prompt_token_unknown_class():
     man = data.build_synthetic_manifest(small_cfg(), videos_per_class=2)
     with pytest.raises(DataError):
@@ -173,6 +187,29 @@ def test_load_manifest_reports_missing_and_short_files(tmp_path):
     msg = str(exc.value)
     assert "b" in msg and "missing" in msg
     assert "c" in msg and "20 bytes" in msg and "24" in msg
+
+
+def test_load_manifest_lists_bad_field_values(tmp_path):
+    import json
+    np.zeros((3, 2), dtype="<f4").tofile(tmp_path / "ok.bin")
+    row = {"video_id": "a", "class_id": 0, "split": "train",
+           "feature_file": "ok.bin", "T": 3, "D": 2}
+    lines = [dict(row, class_id="abc"), dict(row, video_id="b", T=3.5),
+             dict(row, video_id="c", D=float("inf")),
+             dict(row, video_id="d", feature_file=7), [1, 2],
+             dict(row, video_id="e", class_id="1", T=3.0)]
+    index = tmp_path / "index.jsonl"
+    index.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
+    with pytest.raises(ManifestError) as exc:
+        data.load_manifest(index)
+    msg = str(exc.value)
+    for part in ("line 1: bad field values class_id='abc'",
+                 "line 2: bad field values T=3.5",
+                 "line 3: bad field values D=inf",
+                 "line 4: bad field values feature_file=7",
+                 "line 5: not a JSON object"):
+        assert part in msg
+    assert "line 6" not in msg           # "1" and 3.0 name integers exactly
 
 
 def test_manifest_rejects_split_overlap():

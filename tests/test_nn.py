@@ -7,6 +7,7 @@ from cpm2c import nn, tensor as T
 from cpm2c.errors import CheckpointError, NumericalError, ShapeError
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
+from oracles import reference_adam_step, transposed_weight_grad
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,31 @@ def test_linear_grads():
     check_grads(f, layer.weight)
     check_grads(f, layer.bias)
     del wr
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rows,in_dim,out_dim", [
+    ((90,), 64, 64), ((10, 9), 64, 256), ((90,), 256, 64),
+    ((630,), 512, 512), ((70, 9), 512, 2048), ((630,), 2048, 512)])
+def test_linear_weight_grad_is_contiguous_and_matches_transposed_form(
+        rows, in_dim, out_dim, dtype):
+    # d64 and d512 shapes of the attention projections and the FFN
+    rng = np.random.default_rng(in_dim + out_dim)
+    with T.precision(dtype):
+        layer = nn.Linear(in_dim, out_dim, rng)
+        x = Tensor(rng.normal(size=rows + (in_dim,)), requires_grad=True)
+        g = rng.normal(size=rows + (out_dim,)).astype(dtype)
+        with T.Tape() as tape:
+            out = layer.forward(x)
+            loss = T.reduce_sum(T.mul(out, Tensor(g)))
+        # the partial the node hands to the weight leaf, before the deposit
+        partial = tape._nodes[out.node].backward(g)[1]
+        T.backward(loss)
+    assert partial.flags.c_contiguous and partial.dtype == np.dtype(dtype)
+    want = transposed_weight_grad(x.data.reshape(-1, in_dim),
+                                  g.reshape(-1, out_dim))
+    assert partial.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert layer.weight.grad.tobytes() == partial.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +343,64 @@ def test_adam_skips_params_without_grads():
     opt = nn.Adam([("p", p)], lr=0.1)
     opt.step()
     assert np.array_equal(p.data, [1.0])
+
+
+def _adam_params():
+    # a 0-d scalar like log_temperature, a vector and a matrix that span
+    # several row blocks with a ragged last one, and two small ones
+    rng = np.random.default_rng(5)
+    shapes = [(), (7,), (nn._ADAM_BLOCK + 4465,), (300, 512), (9, 64)]
+    return [(f"p{i}", Tensor(rng.normal(size=shape), requires_grad=True))
+            for i, shape in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_updates_in_place_bit_identical_to_reference(dtype):
+    with T.precision(dtype):
+        live, ref = _adam_params(), _adam_params()
+    opt = nn.Adam(live, lr=1e-3)
+    ref_opt = nn.Adam(ref, lr=1e-3)
+    arrays = [p.data for _, p in live]
+    moments = [(opt._m[name], opt._v[name]) for name, _ in live]
+    rng = np.random.default_rng(6)
+    for step in range(5):
+        for i, ((_, p), (_, q)) in enumerate(zip(live, ref)):
+            g = (rng.normal(size=p.shape)
+                 * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+            if g.ndim == 0:
+                g = g[()]                    # a numpy scalar, as backward gives
+            if i == 1 and step % 2:
+                g = None                     # no gradient: left alone
+            p.grad = g
+            q.grad = None if g is None else g.copy()
+        opt.step()
+        reference_adam_step(ref_opt)
+        assert opt.step_count == ref_opt.step_count == step + 1
+        for (name, p), (_, q), arr, (m, v) in zip(live, ref, arrays,
+                                                   moments):
+            assert p.data is arr and p.data.dtype == np.dtype(dtype)
+            assert opt._m[name] is m and opt._v[name] is v
+            for got, want in ((p.data, q.data), (m, ref_opt._m[name]),
+                              (v, ref_opt._v[name])):
+                assert got.tobytes() == np.asarray(want, dtype).tobytes(), \
+                    f"step {step + 1}: {name} differs"
+
+
+def test_adam_nonfinite_gradient_leaves_moments_untouched():
+    p = Tensor(np.ones((3, 4)), requires_grad=True)
+    q = Tensor(np.ones(5), requires_grad=True)
+    opt = nn.Adam([("p", p), ("q", q)], lr=0.1)
+    p.grad, q.grad = np.full((3, 4), 0.5), np.full(5, 0.25)
+    opt.step()
+    saved = [a.copy() for a in (p.data, q.data, opt._m["p"], opt._v["p"],
+                                opt._m["q"], opt._v["q"])]
+    q.grad = np.array([0.0, 0.0, np.inf, 0.0, 0.0])
+    with pytest.raises(NumericalError, match="'q'"):
+        opt.step()
+    assert opt.step_count == 1
+    for a, b in zip(saved, (p.data, q.data, opt._m["p"], opt._v["p"],
+                            opt._m["q"], opt._v["q"])):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,63 @@ def test_nan_gradient_aborts_and_rolls_back(tmp_path, monkeypatch):
     assert_states_equal(state_arrays(clean.model), state_arrays(restored))
 
 
+def test_nan_in_second_episode_of_a_window_rolls_back_batchnorm_only(
+        tmp_path, monkeypatch):
+    manifest = tiny_manifest()
+    calls = {"n": 0}
+    original = runner.episode_forward
+
+    def sabotage(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls["n"] += 1
+        if calls["n"] == 6:              # step 2, second episode
+            res.loss = T.scale(res.loss, float("nan"))
+        return res
+
+    optimizers, buffers_at_step = [], []
+
+    class Recording(nn.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+        def step(self):
+            buffers_at_step.append([v.copy() for _, v in
+                                    aborted.named_state()
+                                    if not isinstance(v, Tensor)])
+            return super().step()
+
+    monkeypatch.setattr(runner, "Adam", Recording)
+    monkeypatch.setattr(runner, "episode_forward", sabotage)
+    aborted = runner.build_model(manifest, tiny_config())
+    with pytest.raises(NumericalError, match="step 2"):
+        runner.train(manifest, tiny_config(steps=5, window=2), mdl=aborted,
+                     out_dir=str(tmp_path), log=io.StringIO())
+    assert calls["n"] == 6 and len(buffers_at_step) == 3
+    monkeypatch.setattr(runner, "episode_forward", original)
+    clean = runner.train(manifest, tiny_config(steps=2, window=2),
+                         log=io.StringIO())
+    broken, healthy = optimizers
+
+    # parameters, BatchNorm running statistics and the checkpoint are
+    # those of the clean run that stopped one step earlier
+    assert_states_equal(state_arrays(clean.model), state_arrays(aborted))
+    restored = runner.build_model(manifest, tiny_config())
+    runner.restore_model(restored, os.path.join(str(tmp_path),
+                                                "checkpoint.bin"))
+    assert_states_equal(state_arrays(clean.model), state_arrays(restored))
+    # the aborted step's two forward passes had moved the statistics
+    current = [v for _, v in aborted.named_state()
+               if not isinstance(v, Tensor)]
+    assert current and any(not np.array_equal(a, b) for a, b in
+                           zip(buffers_at_step[2], current))
+    # the optimizer refused the step before touching its moments
+    assert broken.step_count == healthy.step_count == 2
+    for name, _ in aborted.named_parameters():
+        assert np.array_equal(broken._m[name], healthy._m[name]), name
+        assert np.array_equal(broken._v[name], healthy._v[name]), name
+
+
 def test_training_reduces_loss_on_easy_data():
     manifest = tiny_manifest()
     cfg = tiny_config(steps=12, window=2, lr=3e-3,

@@ -16,6 +16,7 @@ import pytest
 from cpm2c import tensor as T
 from cpm2c.errors import DomainError, GraphError, ShapeError
 from fdcheck import check_grads
+from oracles import where_relu
 
 
 @pytest.fixture(autouse=True)
@@ -162,6 +163,30 @@ def test_elementwise_grads(op):
     check_grads(f, a)
     if op in ("add", "sub", "mul", "div"):
         check_grads(f, b)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_relu_matches_where_form_on_non_nan_input(dtype):
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.normal(size=500),
+                        [0.0, -0.0, 1e-310, -1e-310, np.inf, -np.inf]])
+    with T.precision(dtype):
+        a = T.tensor(x, requires_grad=True)
+        got, want = T.relu(a).data, where_relu(a).data
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_relu_propagates_nan_and_its_gradient_there_is_zero():
+    a = T.tensor([np.nan, -1.0, 2.0, np.nan], requires_grad=True)
+    with T.Tape():
+        out = T.relu(a)
+        loss = T.reduce_sum(T.mul(out, T.tensor([1.0, 1.0, 3.0, 1.0])))
+    assert np.isnan(out.data[[0, 3]]).all()
+    assert np.array_equal(out.data[1:3], [0.0, 2.0])
+    assert np.array_equal(where_relu(a).data, [0.0, 0.0, 2.0, 0.0])
+    T.backward(loss)
+    assert np.array_equal(a.grad, [0.0, 0.0, 3.0, 0.0])
 
 
 def test_broadcast_add_grad_is_row_sum():
