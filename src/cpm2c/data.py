@@ -200,8 +200,10 @@ def _as_int(value) -> Optional[int]:
 def load_manifest(index_path, prompts_path=None) -> DatasetManifest:
     """Read and validate a JSON-lines index plus its prompt sidecar.
 
-    All problems are collected and reported together rather than failing
-    on the first.
+    Every ``feature_file`` must lie inside the index's directory: an
+    absolute path or one that climbs out with ``..`` is a problem. All
+    problems are collected and reported together rather than failing on
+    the first.
     """
     base = os.path.dirname(os.path.abspath(index_path))
     if prompts_path is None:
@@ -238,11 +240,19 @@ def load_manifest(index_path, prompts_path=None) -> DatasetManifest:
                 problems.append(f"line {lineno}: bad field values "
                                 f"{', '.join(bad)}")
                 continue
+            feature_file = os.path.normpath(
+                os.path.join(base, obj["feature_file"]))
+            if os.path.isabs(obj["feature_file"]) or \
+                    os.path.commonpath([base, feature_file]) != base:
+                problems.append(f"line {lineno}: feature_file "
+                                f"{obj['feature_file']!r} is not inside "
+                                f"the data directory")
+                continue
             rec = VideoRecord(video_id=str(obj["video_id"]),
                               class_id=ints["class_id"],
                               split=str(obj["split"]),
                               frames=ints["T"], dim=ints["D"],
-                              feature_file=os.path.join(base, obj["feature_file"]))
+                              feature_file=feature_file)
             if rec.frames < 1 or rec.dim < 1:
                 problems.append(f"{rec.video_id}: non-positive T or D")
                 continue
@@ -271,8 +281,16 @@ def write_manifest(out_dir, records_features, prompts, index_name="index.jsonl")
     """Write feature binaries, prompt sidecar, and the JSON-lines index.
 
     ``records_features`` is an iterable of (VideoRecord, T x D array).
-    Returns the index path.
+    Video ids that are not plain file names are refused, all together,
+    before anything is written. Returns the index path.
     """
+    records_features = list(records_features)
+    escaping = [repr(rec.video_id) for rec, _ in records_features
+                if os.path.basename(f"{rec.video_id}.bin")
+                != f"{rec.video_id}.bin" or "\0" in rec.video_id]
+    if escaping:
+        raise ManifestError("video ids are not plain file names inside "
+                            "the output directory: " + "; ".join(escaping))
     os.makedirs(out_dir, exist_ok=True)
     index_path = os.path.join(out_dir, index_name)
     with open(index_path, "w", encoding="utf-8") as fh:

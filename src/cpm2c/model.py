@@ -2,24 +2,23 @@
 
 The normal branch enhances raw frame stacks, the motion branch enhances
 motion-compensated difference sequences, and both contribute soft
-alignment costs to the query-vs-prototype similarity.
+alignment costs to the query-vs-prototype similarity. Every episode
+pass ends in one tail, ``_tail``: per branch, one cost-matrix call on
+broadcast prototype/query operands and one DP call, then the
+alpha-weighted sum, a softmax over classes and the ``EpisodeResult``s.
 
-There are two entry points. ``episode_forward`` with losses (training,
-and evaluation that reports losses) runs one episode at a time: every
-video of the episode goes through each branch under both its real and
-its fake token in one transformer call, and every prototype/query
-alignment runs in one DP call. Each layer and the DP record one tape
-node, so per-node bookkeeping stays a small share of a training step.
+``episode_forward`` computes the losses of one episode. Each branch
+enhances every video in two transformer calls, under the real and under
+the fake tokens, and the task loss reads the probability matrix in one
+pass. Each layer and the DP record one tape node.
 
 ``score_episodes`` is the only path that scores without losses, and it
 never updates the model. In eval mode a support video's real-token
 features depend on nothing but the video and its class prompt, so each
-distinct support video is enhanced once per call and per branch, and
-every episode of the call builds its prototypes from those features.
-Queries are scored in fixed blocks of episodes: per block and branch,
-one Phi pass, one fake-token enhancement pass, one cost-matrix call and
-one DP call. ``episode_forward`` without losses is this scorer run on
-one episode.
+distinct support video is enhanced once per call and per branch. Queries
+are scored in fixed blocks of episodes (``map_blocks``, which evaluation
+with losses shares): per block and branch, one Phi pass, one fake-token
+enhancement pass, one cost-matrix call and one DP call.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ from .tensor import Tensor
 
 _INIT_TAG = 8
 
-# Episodes that ``score_episodes`` scores together, and the most support
-# videos it enhances in one pass. On 5-way 5-shot evaluation at dim 64,
-# blocks of 8 to 32 episodes and chunks of 32 to 256 videos all ran at
-# about the same speed, and a single block of 200 episodes ran slower.
-# The smallest of these sizes hold the transient memory of a call to
-# about 2 MiB above scoring one episode at a time, most of it the kept
-# support features.
+# Episodes per ``map_blocks`` block, and the most support videos that
+# ``score_episodes`` enhances in one pass. On 5-way 5-shot evaluation at
+# dim 64, blocks of 8 to 32 episodes and chunks of 32 to 256 videos all
+# ran at about the same speed, and a single block of 200 episodes ran
+# slower. The smallest of these sizes hold the transient memory of a
+# call to about 2 MiB above scoring one episode at a time, most of it
+# the kept support features.
 _BLOCK_EPISODES = 8
 _SUPPORT_CHUNK = 32
 
@@ -149,28 +148,54 @@ def _fake_tokens(dim, run_seed, episode_index, indices, branch):
         for v in indices])
 
 
-def _pair_distances(protos: Tensor, queries: Tensor,
-                    align: AlignmentConfig) -> Tensor:
-    """Alignment cost of every query against every prototype -> (Q, N).
+def _branches(model: Model, ablation: Ablation):
+    """(name, branch) of every branch the ablation keeps, normal first."""
+    return [(name, branch) for name, branch, used in (
+        ("normal", model.normal, ablation.use_normal),
+        ("motion", model.motion, ablation.use_motion)) if used]
 
-    All Q x N cost matrices run through one batched DP; entry (q, c) uses
-    prototype rows as the first alignment axis, matching the one-pair
-    reference path.
-    """
-    n, lp, dim = protos.shape
-    q, lq = queries.shape[0], queries.shape[1]
-    pe = T.reshape(T.broadcast_repeat(protos, 0, q), (q * n, lp, dim))
-    qe = T.reshape(T.broadcast_repeat(queries, 1, n), (q * n, lq, dim))
-    dists = metric.otam_distance(metric.cost_matrix(pe, qe), align)
-    return T.reshape(dists, (q, n))
+
+def _costs(protos: Tensor, queries: Tensor, align: AlignmentConfig) -> Tensor:
+    """(E, N, L, D) prototypes x (E, Q, L, D) queries -> (E, Q, N) costs.
+
+    Broadcast operands pair them without copies; prototype rows are the
+    first alignment axis."""
+    count, n, lp, dim = protos.shape
+    q, lq = queries.shape[1], queries.shape[2]
+    costs = metric.cost_matrix(T.reshape(protos, (count, 1, n, lp, dim)),
+                               T.reshape(queries, (count, q, 1, lq, dim)))
+    dists = metric.otam_distance(T.reshape(costs, (count * q * n, lp, lq)),
+                                 align)
+    return T.reshape(dists, (count, q, n))
+
+
+def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
+          queries_per_class: int):
+    """(name, prototypes, queries) per used branch, normal first ->
+    the (E, Q, N) probability tensor and one EpisodeResult per episode."""
+    total_cost = None
+    for name, protos, queries in pairs:
+        dists = _costs(protos, queries, align)
+        if name == "motion":
+            dists = T.scale(dists, alpha)
+        total_cost = dists if total_cost is None else T.add(total_cost, dists)
+    probs = T.softmax(T.neg(total_cost), axis=-1)
+    labels = np.repeat(np.arange(way), queries_per_class)
+    results = []
+    for episode_probs in probs.data:
+        predictions = episode_probs.argmax(axis=1)
+        results.append(EpisodeResult(
+            episode_probs.copy(), predictions, labels,
+            int((predictions == labels).sum())))
+    return probs, results
 
 
 def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
     """Enhance one branch's videos under both tokens.
 
-    Returns the prototypes, the queries' fake-token features, and the
-    consistency pieces: the sum of squared real/fake differences and its
-    element count.
+    Returns the (1, N, L, D) prototypes and (1, Q, L, D) fake-token
+    queries, token rows dropped, and the consistency pieces: the sum of
+    squared real/fake differences and its element count.
     """
     support = n * k
     total = frames.shape[0]
@@ -183,8 +208,10 @@ def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
     real_support = T.slice_axis(real, 0, 0, support)
     fake_query = T.slice_axis(fake, 0, support, total)
     seq, dim = real_support.shape[1], real_support.shape[2]
-    protos = T.reduce_mean(T.reshape(real_support, (n, k, seq, dim)), axis=1)
-    return protos, fake_query, con, real.size
+    protos = T.reduce_mean(T.reshape(real_support, (1, n, k, seq, dim)),
+                           axis=2)
+    queries = T.reshape(fake_query, (1, total - support, seq, dim))
+    return _frame_rows(protos), _frame_rows(queries), con, real.size
 
 
 def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
@@ -192,66 +219,41 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
                     align: AlignmentConfig = AlignmentConfig(),
                     alpha: float = 1.0, ablation: Ablation = Ablation(),
                     bank=None, train: bool = False,
-                    compute_losses: bool = True,
                     consistency_reduction: str = "sum") -> EpisodeResult:
-    """Run one episode through the full pipeline.
+    """Run one episode through the full pipeline, losses included.
 
     ``bank`` is the (class ids, prompt matrix) pair from the training
-    split; when given (and losses are on) the adaptation loss scores
-    every episode video against the whole bank. Queries always classify
-    through their fake-token features; support prototypes always come
-    from real-token features. Without losses this is ``score_episodes``
-    on the one episode, which runs in eval mode only.
+    split; when given, the adaptation loss scores every episode video
+    against the whole bank. Queries classify through their fake-token
+    features; support prototypes come from real-token features. Scoring
+    without losses is ``score_episodes``.
     """
     if alpha < 0:
         raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
     if consistency_reduction not in ("sum", "mean"):
         raise ConfigError(f"unknown reduction {consistency_reduction!r}")
-    if not compute_losses:
-        if train:
-            raise ConfigError("scoring without losses runs in eval mode; "
-                              "train=True needs compute_losses=True")
-        return score_episodes(model, [episode], [episode_index],
-                              run_seed=run_seed, align=align, alpha=alpha,
-                              ablation=ablation)[0]
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     frames_np, prompts_np, labels = _episode_frames(episode)
     total = frames_np.shape[0]
     frames = Tensor(frames_np)
 
-    total_cost = None
+    pairs = []
     con_sum, con_numel = None, 0
-    if ablation.use_normal:
+    for name, branch in _branches(model, ablation):
+        branch_frames = frames if name == "normal" else \
+            motion_features(model.phi, frames, train=train)
         fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             range(total), "normal")
-        protos, queries, con_sum, con_numel = _branch_pass(
-            model.normal, frames, prompts_np, fakes, n, k, train)
-        total_cost = _pair_distances(_frame_rows(protos),
-                                     _frame_rows(queries), align)
-    if ablation.use_motion:
-        motion_frames = motion_features(model.phi, frames, train=train)
-        fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             range(total), "motion")
+                             range(total), name)
         protos, queries, con, numel = _branch_pass(
-            model.motion, motion_frames, prompts_np, fakes, n, k, train)
-        dists = T.scale(
-            _pair_distances(_frame_rows(protos), _frame_rows(queries),
-                            align), alpha)
-        total_cost = dists if total_cost is None else T.add(total_cost, dists)
+            branch, branch_frames, prompts_np, fakes, n, k, train)
+        pairs.append((name, protos, queries))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
+    probs, (result,) = _tail(pairs, align, alpha, n, p)
 
-    probs = T.softmax(T.neg(total_cost), axis=-1)
-    probs_np = np.asarray(probs.data)
-    predictions = probs_np.argmax(axis=1)
-    correct = int((predictions == labels).sum())
-    result = EpisodeResult(probs_np.copy(), predictions, labels, correct)
-
-    rows = [T.reshape(T.slice_axis(probs, 0, i, i + 1), (n,))
-            for i in range(probs.shape[0])]
-    task = objective.task_loss(rows, labels)
+    task = objective.task_loss(T.reshape(probs, (n * p, n)), labels)
     consistency = con_sum
-    if consistency_reduction == "mean" and con_numel:
+    if consistency_reduction == "mean":
         consistency = T.scale(consistency, 1.0 / con_numel)
     if bank is not None:
         bank_ids, bank_matrix = bank
@@ -279,6 +281,26 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
 
 # ---------------------------------------------------------------------------
 # scoring without losses
+
+
+def map_blocks(fn, count: int, workers: int = 1) -> list:
+    """The lists ``fn(lo, hi)`` returns for the fixed blocks of
+    ``_BLOCK_EPISODES`` covering ``range(count)``, joined in block order.
+    ``workers`` threads map over the blocks under the caller's precision;
+    the result does not depend on ``workers``."""
+    dtype = T.default_dtype().__name__
+
+    def block(lo: int):
+        with T.precision(dtype):         # worker threads start in float32
+            return fn(lo, min(lo + _BLOCK_EPISODES, count))
+
+    starts = range(0, count, _BLOCK_EPISODES)
+    if workers == 1:
+        blocks = [block(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(block, starts))
+    return [res for results in blocks for res in results]
 
 
 def _enhance(model: Model, name: str, branch, frames: np.ndarray,
@@ -330,51 +352,27 @@ def _support_features(model: Model, episodes, branches):
     return np.asarray(index), features
 
 
-def _block_costs(model: Model, name: str, branch, episodes, indices,
-                 frames: np.ndarray, support_rows, support: np.ndarray,
-                 run_seed: int, align: AlignmentConfig) -> Tensor:
-    """One branch's alignment cost of every block query against every
-    prototype of its episode -> (E, Q, N)."""
-    n, k = episodes[0].way, episodes[0].shot
-    count, q = len(episodes), n * episodes[0].queries_per_class
-    tokens = np.concatenate([
-        _fake_tokens(model.dim, run_seed, index, range(n * k, n * k + q),
-                     name) for index in indices])
-    queries = _enhance(model, name, branch, frames, tokens)
-    length, dim = support.shape[1], support.shape[2]
-    # the same mean over the K supports as the per-episode path takes
-    protos = support[support_rows].reshape(count * n, k, length, dim)
-    protos = protos.mean(axis=1).reshape(count, 1, n, length, dim)
-    costs = metric.cost_matrix(
-        Tensor(protos), Tensor(queries.reshape(count, q, 1, length, dim)))
-    dists = metric.otam_distance(
-        T.reshape(costs, (count * q * n, length, length)), align)
-    return T.reshape(dists, (count, q, n))
-
-
 def _score_block(model: Model, episodes, indices, support_rows,
                  support, branches, run_seed: int, align: AlignmentConfig,
                  alpha: float):
     """Score a block of same-shaped episodes against their prototypes."""
-    n, p = episodes[0].way, episodes[0].queries_per_class
+    n, k, p = episodes[0].way, episodes[0].shot, episodes[0].queries_per_class
+    count, q = len(episodes), n * p
     frames = np.stack([rec.features() for ep in episodes
                        for recs in ep.query for rec in recs])
-    total_cost = None
+    pairs = []
     for name, branch in branches:
-        dists = _block_costs(model, name, branch, episodes, indices, frames,
-                             support_rows, support[name], run_seed, align)
-        if name == "motion":
-            dists = T.scale(dists, alpha)
-        total_cost = dists if total_cost is None else T.add(total_cost, dists)
-    probs = T.softmax(T.neg(total_cost), axis=-1).data
-    labels = np.repeat(np.arange(n), p)
-    results = []
-    for episode_probs in probs:
-        predictions = episode_probs.argmax(axis=1)
-        results.append(EpisodeResult(
-            episode_probs.copy(), predictions, labels,
-            int((predictions == labels).sum())))
-    return results
+        tokens = np.concatenate([
+            _fake_tokens(model.dim, run_seed, index, range(n * k, n * k + q),
+                         name) for index in indices])
+        queries = _enhance(model, name, branch, frames, tokens)
+        length, dim = queries.shape[1], queries.shape[2]
+        # the same mean over the K supports as the loss path takes
+        protos = support[name][support_rows].reshape(count * n, k, length,
+                                                     dim).mean(axis=1)
+        pairs.append((name, Tensor(protos.reshape(count, n, length, dim)),
+                      Tensor(queries.reshape(count, q, length, dim))))
+    return _tail(pairs, align, alpha, n, p)[1]
 
 
 def score_episodes(model: Model, episodes, indices, *, run_seed: int,
@@ -386,15 +384,12 @@ def score_episodes(model: Model, episodes, indices, *, run_seed: int,
     ``episodes`` share one way/shot/queries shape; ``indices`` are their
     episode indices, which key the queries' fake tokens exactly as
     ``episode_forward`` does. Each distinct support video is enhanced
-    once per branch, then the episodes are scored in fixed blocks of
-    ``_BLOCK_EPISODES``; ``workers`` threads map over the blocks and
-    share the support features. Block boundaries do not depend on
-    ``workers``, so neither do the results. Each episode's probabilities
-    equal ``episode_forward``'s on that episode alone bit for bit,
-    except where BLAS picks another kernel for the block's larger
-    batches, which moves only the last bits. Returns one EpisodeResult
-    per episode, in order. The model is never updated, and nothing is
-    kept after the call.
+    once per branch, then ``map_blocks`` scores the episodes in fixed
+    blocks on ``workers`` threads. Each episode's probabilities equal
+    ``episode_forward``'s in eval mode bit for bit, except where BLAS
+    picks another kernel for the block's larger batches, which moves
+    only the last bits. Returns one EpisodeResult per episode, in order.
+    The model is never updated, and nothing is kept after the call.
     """
     if alpha < 0:
         raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
@@ -408,23 +403,10 @@ def score_episodes(model: Model, episodes, indices, *, run_seed: int,
             for ep in episodes}) > 1:
         raise ProtocolError("episodes scored together must share one "
                             "way/shot/queries shape")
-    branches = [(name, branch) for name, branch, used in (
-        ("normal", model.normal, ablation.use_normal),
-        ("motion", model.motion, ablation.use_motion)) if used]
+    branches = _branches(model, ablation)
     support_rows, support = _support_features(model, episodes, branches)
-    dtype = T.default_dtype().__name__
-
-    def block(lo: int):
-        hi = lo + _BLOCK_EPISODES
-        with T.precision(dtype):         # worker threads start in float32
-            return _score_block(model, episodes[lo:hi], indices[lo:hi],
-                                support_rows[lo:hi], support, branches,
-                                run_seed, align, alpha)
-
-    starts = range(0, len(episodes), _BLOCK_EPISODES)
-    if workers == 1:
-        blocks = [block(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block, starts))
-    return [res for results in blocks for res in results]
+    return map_blocks(
+        lambda lo, hi: _score_block(model, episodes[lo:hi], indices[lo:hi],
+                                    support_rows[lo:hi], support, branches,
+                                    run_seed, align, alpha),
+        len(episodes), workers)

@@ -21,21 +21,17 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the three loss terms plus the adaptation temperature."""
+    """Weights of the three loss terms."""
 
     lam_adapt: float = 1.0
     lam_task: float = 1.0
     lam_consistency: float = 1.0
-    temperature: float = 0.1
 
     def __post_init__(self):
         for name in ("lam_adapt", "lam_task", "lam_consistency"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {val}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, "
-                              f"got {self.temperature}")
 
 
 def dam_probabilities(video_frames, prompt_bank, temperature) -> Tensor:
@@ -110,36 +106,37 @@ def reset_clamp_count() -> None:
         _clamp_count = 0
 
 
-def task_loss(probabilities, true_indices, floor: float = 1e-12) -> Tensor:
+def task_loss(probabilities: Tensor, true_indices,
+              floor: float = 1e-12) -> Tensor:
     """Mean negative log probability of the true class over the queries.
 
-    ``probabilities``: list of per-query class probability vectors from
-    classification. Probabilities below ``floor`` are clamped there (and
-    counted) so the log stays finite.
+    ``probabilities``: the (Q, N) class probabilities of the queries. The
+    true-class entries are picked with a one-hot product; those below
+    ``floor`` are clamped there (and counted) so the log stays finite.
     """
     global _clamp_count
-    probs = list(probabilities)
-    if len(probs) != len(true_indices):
-        raise ShapeError(f"{len(probs)} probability vectors vs "
+    if probabilities.ndim != 2:
+        raise ShapeError(f"task_loss: probabilities must be Q x N, got "
+                         f"{probabilities.shape}")
+    queries, num_classes = probabilities.shape
+    if queries != len(true_indices):
+        raise ShapeError(f"{queries} probability rows vs "
                          f"{len(true_indices)} labels")
-    if not probs:
+    if not queries:
         raise ShapeError("task_loss: no queries")
-    total = None
-    clamped = 0
-    for vec, idx in zip(probs, true_indices):
-        if not 0 <= idx < vec.shape[0]:
-            raise ShapeError(f"label {idx} outside {vec.shape[0]} classes")
-        p = T.slice_axis(vec, 0, idx, idx + 1)
-        if float(p.data[0]) < floor:
-            clamped += 1
-        # clamp_min(p, floor) = relu(p - floor) + floor inside the op set
-        p = T.add(T.relu(T.sub(p, Tensor(floor))), Tensor(floor))
-        term = T.log(p)
-        total = term if total is None else T.add(total, term)
+    for idx in true_indices:
+        if not 0 <= idx < num_classes:
+            raise ShapeError(f"label {idx} outside {num_classes} classes")
+    onehot = np.zeros((queries, num_classes))
+    onehot[np.arange(queries), np.asarray(true_indices)] = 1.0
+    picked = T.reduce_sum(T.mul(probabilities, Tensor(onehot)), axis=-1)
+    clamped = int((picked.data < floor).sum())
     if clamped:
         with _clamp_lock:
             _clamp_count += clamped
-    return T.neg(T.scale(T.reshape(total, ()), 1.0 / len(probs)))
+    # clamp_min(p, floor) = relu(p - floor) + floor inside the op set
+    picked = T.add(T.relu(T.sub(picked, Tensor(floor))), Tensor(floor))
+    return T.neg(T.scale(T.reduce_sum(T.log(picked)), 1.0 / queries))
 
 
 def total_loss(adapt: Tensor, task: Tensor, consistency: Tensor,

@@ -7,13 +7,13 @@ without corrupting the run: the optimizer refuses the step before it
 touches a parameter, and the BatchNorm running statistics, the only
 state the step's forward passes changed, roll back to their values
 before the step.
-Evaluation without losses samples every episode of the call first and
+Evaluation samples every episode of the call first. Without losses it
 hands them to ``model.score_episodes``, which enhances each distinct
-support video once and scores the episodes in fixed blocks, with worker
-threads mapping over the blocks. Evaluation with losses runs episode by
-episode on the training path. Either way results are reduced in
-episode-index order, so the reported numbers do not depend on the
-worker count.
+support video once and scores the episodes in fixed blocks. With losses
+it runs each episode through ``episode_forward`` in eval mode. Either
+way worker threads map over the same fixed blocks of episodes through
+``model.map_blocks``, and results are reduced in episode-index order,
+so the reported numbers do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +32,8 @@ from .data import DatasetManifest, episode_rng, keyed_rng, sample_episode, \
     write_manifest
 from .errors import ConfigError, DataError, NumericalError
 from .metric import AlignmentConfig
-from .model import Ablation, Model, episode_forward, score_episodes
+from .model import Ablation, Model, episode_forward, map_blocks, \
+    score_episodes
 from .nn import Adam, apply_state, load_checkpoint, save_checkpoint
 from .objective import LossWeights
 from .tensor import Tensor
@@ -96,8 +96,7 @@ class RunConfig:
     def weights(self) -> LossWeights:
         lam_con = 0.0 if self.preset == "no-consistency" \
             else self.lam_consistency
-        return LossWeights(self.lam_adapt, self.lam_task, lam_con,
-                           self.temperature)
+        return LossWeights(self.lam_adapt, self.lam_task, lam_con)
 
     def align(self) -> AlignmentConfig:
         return AlignmentConfig(self.gamma, self.bidirectional,
@@ -275,13 +274,14 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     """Score the model over a run of evaluation episodes.
 
     Episode i draws from the stream keyed by (seed, start_index + i), so
-    the run is reproducible and disjoint from training. Without losses,
-    all episodes are sampled first and scored by ``score_episodes``: each
-    distinct support video is enhanced once per branch for this call
-    only, and ``workers`` threads map over fixed blocks of episodes.
-    With losses, ``workers`` threads map over single episodes. Results
-    are reduced in index order with float64 accumulators; any worker
-    count gives the same numbers. Parameters are never mutated.
+    the run is reproducible and disjoint from training. All episodes are
+    sampled first. Without losses they are scored by ``score_episodes``,
+    which enhances each distinct support video once per branch for this
+    call only; with losses each runs through ``episode_forward`` in eval
+    mode. Either way ``workers`` threads map over the same fixed blocks
+    of episodes. Results are reduced in index order with float64
+    accumulators; any worker count gives the same numbers. Parameters
+    are never mutated.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
     split = cfg.eval_split if split is None else split
@@ -291,31 +291,25 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     shot = cfg.shot if shot is None else shot
     queries = cfg.queries if queries is None else queries
     kwargs = _episode_kwargs(cfg)
-    dtype = T.default_dtype().__name__
-
-    def run_one(i: int):
-        with T.precision(dtype):
-            index = start + i
-            episode = sample_episode(manifest, episode_rng(cfg.seed, index),
-                                     way, shot, queries, split)
-            return episode_forward(mdl, episode, run_seed=cfg.seed,
-                                   episode_index=index, bank=bank,
-                                   train=False, **kwargs)
 
     t0 = time.perf_counter()
-    if not compute_losses:
-        indices = [start + i for i in range(episodes)]
-        sampled = [sample_episode(manifest, episode_rng(cfg.seed, index),
-                                  way, shot, queries, split)
-                   for index in indices]
+    indices = [start + i for i in range(episodes)]
+    sampled = [sample_episode(manifest, episode_rng(cfg.seed, index),
+                              way, shot, queries, split)
+               for index in indices]
+
+    def with_losses(lo: int, hi: int):
+        return [episode_forward(mdl, episode, run_seed=cfg.seed,
+                                episode_index=index, bank=bank, train=False,
+                                **kwargs)
+                for episode, index in zip(sampled[lo:hi], indices[lo:hi])]
+
+    if compute_losses:
+        results = map_blocks(with_losses, episodes, workers)
+    else:
         results = score_episodes(mdl, sampled, indices, run_seed=cfg.seed,
                                  align=cfg.align(), alpha=cfg.alpha,
                                  ablation=cfg.ablation(), workers=workers)
-    elif workers == 1:
-        results = [run_one(i) for i in range(episodes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, range(episodes)))
 
     correct = 0
     total = 0

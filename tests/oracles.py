@@ -18,6 +18,14 @@ is enhanced again for every episode, and each episode gets its own
 transformer, cost-matrix and DP calls. ``model.score_episodes`` must
 reproduce its probabilities bit for bit.
 
+``per_episode_losses`` is the loss path as it stood before every episode
+pass shared one tail: ``pair_distances`` copies each prototype and each
+query once per pair with ``broadcast_repeat``, the probability matrix is
+sliced row by row, and ``list_task_loss`` takes the true-class entry of
+each row in a per-query loop. ``model.episode_forward`` must reproduce
+its probabilities bit for bit, its loss parts to rounding and its
+gradients to rounding.
+
 ``transposed_weight_grad``, ``reference_adam_step`` and ``where_relu``
 are the out-of-place forms of the linear weight gradient, the Adam
 update and relu that the training step used to run. ``nn.Linear``'s
@@ -29,8 +37,8 @@ import math
 
 import numpy as np
 
-from cpm2c import cpm, model, nn, tensor as T
-from cpm2c.errors import NumericalError, ShapeError
+from cpm2c import cpm, metric, model, nn, objective, tensor as T
+from cpm2c.errors import NumericalError, ProtocolError, ShapeError
 from cpm2c.metric import BIG, AlignmentConfig, _frame_rows
 from cpm2c.motion import motion_features
 from cpm2c.tensor import Tensor
@@ -224,7 +232,22 @@ def patch_layer_oracles(monkeypatch) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-episode scoring without losses
+# per-episode scoring and losses
+
+
+def pair_distances(protos: Tensor, queries: Tensor,
+                   align: AlignmentConfig) -> Tensor:
+    """Alignment cost of every query against every prototype -> (Q, N).
+
+    All Q x N cost matrices run through one batched DP; entry (q, c) uses
+    prototype rows as the first alignment axis.
+    """
+    n, lp, dim = protos.shape
+    q, lq = queries.shape[0], queries.shape[1]
+    pe = T.reshape(T.broadcast_repeat(protos, 0, q), (q * n, lp, dim))
+    qe = T.reshape(T.broadcast_repeat(queries, 1, n), (q * n, lq, dim))
+    dists = metric.otam_distance(metric.cost_matrix(pe, qe), align)
+    return T.reshape(dists, (q, n))
 
 
 def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
@@ -232,7 +255,7 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
                        align: AlignmentConfig = AlignmentConfig(),
                        alpha: float = 1.0,
                        ablation: model.Ablation = model.Ablation()):
-    """Same contract as ``episode_forward(..., compute_losses=False)``,
+    """Same contract as ``score_episodes(mdl, [episode], [index])[0]``,
     one episode at a time: the supports under their real tokens and the
     queries under their fake tokens, one pass each per branch."""
     n, k = episode.way, episode.shot
@@ -252,8 +275,8 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
             Tensor(fakes))
         seq, dim = real.shape[1], real.shape[2]
         protos = T.reduce_mean(T.reshape(real, (n, k, seq, dim)), axis=1)
-        return model._pair_distances(_frame_rows(protos),
-                                     _frame_rows(queries), align)
+        return pair_distances(_frame_rows(protos), _frame_rows(queries),
+                              align)
 
     total_cost = None
     if ablation.use_normal:
@@ -267,6 +290,126 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
     predictions = probs.argmax(axis=1)
     return model.EpisodeResult(probs, predictions, labels,
                                int((predictions == labels).sum()))
+
+
+def list_task_loss(probabilities, true_indices,
+                   floor: float = 1e-12) -> Tensor:
+    """``objective.task_loss`` over a list of per-query probability
+    vectors, one slice, clamp and log per query."""
+    probs = list(probabilities)
+    if len(probs) != len(true_indices):
+        raise ShapeError(f"{len(probs)} probability vectors vs "
+                         f"{len(true_indices)} labels")
+    if not probs:
+        raise ShapeError("task_loss: no queries")
+    total = None
+    clamped = 0
+    for vec, idx in zip(probs, true_indices):
+        if not 0 <= idx < vec.shape[0]:
+            raise ShapeError(f"label {idx} outside {vec.shape[0]} classes")
+        p = T.slice_axis(vec, 0, idx, idx + 1)
+        if float(p.data[0]) < floor:
+            clamped += 1
+        p = T.add(T.relu(T.sub(p, Tensor(floor))), Tensor(floor))
+        term = T.log(p)
+        total = term if total is None else T.add(total, term)
+    if clamped:
+        with objective._clamp_lock:
+            objective._clamp_count += clamped
+    return T.neg(T.scale(T.reshape(total, ()), 1.0 / len(probs)))
+
+
+def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
+    """One branch's videos under both tokens: (N, L, D) prototypes and
+    (Q, L, D) fake-token queries, token rows kept, and the consistency
+    sum and element count."""
+    support = n * k
+    total = frames.shape[0]
+    real = cpm.feature_enhance_batch(branch, frames, Tensor(real_tokens),
+                                     train=train)
+    fake = cpm.feature_enhance_batch(branch, frames, Tensor(fake_tokens),
+                                     train=train)
+    diff = T.sub(fake, real)
+    con = T.reduce_sum(T.mul(diff, diff))
+    real_support = T.slice_axis(real, 0, 0, support)
+    fake_query = T.slice_axis(fake, 0, support, total)
+    seq, dim = real_support.shape[1], real_support.shape[2]
+    protos = T.reduce_mean(T.reshape(real_support, (n, k, seq, dim)), axis=1)
+    return protos, fake_query, con, real.size
+
+
+def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
+                       episode_index: int,
+                       weights: objective.LossWeights =
+                       objective.LossWeights(),
+                       align: AlignmentConfig = AlignmentConfig(),
+                       alpha: float = 1.0,
+                       ablation: model.Ablation = model.Ablation(),
+                       bank=None, train: bool = False,
+                       consistency_reduction: str = "sum"):
+    """Same contract as ``model.episode_forward``, on the earlier loss
+    path: per-pair copies, a row slice per query and the per-query task
+    loss."""
+    n, k, p = episode.way, episode.shot, episode.queries_per_class
+    frames_np, prompts_np, labels = model._episode_frames(episode)
+    total = frames_np.shape[0]
+    frames = Tensor(frames_np)
+
+    total_cost = None
+    con_sum, con_numel = None, 0
+    if ablation.use_normal:
+        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
+                                   range(total), "normal")
+        protos, queries, con_sum, con_numel = _branch_pass(
+            mdl.normal, frames, prompts_np, fakes, n, k, train)
+        total_cost = pair_distances(_frame_rows(protos),
+                                    _frame_rows(queries), align)
+    if ablation.use_motion:
+        motion_frames = motion_features(mdl.phi, frames, train=train)
+        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
+                                   range(total), "motion")
+        protos, queries, con, numel = _branch_pass(
+            mdl.motion, motion_frames, prompts_np, fakes, n, k, train)
+        dists = T.scale(pair_distances(_frame_rows(protos),
+                                       _frame_rows(queries), align), alpha)
+        total_cost = dists if total_cost is None else T.add(total_cost, dists)
+        con_sum = con if con_sum is None else T.add(con_sum, con)
+        con_numel += numel
+
+    probs = T.softmax(T.neg(total_cost), axis=-1)
+    probs_np = np.asarray(probs.data)
+    predictions = probs_np.argmax(axis=1)
+    result = model.EpisodeResult(probs_np.copy(), predictions, labels,
+                                 int((predictions == labels).sum()))
+
+    rows = [T.reshape(T.slice_axis(probs, 0, i, i + 1), (n,))
+            for i in range(probs.shape[0])]
+    task = list_task_loss(rows, labels)
+    consistency = con_sum
+    if consistency_reduction == "mean":
+        consistency = T.scale(consistency, 1.0 / con_numel)
+    if bank is not None:
+        bank_ids, bank_matrix = bank
+        positions = {cid: i for i, cid in enumerate(bank_ids)}
+        try:
+            video_truth = [positions[episode.class_ids[c]]
+                           for c in range(n) for _ in range(k)]
+            video_truth += [positions[episode.class_ids[c]]
+                            for c in range(n) for _ in range(p)]
+        except KeyError as exc:
+            raise ProtocolError(f"episode class {exc.args[0]} missing from "
+                                f"the prompt bank") from None
+        adapt = objective.dam_loss([Tensor(f) for f in frames_np],
+                                   bank_matrix, video_truth,
+                                   mdl.temperature())
+    else:
+        adapt = Tensor(0.0)
+    result.loss = objective.total_loss(adapt, task, consistency, weights)
+    result.parts = {"adapt": float(adapt.data),
+                    "task": float(task.data),
+                    "consistency": float(consistency.data),
+                    "total": float(result.loss.data)}
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from cpm2c import data, metric, motion, nn, objective, runner
 from cpm2c import tensor as T
 from cpm2c.cpm import stack_token_frames
-from cpm2c.model import episode_forward
+from cpm2c.model import score_episodes
 from cpm2c.tensor import Tensor
 
 STATIC_DATA = data.SyntheticConfig(num_classes=20, dim=64, frames=8,
@@ -117,15 +117,14 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
     cfg = runner.RunConfig(way=5, shot=1, queries=1, seed=0)
     mdl = runner.build_model(static_manifest, cfg)
     _, bank_mat = static_manifest.prompt_bank("train")
-    kwargs = dict(weights=cfg.weights(), align=cfg.align(),
-                  alpha=cfg.alpha, ablation=cfg.ablation())
+    kwargs = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+                  ablation=cfg.ablation())
     worst_cls = 0.0
     worst_dam = 0.0
     for i in range(1000):
         rng = data.episode_rng(cfg.seed, i)
         ep = data.sample_episode(static_manifest, rng, 5, 1, 1, "test")
-        res = episode_forward(mdl, ep, run_seed=cfg.seed, episode_index=i,
-                              train=False, compute_losses=False, **kwargs)
+        res = score_episodes(mdl, [ep], [i], **kwargs)[0]
         worst_cls = max(worst_cls, float(
             np.abs(res.probabilities.sum(axis=1) - 1.0).max()))
         videos = [Tensor(rec.features())
@@ -147,8 +146,7 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
     prompts = {c: prompt_vec for c in range(5)}
     tie_man = data.DatasetManifest(records, prompts)
     ep = data.sample_episode(tie_man, data.episode_rng(0, 0), 5, 1, 1, "test")
-    tie = episode_forward(mdl, ep, run_seed=0, episode_index=0,
-                          train=False, compute_losses=False, **kwargs)
+    tie = score_episodes(mdl, [ep], [0], **kwargs)[0]
     ties_low = bool((tie.predictions == 0).all())
     uniform = float(np.abs(tie.probabilities - 0.2).max())
 

@@ -141,6 +141,50 @@ def test_non_integer_index_field_exits_two(tmp_path, capsys, field, value):
     assert "line 1" in err and f"{field}={value!r}" in err
 
 
+def _rewrite_first_row(index, **fields):
+    with open(index, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = json.loads(lines[0])
+    row.update(fields)
+    lines[0] = json.dumps(row)
+    with open(index, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return row
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_feature_file_outside_data_directory_exits_two(tmp_path, capsys,
+                                                       absolute):
+    # a well-formed feature file that the index reaches from outside
+    index = make_tiny_manifest(tmp_path)
+    with open(index, encoding="utf-8") as fh:
+        first = json.loads(fh.readline())
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(
+        (tmp_path / "synth" / first["feature_file"]).read_bytes())
+    target = str(outside) if absolute else "../outside.bin"
+    _rewrite_first_row(index, feature_file=target)
+    code = cli.main(["eval", "--manifest", index, "--way", "2",
+                     "--num-heads", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "not inside the data directory" in err
+    assert repr(target) in err
+
+
+@pytest.mark.parametrize("video_id", ["../escaped", "nul\0byte"])
+def test_video_id_escaping_output_directory_exits_two(tmp_path, capsys,
+                                                      video_id):
+    index = make_tiny_manifest(tmp_path)
+    _rewrite_first_row(index, video_id=video_id)
+    out = tmp_path / "dumped"
+    code = cli.main(["dump-features", "--manifest", index, "--out", str(out)])
+    assert code == 2
+    assert repr(video_id) in capsys.readouterr().err
+    assert not (tmp_path / "escaped.bin").exists()
+    assert not out.exists()
+
+
 def test_gradcheck_impossible_tolerance_exits_three(tmp_path, capsys):
     index = make_tiny_manifest(tmp_path)
     code = cli.main(["gradcheck", "--manifest", index, "--coords", "1",

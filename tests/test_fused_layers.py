@@ -199,8 +199,8 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
                     consistency_reduction="mean", **kw)
             T.backward(train.loss)
             grads = {n: p.grad for n, p in mdl.named_parameters()}
-            evaluated = model.episode_forward(mdl, episode,
-                                              compute_losses=False, **kw)
+            evaluated = model.score_episodes(mdl, [episode], [0],
+                                             run_seed=5)[0]
             return train, evaluated, grads, len(tape)
 
         fused_train, fused_eval, fused_grads, fused_nodes = run()

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from cpm2c import cpm, data, metric, model, motion, objective, tensor as T
+from cpm2c import cpm, data, metric, model, motion, nn, objective, \
+    tensor as T
 from cpm2c.errors import ConfigError, ProtocolError
 from cpm2c.metric import AlignmentConfig
 from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
+from oracles import per_episode_losses
 
 
 @pytest.fixture(autouse=True)
@@ -80,36 +82,34 @@ def test_probability_rows_sum_to_one():
 
 def test_batched_probabilities_match_per_pair_reference():
     _, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, alpha=0.7, compute_losses=False)
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+                               alpha=0.7)[0]
     ref = reference_probs(mdl, episode, 5, 0, 0.7)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_normal_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, alpha=1.0,
-                                ablation=model.Ablation(use_motion=False),
-                                compute_losses=False)
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+                               alpha=1.0,
+                               ablation=model.Ablation(use_motion=False))[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_motion_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, alpha=1.0,
-                                ablation=model.Ablation(use_normal=False),
-                                compute_losses=False)
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+                               alpha=1.0,
+                               ablation=model.Ablation(use_normal=False))[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_normal=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_alpha_zero_ignores_motion_distances():
     _, mdl, episode = tiny_setup()
-    both = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                 align=ALIGN, alpha=0.0, compute_losses=False)
+    both = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+                                alpha=0.0)[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
     assert np.allclose(both.probabilities, ref, atol=1e-8)
 
@@ -118,8 +118,8 @@ def test_losses_flag_does_not_change_probabilities():
     manifest, mdl, episode = tiny_setup()
     with_l = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
                                    align=ALIGN, bank=manifest.prompt_bank())
-    without = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                    align=ALIGN, compute_losses=False)
+    without = model.score_episodes(mdl, [episode], [0], run_seed=5,
+                                   align=ALIGN)[0]
     assert np.allclose(with_l.probabilities, without.probabilities, atol=1e-10)
     assert without.loss is None and without.parts == {}
 
@@ -221,10 +221,55 @@ def test_disabled_motion_leaves_phi_untouched():
             assert p.grad is None, f"unexpected gradient for {name}"
 
 
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dim,way,shot,queries",
+                         [(64, 5, 1, 1), (512, 5, 5, 2), (64, 5, 5, 1)])
+def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
+                                              train):
+    # the benchmark's shapes in float32, with output projections given
+    # weight so that attention and the FFN reach the probabilities
+    with T.precision("float32"):
+        synth = data.SyntheticConfig(num_classes=20, dim=dim, frames=8,
+                                     scale=1.0, sigma=0.3, seed=7)
+        manifest = data.build_synthetic_manifest(synth, videos_per_class=10)
+        episode = data.sample_episode(manifest, data.episode_rng(7, 0), way,
+                                      shot, queries, "train")
+        kw = dict(run_seed=7, episode_index=0, align=ALIGN, alpha=0.7,
+                  bank=manifest.prompt_bank("train"), train=train,
+                  consistency_reduction="mean")
+
+        def run(forward):
+            mdl = model.Model(dim=dim, frames=8, num_heads=8, seed=11)
+            rng = np.random.default_rng(12)
+            for branch in (mdl.normal, mdl.motion):
+                branch.transformer.attn.out = nn.Linear(dim, dim, rng)
+                branch.transformer.ffn2 = nn.Linear(4 * dim, dim, rng)
+            with T.Tape():
+                res = forward(mdl, episode, **kw)
+            T.backward(res.loss)
+            return res, {n: p.grad for n, p in mdl.named_parameters()}
+
+        got, got_grads = run(model.episode_forward)
+        ref, ref_grads = run(per_episode_losses)
+    assert got.probabilities.dtype == np.float32
+    assert np.array_equal(got.probabilities, ref.probabilities)
+    assert np.array_equal(got.predictions, ref.predictions)
+    assert got.correct == ref.correct
+    assert got.parts.keys() == ref.parts.keys()
+    for key, value in ref.parts.items():
+        assert np.isclose(got.parts[key], value, rtol=1e-6, atol=0), key
+    for name, g in ref_grads.items():
+        scale = max(1.0, float(np.abs(g).max()))
+        assert np.allclose(got_grads[name], g, rtol=0, atol=1e-5 * scale), \
+            name
+
+
 def test_training_episode_tape_stays_small():
-    # the soft-alignment DP and every layer are one fused node per call;
-    # taping the DP cell by cell put about 1650 nodes on a 5-way 1-shot
-    # episode at T=8, and taping the layers op by op about 490
+    # the soft-alignment DP and every layer are one fused node per call,
+    # and the task loss reads the probability matrix in one pass; taping
+    # the DP cell by cell put about 1650 nodes on a 5-way 1-shot episode
+    # at T=8, taping the layers op by op about 490, and slicing the
+    # probabilities row by row 234
     cfg = data.SyntheticConfig(num_classes=20, dim=8, frames=8, scale=1.0,
                                sigma=0.3, seed=3)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
@@ -236,7 +281,7 @@ def test_training_episode_tape_stays_small():
                                     episode_index=0, align=ALIGN,
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
-    assert len(tape) <= 260, len(tape)
+    assert len(tape) <= 202, len(tape)
 
 
 def test_same_inputs_reproduce_bitwise():
@@ -251,17 +296,17 @@ def test_same_inputs_reproduce_bitwise():
 
 def test_run_seed_changes_fake_tokens_and_probabilities():
     _, mdl, episode = tiny_setup()
-    a = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                              align=ALIGN, compute_losses=False)
-    b = model.episode_forward(mdl, episode, run_seed=6, episode_index=0,
-                              align=ALIGN, compute_losses=False)
+    a = model.score_episodes(mdl, [episode], [0], run_seed=5,
+                             align=ALIGN)[0]
+    b = model.score_episodes(mdl, [episode], [0], run_seed=6,
+                             align=ALIGN)[0]
     assert not np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_predictions_and_correct_count_agree():
     manifest, mdl, episode = tiny_setup(way=2, shot=1, queries=2)
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, compute_losses=False)
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5,
+                               align=ALIGN)[0]
     assert np.array_equal(res.predictions, res.probabilities.argmax(axis=1))
     assert res.correct == int((res.predictions == res.true_labels).sum())
 

@@ -10,6 +10,7 @@ from cpm2c.errors import ConfigError, DomainError, ShapeError
 from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
+from oracles import list_task_loss
 
 
 @pytest.fixture(autouse=True)
@@ -19,11 +20,9 @@ def float64_mode():
 
 
 def test_weights_validation():
-    LossWeights(0.0, 0.0, 0.0, 1.0)
+    LossWeights(0.0, 0.0, 0.0)
     with pytest.raises(ConfigError):
         LossWeights(lam_adapt=-1.0)
-    with pytest.raises(ConfigError):
-        LossWeights(temperature=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +112,12 @@ def test_dam_label_and_alignment_errors():
 
 
 def test_task_loss_perfect_prediction_zero():
-    probs = [Tensor([0.0, 1.0, 0.0])]
+    probs = Tensor([[0.0, 1.0, 0.0]])
     assert abs(objective.task_loss(probs, [1]).item()) < 1e-9
 
 
 def test_task_loss_uniform_is_ln_n():
-    probs = [Tensor(np.full(5, 0.2)) for _ in range(3)]
+    probs = Tensor(np.full((3, 5), 0.2))
     loss = objective.task_loss(probs, [0, 3, 4]).item()
     assert abs(loss - math.log(5.0)) < 1e-12
 
@@ -128,14 +127,14 @@ def test_task_loss_matches_hand_oracle():
     raw = rng.uniform(0.05, 1.0, size=(4, 3))
     raw /= raw.sum(axis=1, keepdims=True)
     labels = [0, 2, 1, 1]
-    got = objective.task_loss([Tensor(r) for r in raw], labels).item()
+    got = objective.task_loss(Tensor(raw), labels).item()
     want = -sum(math.log(raw[i, y]) for i, y in enumerate(labels)) / 4.0
     assert abs(got - want) < 1e-8
 
 
 def test_task_loss_clamps_and_counts_zero_probability():
     objective.reset_clamp_count()
-    probs = [Tensor([1.0, 0.0])]
+    probs = Tensor([[1.0, 0.0]])
     loss = objective.task_loss(probs, [1]).item()
     assert abs(loss - (-math.log(1e-12))) < 1e-6
     assert objective.clamp_count() == 1
@@ -145,20 +144,50 @@ def test_task_loss_clamps_and_counts_zero_probability():
 
 def test_task_loss_gradchecks_through_probabilities():
     rng = np.random.default_rng(7)
-    logits = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
     def f():
         probs = T.softmax(logits, axis=-1)
-        return objective.task_loss([probs], [2])
+        return objective.task_loss(probs, [2, 0, 2])
 
     check_grads(f, logits, tol=1e-7)
 
 
 def test_task_loss_validation():
     with pytest.raises(ShapeError):
-        objective.task_loss([], [])
+        objective.task_loss(Tensor(np.zeros((0, 2))), [])
     with pytest.raises(ShapeError):
-        objective.task_loss([Tensor([0.5, 0.5])], [3])
+        objective.task_loss(Tensor([[0.5, 0.5]]), [3])
+    with pytest.raises(ShapeError):
+        objective.task_loss(Tensor([[0.5, 0.5]]), [0, 1])
+    with pytest.raises(ShapeError):
+        objective.task_loss(Tensor([0.5, 0.5]), [0])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_task_loss_matches_per_query_oracle(dtype):
+    # one row below the floor, so the clamp and its count are compared too
+    rng = np.random.default_rng(9)
+    with T.precision(dtype):
+        raw = rng.uniform(0.05, 1.0, size=(10, 5))
+        raw[3, 4] = 0.0
+        raw /= raw.sum(axis=1, keepdims=True)
+        labels = [0, 4, 2, 4, 1, 1, 3, 0, 2, 4]
+        results = []
+        for loss_fn, probs_of in ((objective.task_loss, lambda p: p),
+                                  (list_task_loss, lambda p: [
+                                      T.reshape(T.slice_axis(p, 0, i, i + 1),
+                                                (5,)) for i in range(10)])):
+            probs = Tensor(raw, requires_grad=True)
+            objective.reset_clamp_count()
+            with T.Tape():
+                loss = loss_fn(probs_of(probs), labels)
+            T.backward(loss)
+            results.append((loss.item(), probs.grad, objective.clamp_count()))
+    (got, got_grad, got_clamps), (ref, ref_grad, ref_clamps) = results
+    assert got_clamps == ref_clamps == 1
+    assert np.isclose(got, ref, rtol=1e-6 if dtype == "float32" else 1e-14)
+    assert np.array_equal(got_grad, ref_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +195,10 @@ def test_task_loss_validation():
 
 
 def test_total_loss_weighted_sum():
-    w = LossWeights(1.0, 1.0, 1.0, 0.1)
+    w = LossWeights(1.0, 1.0, 1.0)
     total = objective.total_loss(Tensor(0.5), Tensor(1.0), Tensor(0.25), w)
     assert abs(total.item() - 1.75) < 1e-12
-    z = LossWeights(0.0, 0.0, 0.0, 0.1)
+    z = LossWeights(0.0, 0.0, 0.0)
     assert objective.total_loss(Tensor(0.5), Tensor(1.0), Tensor(0.25),
                                 z).item() == 0.0
 
@@ -179,7 +208,7 @@ def test_total_loss_gradient_superposition():
     # term's separate gradient
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    w = LossWeights(0.5, 2.0, 1.5, 0.1)
+    w = LossWeights(0.5, 2.0, 1.5)
 
     def terms():
         a = T.reduce_sum(T.mul(x, x))

@@ -248,19 +248,26 @@ def test_evaluate_single_class_probabilities_are_certain():
 
 
 def test_worker_count_does_not_change_results():
+    # 20 episodes span two full blocks and a ragged third
     manifest = tiny_manifest()
     cfg = tiny_config()
     with T.precision("float64"):
         mdl = runner.build_model(manifest, cfg)
-        one = runner.evaluate(manifest, mdl, cfg, episodes=12,
-                              split="train", compute_losses=True, workers=1)
-        four = runner.evaluate(manifest, mdl, cfg, episodes=12,
-                               split="train", compute_losses=True, workers=4)
-    assert one.correct == four.correct
-    assert one.per_episode_correct == four.per_episode_correct
-    for key in one.parts_mean:
-        assert np.isclose(one.parts_mean[key], four.parts_mean[key],
-                          atol=1e-12, rtol=0.0)
+        runs = {(losses, workers): runner.evaluate(
+                    manifest, mdl, cfg, episodes=20, split="train",
+                    compute_losses=losses, workers=workers)
+                for losses in (True, False) for workers in (1, 2, 4)}
+    one = runs[True, 1]
+    assert one.per_episode_correct == runs[False, 1].per_episode_correct
+    for (losses, workers), res in runs.items():
+        assert res.correct == one.correct, (losses, workers)
+        assert res.per_episode_correct == one.per_episode_correct
+        if losses:
+            for key in one.parts_mean:
+                assert np.isclose(res.parts_mean[key], one.parts_mean[key],
+                                  atol=1e-12, rtol=0.0)
+        else:
+            assert res.parts_mean is None
 
 
 def test_evaluate_never_mutates_the_model():

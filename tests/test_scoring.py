@@ -10,12 +10,13 @@ whatever the batch size.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cpm2c import cpm, data, model, nn, runner, tensor as T
-from cpm2c.errors import ConfigError, ProtocolError
+from cpm2c.errors import ProtocolError
 from oracles import per_episode_scores
 
 DIM = 64
@@ -86,9 +87,11 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
         episodes, indices = sample(manifest, cfg, BLOCK + 3)
         ref = [per_episode_scores(mdl, ep, episode_index=i, **kw)
                for ep, i in zip(episodes, indices)]
-        assert_same_result(
-            model.episode_forward(mdl, episodes[0], episode_index=indices[0],
-                                  compute_losses=False, **kw), ref[0])
+        # the loss path shares the scorer's tail: same probabilities
+        with_losses = model.episode_forward(mdl, episodes[0],
+                                            episode_index=indices[0], **kw)
+        assert np.array_equal(with_losses.probabilities,
+                              ref[0].probabilities)
         for count in (0, 1, BLOCK - 1, BLOCK + 3):   # the last is ragged
             for workers in (1, 2, 4):
                 got = model.score_episodes(mdl, episodes[:count],
@@ -110,16 +113,23 @@ def test_more_threads_than_cores_with_fast_switching_match_serial(manifest):
               ablation=cfg.ablation())
     episodes, indices = sample(manifest, cfg, 4 * BLOCK + 1)
     serial = model.score_episodes(mdl, episodes, indices, **kw)
+    serial_losses = runner.evaluate(manifest, mdl, cfg, episodes=2 * BLOCK + 1,
+                                    compute_losses=True, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = model.score_episodes(mdl, episodes, indices, workers=8,
                                         **kw)
+        threaded_losses = runner.evaluate(manifest, mdl, cfg,
+                                          episodes=2 * BLOCK + 1,
+                                          compute_losses=True, workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert len(threaded) == len(serial)
     for got, ref in zip(threaded, serial):
         assert_same_result(got, ref)
+    assert threaded_losses == replace(serial_losses,
+                                      wall_time=threaded_losses.wall_time)
 
 
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6),
@@ -204,7 +214,3 @@ def test_scoring_rejects_mismatched_inputs(manifest):
     with pytest.raises(ProtocolError, match="shape"):
         model.score_episodes(mdl, episodes + [other], indices + [0],
                              run_seed=cfg.seed)
-    with pytest.raises(ConfigError, match="eval mode"):
-        model.episode_forward(mdl, episodes[0], run_seed=cfg.seed,
-                              episode_index=indices[0], train=True,
-                              compute_losses=False)

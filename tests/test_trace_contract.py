@@ -1,0 +1,69 @@
+"""The benchmark's tracing contract, checked on one training step.
+
+``perfbench/`` lies outside the test paths, yet its span tracer wraps
+functions at the names their callers bind (``runner.episode_forward``,
+``model.motion_features``, ...). A refactor that stops calling one of
+them through that name leaves a layer silently unmeasured. This test
+loads ``perfbench/spans.py`` and ``perfbench/run.py`` by path, unchanged,
+installs the tracer's layer table on one ``runner.train`` step, and
+checks that every layer the training workloads expect is reached.
+Evaluation is not covered here.
+"""
+
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import cpm2c
+from cpm2c import data, runner
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``spans`` and ``run`` modules, registered while the
+    test runs: run.py imports spans, and its dataclasses look their
+    module up."""
+
+    def load(name: str, path: Path):
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return (load("spans", PERFBENCH / "spans.py"),
+            load("perfbench_run", PERFBENCH / "run.py"))
+
+
+def test_training_step_reaches_every_traced_layer(perfbench):
+    spans, run = perfbench
+    expected = {name for wl in run.WORKLOADS.values() if wl.kind == "train"
+                for name in wl.expected}
+    assert "model.episode_forward" in expected
+    synth = data.SyntheticConfig(num_classes=12, dim=8, frames=4, seed=3)
+    manifest = data.build_synthetic_manifest(synth, videos_per_class=2)
+    cfg = runner.RunConfig(way=5, shot=1, queries=1, steps=1, window=2,
+                           seed=7, num_heads=2, log_every=1,
+                           consistency_reduction="mean")
+    tracer = spans.Tracer()
+    episodes = []
+    try:
+        for owner, attr, name, hook in spans.layer_table(cpm2c):
+            tracer.wrap(owner, attr, name, hook)
+        tracer.wrap(runner, "episode_forward", "episode argument",
+                    lambda tr, args, kwargs: episodes.append(args[1]))
+        runner.train(manifest, cfg, log=io.StringIO())
+    finally:
+        tracer.remove()
+    _, calls, _ = tracer.summary()
+    missing = sorted(name for name in expected if not calls[name])
+    assert not missing, f"traced layers not reached: {missing}"
+    assert calls["model.episode_forward"] == cfg.window
+    assert len(episodes) == cfg.window
+    assert all(isinstance(ep, data.EpisodeBatch) for ep in episodes)
+    assert tracer.counters["tape_nodes"] > 0
