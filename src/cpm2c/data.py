@@ -281,16 +281,23 @@ def write_manifest(out_dir, records_features, prompts, index_name="index.jsonl")
     """Write feature binaries, prompt sidecar, and the JSON-lines index.
 
     ``records_features`` is an iterable of (VideoRecord, T x D array).
-    Video ids that are not plain file names are refused, all together,
+    Video ids that are not plain file names, and ids whose feature file
+    would be the prompt sidecar or the index, are refused, all together,
     before anything is written. Returns the index path.
     """
     records_features = list(records_features)
-    escaping = [repr(rec.video_id) for rec, _ in records_features
-                if os.path.basename(f"{rec.video_id}.bin")
-                != f"{rec.video_id}.bin" or "\0" in rec.video_id]
-    if escaping:
+    reserved = {"prompts.bin", index_name}
+    refused = []
+    for rec, _ in records_features:
+        fname = f"{rec.video_id}.bin"
+        if os.path.basename(fname) != fname or "\0" in rec.video_id:
+            refused.append(repr(rec.video_id))
+        elif fname in reserved:
+            refused.append(f"{rec.video_id!r} (its file {fname} holds "
+                           f"the dump's own data)")
+    if refused:
         raise ManifestError("video ids are not plain file names inside "
-                            "the output directory: " + "; ".join(escaping))
+                            "the output directory: " + "; ".join(refused))
     os.makedirs(out_dir, exist_ok=True)
     index_path = os.path.join(out_dir, index_name)
     with open(index_path, "w", encoding="utf-8") as fh:

@@ -8,9 +8,10 @@ broadcast prototype/query operands and one DP call, then the
 alpha-weighted sum, a softmax over classes and the ``EpisodeResult``s.
 
 ``episode_forward`` computes the losses of one episode. Each branch
-enhances every video in two transformer calls, under the real and under
-the fake tokens, and the task loss reads the probability matrix in one
-pass. Each layer and the DP record one tape node.
+enhances every video under the real and under the fake tokens in one
+transformer call over twice the videos, so each shared weight gets its
+gradient from one product, and the task loss reads the probability
+matrix in one pass. Each layer and the DP record one tape node.
 
 ``score_episodes`` is the only path that scores without losses, and it
 never updates the model. In eval mode a support video's real-token
@@ -191,18 +192,21 @@ def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
 
 
 def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
-    """Enhance one branch's videos under both tokens.
+    """Enhance one branch's V videos under both tokens in one call.
 
-    Returns the (1, N, L, D) prototypes and (1, Q, L, D) fake-token
-    queries, token rows dropped, and the consistency pieces: the sum of
-    squared real/fake differences and its element count.
+    The transformer runs over 2V stacks: the frames under the real
+    tokens, then the same frames under the fake tokens. Returns the
+    (1, N, L, D) prototypes and (1, Q, L, D) fake-token queries, token
+    rows dropped, and the consistency pieces: the sum of squared
+    real/fake differences and its element count.
     """
     support = n * k
     total = frames.shape[0]
-    real = cpm.feature_enhance_batch(branch, frames, Tensor(real_tokens),
-                                     train=train)
-    fake = cpm.feature_enhance_batch(branch, frames, Tensor(fake_tokens),
-                                     train=train)
+    both = cpm.feature_enhance_batch(
+        branch, T.concat([frames, frames]),
+        Tensor(np.concatenate([real_tokens, fake_tokens])), train=train)
+    real = T.slice_axis(both, 0, 0, total)
+    fake = T.slice_axis(both, 0, total, 2 * total)
     diff = T.sub(fake, real)
     con = T.reduce_sum(T.mul(diff, diff))
     real_support = T.slice_axis(real, 0, 0, support)

@@ -102,13 +102,15 @@ class Linear:
         shape = x.shape
         xd = x.data.reshape(-1, shape[-1]) if x.ndim > 2 else x.data
         wd = self.weight.data
-        out = xd @ wd.swapaxes(0, 1) + self.bias.data
+        out = xd @ wd.swapaxes(0, 1)
+        out += self.bias.data
         need_x = x.requires_grad
 
         def bwd(g):
             g = g.reshape(-1, g.shape[-1])
             dx = (g @ wd).reshape(shape) if need_x else None
-            # g^T x is C-contiguous, so the leaf deposit is a plain copy
+            # g^T x is a fresh C-contiguous array, so the weight leaf
+            # takes it without a copy
             return dx, g.swapaxes(0, 1) @ xd, g.sum(axis=0)
 
         return T._record(out.reshape(shape[:-1] + (wd.shape[0],)),
@@ -406,10 +408,14 @@ class Adam:
         """Apply one update from the gradients currently held by the params.
 
         The whole step aborts (no parameter or moment touched) if any
-        gradient is non-finite, naming the offending parameter.
+        gradient is non-finite, naming the offending parameter. A NaN
+        carries into both the maximum and the minimum, and an infinity
+        into one of them, so the check needs no boolean array.
         """
         for name, p in self.named:
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            g = p.grad
+            if g is not None and g.size and not (
+                    np.isfinite(g.max()) and np.isfinite(g.min())):
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count

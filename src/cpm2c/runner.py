@@ -214,7 +214,8 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
             if cfg.window > 1:
                 for _, p in mdl.named_parameters():
                     if p.grad is not None:
-                        p.grad = p.grad / cfg.window
+                        # backward leaves each .grad to its leaf alone
+                        np.divide(p.grad, cfg.window, out=p.grad)
             try:
                 optimizer.step()
             except NumericalError as exc:

@@ -11,7 +11,9 @@ in ``metric``) is recorded instead as one node through ``_record``: a
 numpy forward plus a backward closure that maps the output gradient to
 one partial per parent (None for a parent that needs none). The closure
 must hold arrays only: a Tensor refers to its tape, and that cycle would
-keep a finished tape alive until a full garbage collection.
+keep a finished tape alive until a full garbage collection. A partial
+that is not a view must be a fresh array that nothing else keeps, since
+a leaf may take it as its ``.grad`` without a copy.
 
 Precision is a per-thread switch: float32 for training and evaluation,
 float64 for finite-difference gradient checking (use the ``precision``
@@ -229,7 +231,13 @@ def backward(loss: Tensor) -> dict:
 
     Gradients are added into ``.grad`` of every contributing leaf (so
     repeated calls accumulate, which is what gradient accumulation wants).
-    Returns a map of leaf node id to gradient tensor.
+    A leaf whose ``.grad`` is empty takes its gradient array without a
+    copy when this pass owns the array outright: it is an ndarray, not a
+    view, and no other leaf took it in this pass. Otherwise, as when one
+    ``add`` feeds two leaves the same array, the leaf gets a copy. So no
+    two leaves share a gradient array, no ``.grad`` is a view, and an
+    optimizer may update a ``.grad`` in place. Returns a map of leaf node
+    id to gradient tensor; its arrays may be those of ``.grad``.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -239,6 +247,7 @@ def backward(loss: Tensor) -> dict:
     grads: dict[int, np.ndarray] = {
         loss.node: np.ones_like(loss.data)
     }
+    taken = set()  # ids of the arrays leaves took without a copy
     for nid in range(len(tape._nodes) - 1, -1, -1):
         g = grads.pop(nid, None)
         if g is None:
@@ -247,10 +256,14 @@ def backward(loss: Tensor) -> dict:
         if node.backward is None:
             # leaf: deposit into the tensor's gradient slot
             leaf = tape._leaves[nid]
-            if leaf.grad is None:
-                leaf.grad = g.copy()
+            if leaf.grad is not None:
+                leaf.grad = np.asarray(leaf.grad + g)
+            elif type(g) is np.ndarray and g.base is None \
+                    and id(g) not in taken:
+                leaf.grad = g
+                taken.add(id(g))
             else:
-                leaf.grad = leaf.grad + g
+                leaf.grad = np.array(g)
             grads[nid] = g  # keep for the returned map
             continue
         partials = node.backward(g)

@@ -10,7 +10,8 @@ primitive tape ops, with the signatures of the methods they stand in
 for; ``taped_stack_token_frames_batch`` is the same for the token stack.
 Each fused layer op must reproduce its composition's forward bit for bit
 and its gradients to rounding. ``patch_layer_oracles`` swaps them all
-in, so a whole model can run on the compositions.
+in, so a whole model can run on the compositions, and counts their
+calls; ``count_layer_calls`` counts the fused layers' calls alike.
 
 ``per_episode_scores`` scores one episode without losses the way
 evaluation did before it scored episodes in blocks: every support video
@@ -19,10 +20,12 @@ transformer, cost-matrix and DP calls. ``model.score_episodes`` must
 reproduce its probabilities bit for bit.
 
 ``per_episode_losses`` is the loss path as it stood before every episode
-pass shared one tail: ``pair_distances`` copies each prototype and each
-query once per pair with ``broadcast_repeat``, the probability matrix is
-sliced row by row, and ``list_task_loss`` takes the true-class entry of
-each row in a per-query loop. ``model.episode_forward`` must reproduce
+pass shared one tail: each branch enhances the videos in two transformer
+calls, one under the real and one under the fake tokens,
+``pair_distances`` copies each prototype and each query once per pair
+with ``broadcast_repeat``, the probability matrix is sliced row by row,
+and ``list_task_loss`` takes the true-class entry of each row in a
+per-query loop. ``model.episode_forward`` must reproduce
 its probabilities bit for bit, its loss parts to rounding and its
 gradients to rounding.
 
@@ -34,6 +37,7 @@ bit (relu on finite input).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -220,15 +224,42 @@ def taped_stack_token_frames_batch(tokens: Tensor, frames: Tensor,
     return T.add(stacked, table)
 
 
-def patch_layer_oracles(monkeypatch) -> None:
-    """Run every layer on its primitive-op composition from here on."""
-    monkeypatch.setattr(nn.Linear, "forward", taped_linear_forward)
-    monkeypatch.setattr(nn.LayerNorm, "forward", taped_layernorm_forward)
-    monkeypatch.setattr(nn.MultiHeadAttention, "forward",
-                        taped_attention_forward)
-    monkeypatch.setattr(nn.BatchNorm, "forward", taped_batchnorm_forward)
-    monkeypatch.setattr(cpm, "stack_token_frames_batch",
-                        taped_stack_token_frames_batch)
+# (name, owner, attribute, composition) of every fused layer entry point
+_LAYER_ORACLES = (
+    ("linear", nn.Linear, "forward", taped_linear_forward),
+    ("layernorm", nn.LayerNorm, "forward", taped_layernorm_forward),
+    ("attention", nn.MultiHeadAttention, "forward", taped_attention_forward),
+    ("batchnorm", nn.BatchNorm, "forward", taped_batchnorm_forward),
+    ("stack", cpm, "stack_token_frames_batch",
+     taped_stack_token_frames_batch),
+)
+
+
+def _counted(fn, counts: Counter, name: str):
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
+def count_layer_calls(monkeypatch) -> Counter:
+    """Count the calls of every layer that ``patch_layer_oracles``
+    replaces, by layer name, from here on."""
+    counts = Counter()
+    for name, owner, attr, _ in _LAYER_ORACLES:
+        monkeypatch.setattr(owner, attr,
+                            _counted(getattr(owner, attr), counts, name))
+    return counts
+
+
+def patch_layer_oracles(monkeypatch) -> Counter:
+    """Run every layer on its primitive-op composition from here on.
+    Returns the count of each composition's calls by layer name, which
+    grows as they run."""
+    counts = Counter()
+    for name, owner, attr, oracle in _LAYER_ORACLES:
+        monkeypatch.setattr(owner, attr, _counted(oracle, counts, name))
+    return counts
 
 
 # ---------------------------------------------------------------------------

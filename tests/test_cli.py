@@ -185,6 +185,19 @@ def test_video_id_escaping_output_directory_exits_two(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_video_id_naming_the_prompt_sidecar_exits_two(tmp_path, capsys):
+    # the video's features would go to prompts.bin, which the prompt
+    # sidecar then overwrites
+    index = make_tiny_manifest(tmp_path)
+    _rewrite_first_row(index, video_id="prompts")
+    out = tmp_path / "dumped"
+    code = cli.main(["dump-features", "--manifest", index, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'prompts'" in err and "prompts.bin" in err
+    assert not out.exists()
+
+
 def test_gradcheck_impossible_tolerance_exits_three(tmp_path, capsys):
     index = make_tiny_manifest(tmp_path)
     code = cli.main(["gradcheck", "--manifest", index, "--coords", "1",

@@ -15,9 +15,10 @@ import pytest
 from cpm2c import cpm, data, model, nn, tensor as T
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
-from oracles import (patch_layer_oracles, taped_attention_forward,
-                     taped_batchnorm_forward, taped_layernorm_forward,
-                     taped_linear_forward, taped_stack_token_frames_batch)
+from oracles import (count_layer_calls, patch_layer_oracles,
+                     taped_attention_forward, taped_batchnorm_forward,
+                     taped_layernorm_forward, taped_linear_forward,
+                     taped_stack_token_frames_batch)
 
 CASES = [
     ("linear", (5, 6)), ("linear", (3, 4, 6)),
@@ -203,10 +204,16 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
                                              run_seed=5)[0]
             return train, evaluated, grads, len(tape)
 
+        fused_calls = count_layer_calls(monkeypatch)
         fused_train, fused_eval, fused_grads, fused_nodes = run()
-        patch_layer_oracles(monkeypatch)
+        taped_calls = patch_layer_oracles(monkeypatch)
         taped_train, taped_eval, taped_grads, taped_nodes = run()
-    assert taped_nodes > 2 * fused_nodes  # the compositions really ran
+    # the compositions really ran: every layer call of the fused run went
+    # to its composition, and every kind of layer was called
+    assert set(fused_calls) == {"linear", "layernorm", "attention",
+                                "batchnorm", "stack"}
+    assert taped_calls == fused_calls
+    assert taped_nodes > fused_nodes
     assert np.array_equal(fused_train.probabilities, taped_train.probabilities)
     assert fused_train.parts == taped_train.parts
     assert np.array_equal(fused_eval.probabilities, taped_eval.probabilities)

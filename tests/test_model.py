@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpm2c import cpm, data, metric, model, motion, nn, objective, \
-    tensor as T
+    runner, tensor as T
 from cpm2c.errors import ConfigError, ProtocolError
 from cpm2c.metric import AlignmentConfig
 from cpm2c.objective import LossWeights
@@ -266,10 +266,11 @@ def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
 
 def test_training_episode_tape_stays_small():
     # the soft-alignment DP and every layer are one fused node per call,
-    # and the task loss reads the probability matrix in one pass; taping
-    # the DP cell by cell put about 1650 nodes on a 5-way 1-shot episode
-    # at T=8, taping the layers op by op about 490, and slicing the
-    # probabilities row by row 234
+    # the task loss reads the probability matrix in one pass, and each
+    # branch enhances under both tokens in one call; taping the DP cell
+    # by cell put about 1650 nodes on a 5-way 1-shot episode at T=8,
+    # taping the layers op by op about 490, slicing the probabilities row
+    # by row 234, and a transformer call per token kind 202
     cfg = data.SyntheticConfig(num_classes=20, dim=8, frames=8, scale=1.0,
                                sigma=0.3, seed=3)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
@@ -281,7 +282,48 @@ def test_training_episode_tape_stays_small():
                                     episode_index=0, align=ALIGN,
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
-    assert len(tape) <= 202, len(tape)
+    assert len(tape) <= 180, len(tape)
+
+
+@pytest.mark.parametrize("preset", ["full", "no-motion", "motion-only"])
+def test_training_episode_enhances_once_per_branch(monkeypatch, preset):
+    # every video under its real and then its fake token, in one call
+    manifest, mdl, episode = tiny_setup(way=2, shot=2, queries=1)
+    ablation = runner.PRESETS[preset]
+    enhance = cpm.feature_enhance_batch
+    calls = []
+
+    def counted(branch, frames, tokens, train=False):
+        calls.append((branch, frames.shape[0], tokens.shape[0]))
+        return enhance(branch, frames, tokens, train=train)
+
+    monkeypatch.setattr(cpm, "feature_enhance_batch", counted)
+    with T.Tape():
+        res = model.episode_forward(mdl, episode, run_seed=5,
+                                    episode_index=0, align=ALIGN,
+                                    bank=manifest.prompt_bank(), train=True,
+                                    ablation=ablation)
+    T.backward(res.loss)
+    stacks = 2 * (2 * 2 + 2 * 1)
+    used = [branch for branch, keep in ((mdl.normal, ablation.use_normal),
+                                        (mdl.motion, ablation.use_motion))
+            if keep]
+    assert calls == [(branch, stacks, stacks) for branch in used]
+
+
+def test_training_gradients_are_owned_and_distinct():
+    manifest, mdl, episode = tiny_setup()
+    with T.Tape():
+        res = model.episode_forward(mdl, episode, run_seed=5,
+                                    episode_index=0, align=ALIGN,
+                                    bank=manifest.prompt_bank(), train=True)
+    T.backward(res.loss)
+    grads = [p.grad for _, p in mdl.named_parameters()]
+    for g in grads:
+        assert isinstance(g, np.ndarray) and g.base is None
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
 
 
 def test_same_inputs_reproduce_bitwise():

@@ -368,7 +368,7 @@ def test_adam_updates_in_place_bit_identical_to_reference(dtype):
             g = (rng.normal(size=p.shape)
                  * 10.0 ** rng.integers(-4, 2)).astype(dtype)
             if g.ndim == 0:
-                g = g[()]                    # a numpy scalar, as backward gives
+                g = g[()]                    # a numpy scalar, not a 0-d array
             if i == 1 and step % 2:
                 g = None                     # no gradient: left alone
             p.grad = g
@@ -401,6 +401,31 @@ def test_adam_nonfinite_gradient_leaves_moments_untouched():
     for a, b in zip(saved, (p.data, q.data, opt._m["p"], opt._v["p"],
                             opt._m["q"], opt._v["q"])):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 200, 299])
+def test_adam_refuses_one_nonfinite_entry_in_any_row_block(row, value):
+    # rows 0, 200 and 299 lie in the first, a middle and the ragged last
+    # row block of the (300, 512) parameter
+    rows = nn._ADAM_BLOCK // 512
+    assert (0 // rows, 200 // rows, 299 // rows) == (0, 1, 2)
+    rng = np.random.default_rng(8)
+    p = Tensor(rng.normal(size=(300, 512)), requires_grad=True)
+    q = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    opt = nn.Adam([("p", p), ("q", q)], lr=0.1)
+    p.grad, q.grad = rng.normal(size=p.shape), rng.normal(size=q.shape)
+    opt.step()
+    arrays = (p.data, q.data, opt._m["p"], opt._v["p"], opt._m["q"],
+              opt._v["q"])
+    saved = [a.tobytes() for a in arrays]
+    p.grad = rng.normal(size=p.shape)
+    p.grad[row, 37] = value
+    with pytest.raises(NumericalError,
+                       match="non-finite gradient for parameter 'p'"):
+        opt.step()
+    assert opt.step_count == 1
+    assert [a.tobytes() for a in arrays] == saved
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,68 @@ def test_repeated_backward_accumulates_into_grad():
     assert np.allclose(a.grad, 2.0 * 2.0 * a.data)
 
 
+def test_second_backward_adds_out_of_place():
+    rng = np.random.default_rng(4)
+    x = T.tensor(rng.normal(size=(5, 3)))
+    w = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+    def step():
+        with T.Tape():
+            loss = T.reduce_sum(T.mul(T.matmul(x, w), T.matmul(x, w)))
+        T.backward(loss)
+
+    step()
+    first = w.grad
+    once = first.copy()
+    step()
+    assert np.array_equal(w.grad, once + once)
+    assert np.array_equal(first, once)  # the first pass's array is kept
+
+
+def test_leaf_takes_an_owned_gradient_without_a_copy():
+    x = T.tensor([1.0, 2.0], requires_grad=True)
+    partial = np.array([3.0, 4.0])
+    with T.Tape():
+        loss = T.reduce_sum(T._record(x.data * 2.0, (x,), lambda g: (partial,)))
+    T.backward(loss)
+    assert x.grad is partial
+
+
+def test_leaves_fed_by_one_add_hold_distinct_gradients():
+    # add hands its output gradient to both operands as one array
+    a = T.tensor([1.0, 2.0], requires_grad=True)
+    b = T.tensor([3.0, 4.0], requires_grad=True)
+    with T.Tape():
+        loss = T.reduce_sum(T.mul(T.add(a, b), T.tensor([5.0, 6.0])))
+    T.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = 100.0
+    assert np.array_equal(a.grad, [100.0, 6.0])
+    assert np.array_equal(b.grad, [5.0, 6.0])
+
+
+def test_no_leaf_gradient_is_a_view():
+    # reshape, transpose and slices of an add's output hand their
+    # operands views of one gradient array
+    rng = np.random.default_rng(6)
+    a = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = T.tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    c = T.tensor(rng.normal(size=(6,)), requires_grad=True)
+    weight = T.tensor(rng.normal(size=(6,)))
+    with T.Tape():
+        total = T.add(T.add(T.reshape(a, (6,)),
+                            T.reshape(T.transpose(b, 0, 1), (6,))), c)
+        loss = T.reduce_sum(T.mul(total, weight))
+    T.backward(loss)
+    for leaf in (a, b, c):
+        assert isinstance(leaf.grad, np.ndarray) and leaf.grad.base is None
+    assert np.array_equal(a.grad, weight.data.reshape(2, 3))
+    assert np.array_equal(b.grad, weight.data.reshape(2, 3).T)
+    assert np.array_equal(c.grad, weight.data)
+    for x, y in ((a, b), (a, c), (b, c)):
+        assert not np.shares_memory(x.grad, y.grad)
+
+
 def test_shared_subexpression_grad_sums_paths():
     # loss = x*x + x -> dloss/dx = 2x + 1, exercises fan-out accumulation
     x = T.tensor([3.0], requires_grad=True)
