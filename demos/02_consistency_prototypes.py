@@ -9,7 +9,7 @@ class prototype stays the plain mean of the real support features.
 
 import numpy as np
 
-from cpm2c import cpm
+from cpm2c import cpm, tensor as T
 from cpm2c.nn import Adam
 from cpm2c.tensor import Tape, Tensor, backward
 
@@ -21,29 +21,31 @@ params = branch.named_parameters("branch")
 print(f"branch parameters   {len(params)} tensors, "
       f"{sum(p.size for _, p in params)} scalars")
 
-videos = [Tensor(rng.standard_normal((FRAMES, DIM)).astype(np.float32))
-          for _ in range(SHOT)]
-prompt = Tensor(rng.standard_normal(DIM).astype(np.float32))
-fakes = [cpm.fake_token(DIM, 0, 0, v, "normal") for v in range(SHOT)]
-print(f"fake token keyed by {fakes[0].provenance}")
+# one class: SHOT support videos, all under the class prompt token
+videos = Tensor(rng.standard_normal((SHOT, FRAMES, DIM)).astype(np.float32))
+prompt = rng.standard_normal(DIM).astype(np.float32)
+prompts = Tensor(np.tile(prompt, (SHOT, 1)))
+fakes = Tensor(np.stack([cpm.fake_token(DIM, 0, 0, v, "normal")
+                         for v in range(SHOT)]))
+print("fake tokens keyed by (run 0, episode 0, video v, branch 'normal')")
 
 opt = Adam(params, lr=1e-3)
 for step in range(41):
     with Tape():
-        reals = [cpm.feature_enhance(branch, vid, prompt, train=True)
-                 for vid in videos]
-        stand_ins = [cpm.query_feature(branch, vid, fake, train=True)
-                     for vid, fake in zip(videos, fakes)]
-        loss = cpm.consistency_loss(reals, stand_ins, reduction="mean")
+        reals = cpm.feature_enhance_batch(branch, videos, prompts, train=True)
+        stand_ins = cpm.feature_enhance_batch(branch, videos, fakes,
+                                              train=True)
+        diff = T.sub(stand_ins, reals)
+        loss = T.reduce_mean(T.mul(diff, diff))
     backward(loss)
     if step % 10 == 0:
-        proto = cpm.build_prototype(reals)
+        proto = T.reduce_mean(reals, axis=0)
         print(f"step {step:>3}  consistency {float(loss.data):8.4f}  "
               f"prototype norm {float(np.linalg.norm(proto.data)):7.2f}")
     opt.step()
     opt.zero_grad()
 
 # the prototype really is the mean of the real-pass features
-proto = cpm.build_prototype(reals)
-mean = np.mean([r.data for r in reals], axis=0)
+proto = T.reduce_mean(reals, axis=0)
+mean = sum(reals.data[v] for v in range(SHOT)) / SHOT
 print(f"prototype == mean   {bool(np.allclose(proto.data, mean, atol=1e-6))}")

@@ -211,12 +211,17 @@ def load_manifest(index_path, prompts_path=None) -> DatasetManifest:
     records = []
     problems = []
     try:
-        fh = open(index_path, "r", encoding="utf-8")
+        fh = open(index_path, "rb")
     except OSError as exc:
         raise ManifestError(f"cannot read index: {exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                problems.append(f"line {lineno}: not UTF-8 (byte "
+                                f"{exc.start})")
+                continue
             if not line:
                 continue
             try:

@@ -7,9 +7,9 @@ is a log-sum-exp at temperature gamma, so the score is differentiable
 and converges to the exact minimal path cost as gamma shrinks. This is
 OTAM's scoring rule (Cao et al. 2020, arXiv:1906.11415).
 
-Sign convention: alignment yields a cost; the combined score is its
-negation (a similarity) so that the classification softmax favors the
-nearest class.
+Sign convention: alignment yields a cost; the model negates the
+combined cost into a similarity so that the classification softmax
+favors the nearest class.
 
 ``otam_distance`` is one fused tape op. Its forward runs the soft-min
 recursion R[i, j] = C[i, j] + softmin(R[i, j-1], R[i-1, j], R[i-1, j-1])
@@ -204,44 +204,3 @@ def _frame_rows(enhanced: Tensor) -> Tensor:
     sequence of a (B, L, D) batch: alignment sees frames only."""
     axis = enhanced.ndim - 2
     return T.slice_axis(enhanced, axis, 1, enhanced.shape[axis])
-
-
-def combined_distance(normal_s, normal_q, motion_s, motion_q, alpha: float,
-                      cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
-    """Similarity between one support prototype and one query.
-
-    Either branch may be absent (pass None for both its arguments); the
-    present branches' alignment costs are combined as
-    cost_normal + alpha * cost_motion and negated into a similarity.
-    """
-    if alpha < 0:
-        raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
-    total = None
-    if normal_s is not None and normal_q is not None:
-        total = otam_distance(cost_matrix(_frame_rows(normal_s),
-                                          _frame_rows(normal_q)), cfg)
-    if motion_s is not None and motion_q is not None:
-        dm = T.scale(otam_distance(cost_matrix(_frame_rows(motion_s),
-                                               _frame_rows(motion_q)), cfg),
-                     alpha)
-        total = dm if total is None else T.add(total, dm)
-    if total is None:
-        raise ConfigError("combined_distance: both branches absent")
-    return T.neg(total)
-
-
-def classify(query, prototypes, alpha: float,
-             cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
-    """Per-class probabilities for one query via softmax over similarities.
-
-    ``query`` is an (enhanced normal, enhanced motion) pair (either entry
-    may be None), ``prototypes`` a list of same-structure pairs. Argmax
-    of the result breaks ties toward the lowest class index.
-    """
-    if not prototypes:
-        raise ShapeError("classify: no prototypes")
-    normal_q, motion_q = query
-    sims = [combined_distance(proto_n, normal_q, proto_m, motion_q, alpha, cfg)
-            for proto_n, proto_m in prototypes]
-    stacked = T.concat([T.reshape(s, (1,)) for s in sims], axis=0)
-    return T.softmax(stacked, axis=-1)

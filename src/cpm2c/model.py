@@ -145,7 +145,7 @@ def _episode_frames(episode: EpisodeBatch):
 
 def _fake_tokens(dim, run_seed, episode_index, indices, branch):
     return np.stack([
-        cpm.fake_token(dim, run_seed, episode_index, v, branch).vector
+        cpm.fake_token(dim, run_seed, episode_index, v, branch)
         for v in indices])
 
 

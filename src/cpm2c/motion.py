@@ -39,12 +39,3 @@ def motion_features(phi: PhiStack, frames: Tensor, train: bool = False) -> Tenso
     global_back = T.reduce_mean(back, axis=axis, keepdims=True)
     global_fwd = T.reduce_mean(fwd, axis=axis, keepdims=True)
     return T.scale(T.add(T.add(back, global_back), T.add(fwd, global_fwd)), 0.5)
-
-
-def reverse_sensitivity_check(phi: PhiStack, frames: Tensor,
-                              train: bool = False):
-    """Motion of the sequence and of its time reversal, for order tests."""
-    forward = motion_features(phi, frames, train=train)
-    reversed_frames = Tensor(frames.data[::-1].copy())
-    backward = motion_features(phi, reversed_frames, train=train)
-    return forward, backward

@@ -524,7 +524,8 @@ def load_checkpoint(path) -> dict:
         off += name_len
         rank = u32()
         shape = tuple(u32() for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
+        # Python integers: a corrupt shape must not wrap around in int64
+        n = math.prod(shape)
         end = off + 4 * n
         if end > len(blob):
             raise CheckpointError(f"{path}: truncated payload for {name!r}")

@@ -525,20 +525,3 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(old),)
 
     return _record(a.data.reshape(shape), (a,), bwd)
-
-
-def broadcast_repeat(a: Tensor, axis: int, n: int) -> Tensor:
-    """Insert a new axis at ``axis`` and tile the input ``n`` times along it.
-
-    Gradient sums over the inserted axis, routing each copy back to the
-    original positions.
-    """
-    if n < 1:
-        raise ShapeError(f"broadcast_repeat: count {n} must be positive")
-    expanded = np.expand_dims(a.data, axis)
-    out = np.repeat(expanded, n, axis=axis)
-
-    def bwd(g):
-        return (g.sum(axis=axis),)
-
-    return _record(out, (a,), bwd)

@@ -1,5 +1,20 @@
 """Reference implementations kept only for the tests to compare against.
 
+The package runs one episode path: batched enhancement
+(``cpm.feature_enhance_batch``) into one prototype-to-probability tail
+(``model._tail``). Each function here is an earlier or a per-item form
+of a piece of that path, and the tests hold the package to it.
+
+``stack_token_frames``, ``feature_enhance``, ``query_feature``,
+``build_prototype``, ``consistency_loss``, ``combined_distance`` and
+``classify`` are the episode pipeline one video, and one
+prototype/query pair, at a time, built from primitive tape ops
+(``broadcast_repeat`` tiles a tensor along a new axis).
+``model.score_episodes`` must reproduce their probabilities, and
+``model.episode_forward`` their consistency loss, to rounding.
+``reverse_sensitivity_check`` runs ``motion.motion_features`` on a clip
+and on its time reversal.
+
 ``taped_otam_distance`` is the soft-alignment DP recorded cell by cell on
 the autodiff tape: every soft-min is built from tape ops, so its gradient
 comes from replaying them. ``metric.otam_distance`` must reproduce its
@@ -210,6 +225,17 @@ def taped_batchnorm_forward(self: nn.BatchNorm, x: Tensor,
     return T.add(T.mul(normed, self.gamma), self.beta)
 
 
+def broadcast_repeat(a: Tensor, axis: int, n: int) -> Tensor:
+    """Insert a new axis at ``axis`` and tile the input ``n`` times along
+    it; the gradient sums over the inserted axis."""
+    out = np.repeat(np.expand_dims(a.data, axis), n, axis=axis)
+
+    def bwd(g):
+        return (g.sum(axis=axis),)
+
+    return T._record(out, (a,), bwd)
+
+
 def taped_stack_token_frames_batch(tokens: Tensor, frames: Tensor,
                                    table: Tensor) -> Tensor:
     if tokens.ndim != 2 or frames.ndim != 3 or \
@@ -218,7 +244,7 @@ def taped_stack_token_frames_batch(tokens: Tensor, frames: Tensor,
         raise ShapeError(f"tokens {tokens.shape} do not match frames "
                          f"{frames.shape}")
     batch, n, dim = frames.shape
-    conditioned = T.add(T.broadcast_repeat(tokens, 1, n), frames)
+    conditioned = T.add(broadcast_repeat(tokens, 1, n), frames)
     stacked = T.concat([T.reshape(tokens, (batch, 1, dim)), conditioned],
                        axis=1)
     return T.add(stacked, table)
@@ -263,6 +289,89 @@ def patch_layer_oracles(monkeypatch) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# the episode pipeline one video at a time
+
+
+def stack_token_frames(token: Tensor, frames: Tensor) -> Tensor:
+    """One video's token stack: row 0 is the token, row r is
+    token + frames[r-1]."""
+    conditioned = T.add(broadcast_repeat(token, 0, frames.shape[0]), frames)
+    return T.concat([T.reshape(token, (1, token.shape[0])), conditioned],
+                    axis=0)
+
+
+def feature_enhance(branch: cpm.CpmBranch, frames: Tensor, token: Tensor,
+                    train: bool = False) -> Tensor:
+    """One video's enhanced features: the transformer over its token stack
+    plus positions."""
+    stacked = T.add(stack_token_frames(token, frames), branch.pos.table)
+    return branch.transformer.forward(stacked, train=train)
+
+
+def query_feature(branch: cpm.CpmBranch, frames: Tensor, fake: np.ndarray,
+                  train: bool = False) -> Tensor:
+    """Enhancement under a fake token: the query path."""
+    return feature_enhance(branch, frames, Tensor(fake), train=train)
+
+
+def consistency_loss(reals, fakes) -> Tensor:
+    """Sum over the pairs of the squared-L2 gap between fake and real
+    enhanced features."""
+    total = None
+    for real, fake in zip(reals, fakes):
+        diff = T.sub(fake, real)
+        term = T.reduce_sum(T.mul(diff, diff))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def build_prototype(real_supports) -> Tensor:
+    """Elementwise mean of the K real-token enhanced support features."""
+    feats = list(real_supports)
+    total = feats[0]
+    for f in feats[1:]:
+        total = T.add(total, f)
+    return T.scale(total, 1.0 / len(feats))
+
+
+def combined_distance(normal_s, normal_q, motion_s, motion_q, alpha: float,
+                      cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
+    """Similarity of one prototype and one query: the negated sum of the
+    normal alignment cost and alpha times the motion one, token rows
+    dropped. An absent branch passes None for both its features."""
+    total = None
+    if normal_s is not None:
+        total = metric.otam_distance(metric.cost_matrix(
+            _frame_rows(normal_s), _frame_rows(normal_q)), cfg)
+    if motion_s is not None:
+        dm = T.scale(metric.otam_distance(metric.cost_matrix(
+            _frame_rows(motion_s), _frame_rows(motion_q)), cfg), alpha)
+        total = dm if total is None else T.add(total, dm)
+    return T.neg(total)
+
+
+def classify(query, prototypes, alpha: float,
+             cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
+    """Class probabilities of one (normal, motion) query: a softmax over
+    its similarities to each (normal, motion) prototype."""
+    normal_q, motion_q = query
+    sims = [combined_distance(proto_n, normal_q, proto_m, motion_q, alpha,
+                              cfg)
+            for proto_n, proto_m in prototypes]
+    stacked = T.concat([T.reshape(s, (1,)) for s in sims], axis=0)
+    return T.softmax(stacked, axis=-1)
+
+
+def reverse_sensitivity_check(phi: nn.PhiStack, frames: Tensor,
+                              train: bool = False):
+    """Motion of the sequence and of its time reversal."""
+    forward = motion_features(phi, frames, train=train)
+    backward = motion_features(phi, Tensor(frames.data[::-1].copy()),
+                               train=train)
+    return forward, backward
+
+
+# ---------------------------------------------------------------------------
 # per-episode scoring and losses
 
 
@@ -275,8 +384,8 @@ def pair_distances(protos: Tensor, queries: Tensor,
     """
     n, lp, dim = protos.shape
     q, lq = queries.shape[0], queries.shape[1]
-    pe = T.reshape(T.broadcast_repeat(protos, 0, q), (q * n, lp, dim))
-    qe = T.reshape(T.broadcast_repeat(queries, 1, n), (q * n, lq, dim))
+    pe = T.reshape(broadcast_repeat(protos, 0, q), (q * n, lp, dim))
+    qe = T.reshape(broadcast_repeat(queries, 1, n), (q * n, lq, dim))
     dists = metric.otam_distance(metric.cost_matrix(pe, qe), align)
     return T.reshape(dists, (q, n))
 

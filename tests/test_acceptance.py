@@ -17,7 +17,7 @@ import pytest
 
 from cpm2c import data, metric, motion, nn, objective, runner
 from cpm2c import tensor as T
-from cpm2c.cpm import stack_token_frames
+from cpm2c.cpm import stack_token_frames_batch
 from cpm2c.model import score_episodes
 from cpm2c.tensor import Tensor
 
@@ -296,9 +296,11 @@ def test_pre_transformer_stack_layout_is_exact(capsys):
         rng = np.random.default_rng(5)
         token = rng.standard_normal(16)
         frames = rng.standard_normal((7, 16))
-        stacked = stack_token_frames(Tensor(token), Tensor(frames))
+        stacked = stack_token_frames_batch(Tensor(token[None]),
+                                           Tensor(frames[None]),
+                                           Tensor(np.zeros((8, 16))))
         oracle = np.concatenate([token[None, :], token[None, :] + frames])
-        ok = bool(np.array_equal(stacked.data, oracle))
+        ok = bool(np.array_equal(stacked.data, oracle[None]))
     _emit(capsys, 9, ok,
           "stacked input equals [token; token+frame_t rows] bit-exactly "
           "in 64-bit mode")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -121,6 +122,42 @@ def test_non_utf8_checkpoint_entry_name_exits_two(tmp_path, capsys):
                      "--way", "2", "--num-heads", "2"])
     assert code == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def _oversized_query_weight(blob: bytes) -> bytes:
+    """Both dims of one checkpoint entry set to 0xFFFFFFFF, a shape whose
+    element count overflows int64."""
+    blob = bytearray(blob)
+    name = b"normal.transformer.attn.query.weight"
+    off = blob.index(name) + len(name)
+    assert struct.unpack_from("<I", blob, off)[0] == 2
+    struct.pack_into("<II", blob, off + 4, 0xFFFFFFFF, 0xFFFFFFFF)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("target,corrupt,message", [
+    ("checkpoint.bin", _oversized_query_weight, "truncated payload"),
+    ("prompts.bin", lambda blob: blob[:-1], "truncated prompt sidecar"),
+    ("index.jsonl", lambda blob: bytes([blob[0] ^ 0x80]) + blob[1:],
+     "line 1: not UTF-8"),
+])
+def test_corrupt_file_exits_two(tmp_path, capsys, target, corrupt, message):
+    index = make_tiny_manifest(tmp_path)
+    run_dir = str(tmp_path / "run")
+    assert cli.main(["train", "--manifest", index, "--out", run_dir,
+                     "--steps", "0", "--way", "2", "--num-heads", "2"]) == 0
+    checkpoint = os.path.join(run_dir, "checkpoint.bin")
+    path = checkpoint if target == "checkpoint.bin" else \
+        os.path.join(os.path.dirname(index), target)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(corrupt(blob))
+    capsys.readouterr()
+    code = cli.main(["eval", "--manifest", index, "--checkpoint", checkpoint,
+                     "--way", "2", "--num-heads", "2"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [("class_id", "abc"), ("T", 2.5),

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from cpm2c import cpm, nn, tensor as T
-from cpm2c.errors import ConfigError, ShapeError
+from cpm2c import cpm, model, nn, tensor as T
+from cpm2c.errors import ShapeError
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
+from oracles import (build_prototype, consistency_loss, feature_enhance,
+                     stack_token_frames)
 
 
 @pytest.fixture(autouse=True)
@@ -26,18 +28,26 @@ def make_branch(seq_len=4, dim=6, seed=0):
 
 def test_stack_rows_are_token_plus_frames_bitwise():
     rng = np.random.default_rng(0)
-    token = rng.normal(size=5)
-    frames = rng.normal(size=(3, 5))
-    stacked = cpm.stack_token_frames(Tensor(token), Tensor(frames)).data
-    assert stacked.shape == (4, 5)
-    assert np.array_equal(stacked[0], token)
-    for r in range(3):
-        assert np.array_equal(stacked[r + 1], token + frames[r])
+    tokens = rng.normal(size=(2, 5))
+    frames = rng.normal(size=(2, 3, 5))
+    stacked = cpm.stack_token_frames_batch(Tensor(tokens), Tensor(frames),
+                                           Tensor(np.zeros((4, 5)))).data
+    assert stacked.shape == (2, 4, 5)
+    for b in range(2):
+        assert np.array_equal(stacked[b, 0], tokens[b])
+        for r in range(3):
+            assert np.array_equal(stacked[b, r + 1], tokens[b] + frames[b, r])
 
 
 def test_stack_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError):
-        cpm.stack_token_frames(Tensor(np.zeros(4)), Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):      # tokens narrower than the frames
+        cpm.stack_token_frames_batch(Tensor(np.zeros((3, 4))),
+                                     Tensor(np.zeros((3, 2, 5))),
+                                     Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):      # table shorter than the stacks
+        cpm.stack_token_frames_batch(Tensor(np.zeros((3, 5))),
+                                     Tensor(np.zeros((3, 2, 5))),
+                                     Tensor(np.zeros((2, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -47,46 +57,36 @@ def test_stack_rejects_mismatched_shapes():
 def test_enhance_collapses_to_passthrough_at_zero_init():
     branch = make_branch()
     branch.pos.table.data[:] = 0.0
-    frames = np.random.default_rng(1).normal(size=(3, 6))
-    out = cpm.feature_enhance(branch, Tensor(frames), Tensor(np.zeros(6))).data
-    assert np.allclose(out[0], 0.0, atol=1e-12)
-    assert np.allclose(out[1:], frames, atol=1e-12)
+    frames = np.random.default_rng(1).normal(size=(2, 3, 6))
+    out = cpm.feature_enhance_batch(branch, Tensor(frames),
+                                    Tensor(np.zeros((2, 6)))).data
+    assert np.allclose(out[:, 0], 0.0, atol=1e-12)
+    assert np.allclose(out[:, 1:], frames, atol=1e-12)
 
 
 def test_enhance_rejects_wrong_length():
     branch = make_branch(seq_len=4)
-    with pytest.raises(ShapeError):
-        cpm.feature_enhance(branch, Tensor(np.zeros((5, 6))),
-                            Tensor(np.zeros(6)))
+    with pytest.raises(ShapeError):      # 5 frames stack to 6 rows, not 4
+        cpm.feature_enhance_batch(branch, Tensor(np.zeros((2, 5, 6))),
+                                  Tensor(np.zeros((2, 6))))
 
 
 def test_enhance_gradcheck_token_and_frames():
     branch = make_branch()
     # give the residual projections weight so attention actually mixes
-    from cpm2c import nn
     rng = np.random.default_rng(2)
     branch.transformer.attn.out = nn.Linear(6, 6, rng)
     branch.transformer.ffn2 = nn.Linear(8, 6, rng)
-    token = Tensor(rng.normal(size=6), requires_grad=True)
-    frames = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    w = rng.normal(size=(4, 6))
+    tokens = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    frames = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    w = rng.normal(size=(2, 4, 6))
 
     def f():
-        out = cpm.feature_enhance(branch, frames, token, train=True)
+        out = cpm.feature_enhance_batch(branch, frames, tokens, train=True)
         return T.reduce_sum(T.mul(out, Tensor(w)))
 
-    check_grads(f, token, tol=1e-6)
+    check_grads(f, tokens, tol=1e-6)
     check_grads(f, frames, tol=1e-6)
-
-
-def test_support_and_query_paths_share_the_same_map():
-    branch = make_branch()
-    rng = np.random.default_rng(3)
-    frames = Tensor(rng.normal(size=(3, 6)))
-    fake = cpm.fake_token(6, 0, 0, 0, "normal")
-    via_query = cpm.query_feature(branch, frames, fake)
-    via_enhance = cpm.feature_enhance(branch, frames, Tensor(fake.vector))
-    assert np.array_equal(via_query.data, via_enhance.data)
 
 
 # ---------------------------------------------------------------------------
@@ -96,49 +96,28 @@ def test_support_and_query_paths_share_the_same_map():
 def test_consistency_zero_when_identical():
     rng = np.random.default_rng(4)
     feats = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-    loss = cpm.consistency_loss(feats, feats)
+    loss = consistency_loss(feats, feats)
     assert loss.item() == 0.0
 
 
 def test_consistency_hand_case():
     real = Tensor(np.zeros((2, 2)))
     fake = Tensor(np.ones((2, 2)))
-    assert cpm.consistency_loss([real], [fake]).item() == 4.0
+    assert consistency_loss([real], [fake]).item() == 4.0
 
 
 def test_consistency_matches_numpy_oracle_and_is_symmetric():
     rng = np.random.default_rng(5)
     reals = [rng.normal(size=(3, 4)) for _ in range(4)]
     fakes = [rng.normal(size=(3, 4)) for _ in range(4)]
-    got = cpm.consistency_loss([Tensor(r) for r in reals],
-                               [Tensor(f) for f in fakes]).item()
+    got = consistency_loss([Tensor(r) for r in reals],
+                           [Tensor(f) for f in fakes]).item()
     want = sum(((f - r) ** 2).sum() for r, f in zip(reals, fakes))
     assert abs(got - want) < 1e-5
     assert got >= 0.0
-    flipped = cpm.consistency_loss([Tensor(f) for f in fakes],
-                                   [Tensor(r) for r in reals]).item()
+    flipped = consistency_loss([Tensor(f) for f in fakes],
+                               [Tensor(r) for r in reals]).item()
     assert abs(got - flipped) < 1e-12
-
-
-def test_consistency_mean_reduction_is_grand_mean():
-    rng = np.random.default_rng(6)
-    reals = [rng.normal(size=(2, 3)) for _ in range(5)]
-    fakes = [rng.normal(size=(2, 3)) for _ in range(5)]
-    s = cpm.consistency_loss([Tensor(r) for r in reals],
-                             [Tensor(f) for f in fakes], reduction="sum").item()
-    m = cpm.consistency_loss([Tensor(r) for r in reals],
-                             [Tensor(f) for f in fakes], reduction="mean").item()
-    assert abs(m - s / (5 * 6)) < 1e-10
-
-
-def test_consistency_list_misalignment_and_bad_reduction():
-    x = [Tensor(np.zeros((2, 2)))]
-    with pytest.raises(ShapeError):
-        cpm.consistency_loss(x, x + x)
-    with pytest.raises(ShapeError):
-        cpm.consistency_loss(x, [Tensor(np.zeros((2, 3)))])
-    with pytest.raises(ConfigError):
-        cpm.consistency_loss(x, x, reduction="median")
 
 
 def test_consistency_grads_flow_to_both_paths():
@@ -147,7 +126,7 @@ def test_consistency_grads_flow_to_both_paths():
     fake = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
     def f():
-        return cpm.consistency_loss([real], [fake])
+        return consistency_loss([real], [fake])
 
     check_grads(f, real)
     check_grads(f, fake)
@@ -159,20 +138,20 @@ def test_consistency_grads_flow_to_both_paths():
 
 def test_prototype_single_support_is_identity():
     x = Tensor(np.random.default_rng(8).normal(size=(3, 4)))
-    proto = cpm.build_prototype([x])
+    proto = build_prototype([x])
     assert np.allclose(proto.data, x.data, atol=1e-12)
 
 
 def test_prototype_hand_case():
     a = Tensor([[0.0, 2.0]])
     b = Tensor([[2.0, 0.0]])
-    assert np.allclose(cpm.build_prototype([a, b]).data, [[1.0, 1.0]])
+    assert np.allclose(build_prototype([a, b]).data, [[1.0, 1.0]])
 
 
 def test_prototype_matches_running_sum_oracle():
     rng = np.random.default_rng(9)
     feats = [rng.normal(size=(4, 3)) for _ in range(5)]
-    got = cpm.build_prototype([Tensor(f) for f in feats]).data
+    got = build_prototype([Tensor(f) for f in feats]).data
     acc = np.zeros((4, 3))
     for f in feats:
         acc += f
@@ -183,14 +162,9 @@ def test_prototype_linearity():
     rng = np.random.default_rng(10)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     alpha = 2.75
-    base = cpm.build_prototype([Tensor(a), Tensor(b)]).data
-    scaled = cpm.build_prototype([Tensor(alpha * a), Tensor(alpha * b)]).data
+    base = build_prototype([Tensor(a), Tensor(b)]).data
+    scaled = build_prototype([Tensor(alpha * a), Tensor(alpha * b)]).data
     assert np.allclose(scaled, alpha * base, atol=1e-10)
-
-
-def test_prototype_rejects_empty():
-    with pytest.raises(ShapeError):
-        cpm.build_prototype([])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +174,8 @@ def test_prototype_rejects_empty():
 def test_fake_token_provenance_regenerates_bitwise():
     a = cpm.fake_token(16, 3, 14, 2, "normal")
     b = cpm.fake_token(16, 3, 14, 2, "normal")
-    assert np.array_equal(a.vector, b.vector)
-    assert a.provenance == (3, 14, 2, "normal")
+    assert a.dtype == np.float32 and a.shape == (16,)
+    assert np.array_equal(a, b)
 
 
 def test_fake_token_varies_with_every_key_part():
@@ -210,11 +184,11 @@ def test_fake_token_varies_with_every_key_part():
                   cpm.fake_token(8, 0, 1, 0, "normal"),
                   cpm.fake_token(8, 0, 0, 1, "normal"),
                   cpm.fake_token(8, 0, 0, 0, "motion")]:
-        assert not np.array_equal(base.vector, other.vector)
+        assert not np.array_equal(base, other)
 
 
 def test_fake_token_distribution_is_standard_normal():
-    vecs = np.stack([cpm.fake_token(64, 0, i, 0, "normal").vector
+    vecs = np.stack([cpm.fake_token(64, 0, i, 0, "normal")
                      for i in range(200)])
     assert abs(vecs.mean()) < 0.02
     assert abs(vecs.std() - 1.0) < 0.02
@@ -222,12 +196,13 @@ def test_fake_token_distribution_is_standard_normal():
 
 def test_query_feature_eval_deterministic():
     branch = make_branch()
-    frames = Tensor(np.random.default_rng(11).normal(size=(3, 6)))
-    fake = cpm.fake_token(6, 5, 2, 1, "normal")
-    a = cpm.query_feature(branch, frames, fake).data
-    b = cpm.query_feature(branch, frames,
-                          cpm.fake_token(6, 5, 2, 1, "normal")).data
-    assert np.array_equal(a, b)
+    frames = Tensor(np.random.default_rng(11).normal(size=(2, 3, 6)))
+
+    def queries():
+        fakes = model._fake_tokens(6, 5, 2, [1, 2], "normal")
+        return cpm.feature_enhance_batch(branch, frames, Tensor(fakes)).data
+
+    assert np.array_equal(queries(), queries())
 
 
 def test_stack_token_frames_batch_matches_single():
@@ -237,7 +212,7 @@ def test_stack_token_frames_batch_matches_single():
     batched = cpm.stack_token_frames_batch(Tensor(tokens), Tensor(frames),
                                            Tensor(np.zeros((6, 4)))).data
     for i in range(3):
-        single = cpm.stack_token_frames(Tensor(tokens[i]), Tensor(frames[i])).data
+        single = stack_token_frames(Tensor(tokens[i]), Tensor(frames[i])).data
         assert np.array_equal(batched[i], single)
 
 
@@ -258,8 +233,8 @@ def test_feature_enhance_batch_matches_per_video():
     batched = cpm.feature_enhance_batch(branch, Tensor(frames),
                                         Tensor(tokens)).data
     for i in range(3):
-        single = cpm.feature_enhance(branch, Tensor(frames[i]),
-                                     Tensor(tokens[i])).data
+        single = feature_enhance(branch, Tensor(frames[i]),
+                                 Tensor(tokens[i])).data
         assert np.allclose(batched[i], single, atol=1e-12)
 
 

