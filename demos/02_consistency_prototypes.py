@@ -25,9 +25,9 @@ print(f"branch parameters   {len(params)} tensors, "
 videos = Tensor(rng.standard_normal((SHOT, FRAMES, DIM)).astype(np.float32))
 prompt = rng.standard_normal(DIM).astype(np.float32)
 prompts = Tensor(np.tile(prompt, (SHOT, 1)))
-fakes = Tensor(np.stack([cpm.fake_token(DIM, 0, 0, v, "normal")
-                         for v in range(SHOT)]))
-print("fake tokens keyed by (run 0, episode 0, video v, branch 'normal')")
+fakes = Tensor(cpm.fake_token(DIM, 0, 0, SHOT, "normal"))
+print("fake tokens keyed by (run 0, episode 0, branch 'normal'), "
+      "one row per video")
 
 opt = Adam(params, lr=1e-3)
 for step in range(41):

@@ -4,7 +4,8 @@ A branch enhances a frame stack by injecting a class token (real prompt
 embedding or a random fake stand-in): the token is added to every frame,
 prepended as an extra row, summed with positions, and passed through a
 transformer. This module holds the branch, the batched token stack and
-enhancement, and the keyed fake tokens. ``model`` builds the class
+enhancement, and the keyed fake tokens: one stream per episode and
+branch, one row per video. ``model`` builds the class
 prototypes (means of real-token enhanced supports) and the consistency
 loss (pulling fake-token enhancements toward real-token ones, so the
 fake path becomes a valid query representation) from whole batches.
@@ -84,13 +85,17 @@ def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,
     return branch.transformer.forward(stacked, train=train)
 
 
-def fake_token(dim: int, run_seed: int, episode_index: int, video_index: int,
+def fake_token(dim: int, run_seed: int, episode_index: int, videos: int,
                branch: str) -> np.ndarray:
-    """Standard-normal float32 token keyed by (run, episode, video, branch).
+    """The (videos, dim) standard-normal float32 tokens of one episode and
+    branch, drawn from one stream keyed by (run, episode, branch).
 
-    The same key always regenerates the same vector bit for bit,
-    which makes evaluation worker-count-invariant and runs replayable.
+    Row i is video i of the stream's order, which puts an episode's
+    queries before its supports (``model._fake_tokens``). Draws are
+    sequential, so fewer rows are a prefix of more rows bit for bit and
+    scoring draws only the queries. The same key always regenerates the
+    same rows, which makes evaluation worker-count-invariant and runs
+    replayable.
     """
-    code = BRANCH_CODES[branch]
-    rng = keyed_rng(run_seed, FAKE_TAG, episode_index, video_index, code)
-    return rng.standard_normal(dim).astype(np.float32)
+    rng = keyed_rng(run_seed, FAKE_TAG, episode_index, BRANCH_CODES[branch])
+    return rng.standard_normal((videos, dim), dtype=np.float32)

@@ -11,8 +11,11 @@ Sign convention: alignment yields a cost; the model negates the
 combined cost into a similarity so that the classification softmax
 favors the nearest class.
 
-``otam_distance`` is one fused tape op. Its forward runs the soft-min
-recursion R[i, j] = C[i, j] + softmin(R[i, j-1], R[i-1, j], R[i-1, j-1])
+``cost_matrix`` and ``otam_distance`` are one fused tape op each, and
+both take any batch of leading axes, so an episode's prototypes and
+queries reach the DP without a reshape on the tape. The DP's forward
+runs the soft-min recursion
+R[i, j] = C[i, j] + softmin(R[i, j-1], R[i-1, j], R[i-1, j-1])
 in plain numpy, vectorized over a batch of equally sized cost matrices
 and over anti-diagonals within each matrix: the table is kept
 diagonal-major, so anti-diagonal k is one contiguous (B, m) slab and its
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 BIG = 1e30
 
@@ -71,29 +74,54 @@ class AlignmentConfig:
 
 
 def cost_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cost 1 - cos(a_i, b_j) between row sets.
+    """Pairwise cost 1 - cos(a_i, b_j) between row sets, one tape node.
 
     Accepts (m, D) x (n, D) or batched (..., m, D) x (..., n, D) with
     leading shapes that broadcast, so (N, 1, m, D) x (1, Q, n, D) costs
     every pair without copying either side; costs land in [0, 2].
+
+    Row norms are exp(0.5 * log(sum x^2)), and the cosine is the dot
+    products over the outer product of the norms. The backward works on
+    the normalized rows: with A = a / |a| and dA the gradient reaching A,
+    the gradient of a is (dA - A * sum(dA * A)) / |a|, and likewise for
+    b; broadcast axes are summed before that row projection.
     """
-    if a.shape[-1] != b.shape[-1] or a.ndim != b.ndim:
+    ad, bd = a.data, b.data
+    try:
+        if ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[-1] != bd.shape[-1]:
+            raise ValueError
+        np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
+    except ValueError:
         raise ShapeError(f"cost_matrix: shapes {a.shape} and {b.shape} "
-                         f"do not pair")
-    for name, x in (("a", a), ("b", b)):
-        sq = (np.asarray(x.data) ** 2).sum(axis=-1)
+                         f"do not pair") from None
+    norms = []
+    for name, x in (("a", ad), ("b", bd)):
+        sq = (x * x).sum(axis=-1, keepdims=True)
         if (sq == 0).any():
-            idx = tuple(np.argwhere(sq == 0)[0])
+            idx = tuple(np.argwhere(sq[..., 0] == 0)[0])
             raise DomainError(f"cost_matrix: zero-norm row {idx} in {name}")
-    dots = T.matmul(a, T.transpose(b, -1, -2))
-    na = _row_norms(a)                      # (..., m, 1)
-    nb = T.transpose(_row_norms(b), -1, -2)  # (..., 1, n)
-    return T.sub(Tensor(1.0), T.div(dots, T.matmul(na, nb)))
+        norms.append(np.exp(np.log(sq) * 0.5))
+    na, nb = norms                                   # (..., m, 1), (..., n, 1)
+    dots = ad @ bd.swapaxes(-1, -2)
+    denom = na @ nb.swapaxes(-1, -2)
+    if (denom == 0).any():
+        raise DomainError("cost_matrix: row norms underflow to a zero "
+                          "product")
+    cost = 1.0 - dots / denom
+    need_a, need_b = a.requires_grad, b.requires_grad
 
+    def bwd(g):
+        a_hat, b_hat = ad / na, bd / nb
+        da = db = None
+        if need_a:
+            d = _unbroadcast(g @ b_hat, ad.shape)    # minus dL/dA
+            da = (a_hat * (d * a_hat).sum(axis=-1, keepdims=True) - d) / na
+        if need_b:
+            d = _unbroadcast(g.swapaxes(-1, -2) @ a_hat, bd.shape)
+            db = (b_hat * (d * b_hat).sum(axis=-1, keepdims=True) - d) / nb
+        return da, db
 
-def _row_norms(x: Tensor) -> Tensor:
-    sq = T.reduce_sum(T.mul(x, x), axis=-1, keepdims=True)
-    return T.exp(T.scale(T.log(sq), 0.5))
+    return T._record(cost, (a, b), bwd)
 
 
 def _soft_dp(X: np.ndarray, gamma: float, keep_weights: bool):
@@ -153,19 +181,20 @@ def _soft_dp_backward(W: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
 
 
 def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
-    """Soft alignment cost of one (m, n) matrix or a (B, m, n) batch.
+    """Soft alignment cost of one (m, n) matrix or a (..., m, n) batch.
 
-    Returns a scalar for a single matrix, a (B,) vector for a batch. The
-    whole alignment, both orientations included, is one tape node.
+    Returns a scalar for a single matrix and one cost per matrix, in the
+    batch's leading shape, for a batch. The whole alignment, both
+    orientations included, is one tape node.
     """
     if C.size == 0:
         raise ShapeError("otam_distance: empty cost matrix")
-    if C.ndim not in (2, 3):
+    if C.ndim < 2:
         raise ShapeError(f"otam_distance: rank {C.ndim} input")
     # the backward closure must not hold C: a Tensor refers to its tape,
     # and that cycle would keep every tape alive until a full collection
     shape = C.shape
-    X = C.data if C.ndim == 3 else C.data[None]
+    X = C.data.reshape((-1,) + shape[-2:])
     batch = X.shape[0]
     views = [X, X.transpose(0, 2, 1)] if cfg.bidirectional else [X]
     if cfg.relaxed_ends:
@@ -198,9 +227,3 @@ def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor
 
     return T._record(dist.reshape(shape[:-2]), (C,), bwd)
 
-
-def _frame_rows(enhanced: Tensor) -> Tensor:
-    """Drop the token row of an (L, D) enhanced sequence or of each
-    sequence of a (B, L, D) batch: alignment sees frames only."""
-    axis = enhanced.ndim - 2
-    return T.slice_axis(enhanced, axis, 1, enhanced.shape[axis])

@@ -10,8 +10,15 @@ alpha-weighted sum, a softmax over classes and the ``EpisodeResult``s.
 ``episode_forward`` computes the losses of one episode. Each branch
 enhances every video under the real and under the fake tokens in one
 transformer call over twice the videos, so each shared weight gets its
-gradient from one product, and the task loss reads the probability
-matrix in one pass. Each layer and the DP record one tape node.
+gradient from one product. Each layer, the DP, the cost matrix, the
+motion arithmetic after Phi, each of a branch's three reads of its
+enhanced stacks (prototypes, queries, consistency), the branch-cost
+sum and each loss record one tape node, so a 5-way 1-shot episode
+records under 100.
+
+Fake tokens come from one keyed stream per episode and branch, one row
+per video (``cpm.fake_token``). The stream holds the queries' rows
+first, so ``score_episodes``, which needs only those, draws a prefix.
 
 ``score_episodes`` is the only path that scores without losses, and it
 never updates the model. In eval mode a support video's real-token
@@ -34,7 +41,7 @@ import numpy as np
 from . import cpm, metric, objective, tensor as T
 from .data import EpisodeBatch, keyed_rng
 from .errors import ConfigError, ProtocolError
-from .metric import AlignmentConfig, _frame_rows
+from .metric import AlignmentConfig
 from .motion import motion_features
 from .nn import PhiStack, _join
 from .objective import LossWeights
@@ -143,10 +150,13 @@ def _episode_frames(episode: EpisodeBatch):
     return np.stack(frames), np.stack(prompts), labels
 
 
-def _fake_tokens(dim, run_seed, episode_index, indices, branch):
-    return np.stack([
-        cpm.fake_token(dim, run_seed, episode_index, v, branch)
-        for v in indices])
+def _fake_tokens(dim, run_seed, episode_index, support, queries, branch):
+    """The (support + queries, dim) fake tokens of one episode and branch
+    in canonical video order. The keyed stream holds the queries' rows
+    first, so scoring, which needs only those, draws a prefix of it."""
+    rows = cpm.fake_token(dim, run_seed, episode_index, support + queries,
+                          branch)
+    return np.concatenate([rows[queries:], rows[:queries]])
 
 
 def _branches(model: Model, ablation: Ablation):
@@ -156,31 +166,35 @@ def _branches(model: Model, ablation: Ablation):
         ("motion", model.motion, ablation.use_motion)) if used]
 
 
-def _costs(protos: Tensor, queries: Tensor, align: AlignmentConfig) -> Tensor:
-    """(E, N, L, D) prototypes x (E, Q, L, D) queries -> (E, Q, N) costs.
+def _similarity(dists, names, alpha: float) -> Tensor:
+    """The negated sum of the branches' alignment costs, the motion
+    branch's weighted by alpha: one tape node."""
+    weights = [alpha if name == "motion" else None for name in names]
+    total = None
+    for dist, weight in zip(dists, weights):
+        term = dist.data if weight is None else dist.data * weight
+        total = term if total is None else total + term
 
-    Broadcast operands pair them without copies; prototype rows are the
-    first alignment axis."""
-    count, n, lp, dim = protos.shape
-    q, lq = queries.shape[1], queries.shape[2]
-    costs = metric.cost_matrix(T.reshape(protos, (count, 1, n, lp, dim)),
-                               T.reshape(queries, (count, q, 1, lq, dim)))
-    dists = metric.otam_distance(T.reshape(costs, (count * q * n, lp, lq)),
-                                 align)
-    return T.reshape(dists, (count, q, n))
+    def bwd(g):
+        back = -g
+        return tuple(back if weight is None else back * weight
+                     for weight in weights)
+
+    return T._record(-total, dists, bwd)
 
 
 def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
           queries_per_class: int):
     """(name, prototypes, queries) per used branch, normal first ->
-    the (E, Q, N) probability tensor and one EpisodeResult per episode."""
-    total_cost = None
-    for name, protos, queries in pairs:
-        dists = _costs(protos, queries, align)
-        if name == "motion":
-            dists = T.scale(dists, alpha)
-        total_cost = dists if total_cost is None else T.add(total_cost, dists)
-    probs = T.softmax(T.neg(total_cost), axis=-1)
+    the (E, Q, N) probability tensor and one EpisodeResult per episode.
+
+    Prototypes are (E, 1, N, L, D) and queries (E, Q, 1, L, D) frame
+    rows: the cost call broadcasts them into every pair without copies,
+    with prototype rows as the first alignment axis."""
+    dists = [metric.otam_distance(metric.cost_matrix(protos, queries), align)
+             for _, protos, queries in pairs]
+    sims = _similarity(dists, [name for name, _, _ in pairs], alpha)
+    probs = T.softmax(sims, axis=-1)
     labels = np.repeat(np.arange(way), queries_per_class)
     results = []
     for episode_probs in probs.data:
@@ -191,31 +205,54 @@ def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
     return probs, results
 
 
-def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
+def _branch_pass(branch, frames, tokens, n, k, train):
     """Enhance one branch's V videos under both tokens in one call.
 
     The transformer runs over 2V stacks: the frames under the real
-    tokens, then the same frames under the fake tokens. Returns the
-    (1, N, L, D) prototypes and (1, Q, L, D) fake-token queries, token
-    rows dropped, and the consistency pieces: the sum of squared
-    real/fake differences and its element count.
+    tokens, then the same frames under the fake tokens (``tokens`` holds
+    both, in that order). Three tape nodes read the result: the
+    (1, 1, N, L-1, D) prototypes, the mean of each class's real-token
+    supports; the (1, Q, 1, L-1, D) fake-token queries; and the sum of
+    squared real/fake differences. Token rows are dropped from the
+    first two. Returns those three and the consistency element count.
     """
-    support = n * k
     total = frames.shape[0]
-    both = cpm.feature_enhance_batch(
-        branch, T.concat([frames, frames]),
-        Tensor(np.concatenate([real_tokens, fake_tokens])), train=train)
-    real = T.slice_axis(both, 0, 0, total)
-    fake = T.slice_axis(both, 0, total, 2 * total)
-    diff = T.sub(fake, real)
-    con = T.reduce_sum(T.mul(diff, diff))
-    real_support = T.slice_axis(real, 0, 0, support)
-    fake_query = T.slice_axis(fake, 0, support, total)
-    seq, dim = real_support.shape[1], real_support.shape[2]
-    protos = T.reduce_mean(T.reshape(real_support, (1, n, k, seq, dim)),
-                           axis=2)
-    queries = T.reshape(fake_query, (1, total - support, seq, dim))
-    return _frame_rows(protos), _frame_rows(queries), con, real.size
+    support = n * k
+    both = cpm.feature_enhance_batch(branch, T.concat([frames, frames]),
+                                     Tensor(tokens), train=train)
+    bd = both.data
+    length, dim = bd.shape[1], bd.shape[2]
+    rows = (length - 1, dim)
+
+    def protos_bwd(g):
+        full = np.zeros(bd.shape, g.dtype)
+        full[:support].reshape(n, k, length, dim)[:, :, 1:] = \
+            g.reshape((n, 1) + rows) / k
+        return (full,)
+
+    # the same mean over the K supports as score_episodes takes
+    protos = bd[:support].reshape(n, k, length, dim).mean(axis=1)
+    protos = T._record(protos[:, 1:].reshape((1, 1, n) + rows), (both,),
+                       protos_bwd)
+
+    def queries_bwd(g):
+        full = np.zeros(bd.shape, g.dtype)
+        full[total + support:, 1:] = g.reshape((-1,) + rows)
+        return (full,)
+
+    queries = bd[total + support:, 1:]
+    queries = T._record(queries.reshape((1, len(queries), 1) + rows),
+                        (both,), queries_bwd)
+
+    diff = bd[total:] - bd[:total]               # fake minus real
+
+    def con_bwd(g):
+        step = g * diff
+        step = step + step
+        return (np.concatenate([-step, step]),)
+
+    con = T._record((diff * diff).sum(), (both,), con_bwd)
+    return protos, queries, con, diff.size
 
 
 def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
@@ -238,7 +275,6 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
         raise ConfigError(f"unknown reduction {consistency_reduction!r}")
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     frames_np, prompts_np, labels = _episode_frames(episode)
-    total = frames_np.shape[0]
     frames = Tensor(frames_np)
 
     pairs = []
@@ -246,10 +282,11 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     for name, branch in _branches(model, ablation):
         branch_frames = frames if name == "normal" else \
             motion_features(model.phi, frames, train=train)
-        fakes = _fake_tokens(model.dim, run_seed, episode_index,
-                             range(total), name)
+        fakes = _fake_tokens(model.dim, run_seed, episode_index, n * k,
+                             n * p, name)
         protos, queries, con, numel = _branch_pass(
-            branch, branch_frames, prompts_np, fakes, n, k, train)
+            branch, branch_frames, np.concatenate([prompts_np, fakes]), n,
+            k, train)
         pairs.append((name, protos, queries))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
@@ -270,8 +307,7 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
         except KeyError as exc:
             raise ProtocolError(f"episode class {exc.args[0]} missing from "
                                 f"the prompt bank") from None
-        adapt = objective.dam_loss([Tensor(f) for f in frames_np],
-                                   bank_matrix, video_truth,
+        adapt = objective.dam_loss(frames, bank_matrix, video_truth,
                                    model.temperature())
     else:
         adapt = Tensor(0.0)
@@ -314,8 +350,7 @@ def _enhance(model: Model, name: str, branch, frames: np.ndarray,
     x = Tensor(frames)
     if name == "motion":
         x = motion_features(model.phi, x)
-    return _frame_rows(cpm.feature_enhance_batch(branch, x,
-                                                 Tensor(tokens))).data
+    return cpm.feature_enhance_batch(branch, x, Tensor(tokens)).data[:, 1:]
 
 
 def _support_features(model: Model, episodes, branches):
@@ -366,16 +401,18 @@ def _score_block(model: Model, episodes, indices, support_rows,
                        for recs in ep.query for rec in recs])
     pairs = []
     for name, branch in branches:
-        tokens = np.concatenate([
-            _fake_tokens(model.dim, run_seed, index, range(n * k, n * k + q),
-                         name) for index in indices])
+        # the queries' rows lead each episode's token stream
+        tokens = np.concatenate([cpm.fake_token(model.dim, run_seed, index,
+                                                q, name)
+                                 for index in indices])
         queries = _enhance(model, name, branch, frames, tokens)
         length, dim = queries.shape[1], queries.shape[2]
         # the same mean over the K supports as the loss path takes
         protos = support[name][support_rows].reshape(count * n, k, length,
                                                      dim).mean(axis=1)
-        pairs.append((name, Tensor(protos.reshape(count, n, length, dim)),
-                      Tensor(queries.reshape(count, q, length, dim))))
+        pairs.append((name,
+                      Tensor(protos.reshape(count, 1, n, length, dim)),
+                      Tensor(queries.reshape(count, q, 1, length, dim))))
     return _tail(pairs, align, alpha, n, p)[1]
 
 

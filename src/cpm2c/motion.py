@@ -3,10 +3,14 @@
 Backward and forward difference streams are formed against the
 Phi-transformed neighbors, each stream is recentered by adding its own
 global mean, and the two streams are averaged into a (T-1) x D motion
-sequence for the motion branch of the prototype module.
+sequence for the motion branch of the prototype module. Everything after
+Phi (the slices, differences, global means and average) is one tape
+node; ``tests/oracles.py`` keeps it as a composition of primitive ops.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import tensor as T
 from .errors import ProtocolError
@@ -30,12 +34,21 @@ def motion_features(phi: PhiStack, frames: Tensor, train: bool = False) -> Tenso
     if length < 2:
         raise ProtocolError(f"motion needs at least 2 frames, got {length}")
     transformed = phi.forward(frames, train=train)
-    head = T.slice_axis(frames, axis, 0, length - 1)     # f^t
-    tail = T.slice_axis(frames, axis, 1, length)         # f^{t+1}
-    phi_head = T.slice_axis(transformed, axis, 0, length - 1)
-    phi_tail = T.slice_axis(transformed, axis, 1, length)
-    back = T.sub(head, phi_tail)
-    fwd = T.sub(tail, phi_head)
-    global_back = T.reduce_mean(back, axis=axis, keepdims=True)
-    global_fwd = T.reduce_mean(fwd, axis=axis, keepdims=True)
-    return T.scale(T.add(T.add(back, global_back), T.add(fwd, global_fwd)), 0.5)
+    fd, td = frames.data, transformed.data
+    back = fd[..., :-1, :] - td[..., 1:, :]           # f^t - Phi(f^{t+1})
+    fwd = fd[..., 1:, :] - td[..., :-1, :]            # f^{t+1} - Phi(f^t)
+    out = ((back + back.mean(axis=axis, keepdims=True))
+           + (fwd + fwd.mean(axis=axis, keepdims=True))) * 0.5
+    steps = length - 1
+
+    def bwd(g):
+        # both streams get the same gradient: half of g plus its share
+        # of the global means; Phi's is the frames' with the sign flipped
+        half = g * 0.5
+        d = half + half.sum(axis=axis, keepdims=True) / steps
+        dframes = np.zeros(fd.shape, d.dtype)
+        dframes[..., :-1, :] = d
+        dframes[..., 1:, :] += d
+        return dframes, -dframes
+
+    return T._record(out, (frames, transformed), bwd)

@@ -4,7 +4,9 @@ The adaptation loss matches mean-pooled video features against the
 prompt embeddings of every training class through a temperature softmax
 over cosine similarity. The task loss is cross-entropy over the
 alignment-based episode probabilities. The total is their weighted sum
-together with the consistency term.
+together with the consistency term. The task loss, the total and the
+cross-entropy step of the adaptation loss are one tape node each;
+``tests/oracles.py`` keeps their primitive-op compositions.
 """
 
 from __future__ import annotations
@@ -34,15 +36,18 @@ class LossWeights:
                 raise ConfigError(f"{name} must be finite and >= 0, got {val}")
 
 
-def dam_probabilities(video_frames, prompt_bank, temperature) -> Tensor:
+def dam_probabilities(frames: Tensor, prompt_bank, temperature) -> Tensor:
     """Per-video class probabilities against the whole prompt bank.
 
-    Each video is mean-pooled over its frames, scored by cosine against
+    ``frames`` is the (V, T, D) frame stack of V videos. Each video is
+    mean-pooled over its frames in one mean, scored by cosine against
     every bank prompt, and the cosines pass through a temperature softmax.
     Returns a (V, C) tensor whose rows sum to 1.
     """
-    videos = list(video_frames)
-    if not videos:
+    if frames.ndim != 3:
+        raise ShapeError(f"dam_probabilities: frames must be V x T x D, "
+                         f"got {frames.shape}")
+    if not frames.shape[0]:
         raise ShapeError("dam_probabilities: no videos")
     bank = np.asarray(prompt_bank.data if isinstance(prompt_bank, Tensor)
                       else prompt_bank)
@@ -53,8 +58,7 @@ def dam_probabilities(video_frames, prompt_bank, temperature) -> Tensor:
         raise DomainError(f"zero-norm prompt at row "
                           f"{int(np.flatnonzero(norms == 0)[0])}")
 
-    reps = T.concat([T.reshape(T.reduce_mean(f, axis=0), (1, bank.shape[1]))
-                     for f in videos], axis=0)              # (V, D)
+    reps = T.reduce_mean(frames, axis=1)                    # (V, D)
     rep_sq = (np.asarray(reps.data) ** 2).sum(axis=1)
     if (rep_sq == 0).any():
         raise DomainError(f"zero-norm pooled representation for video "
@@ -68,27 +72,37 @@ def dam_probabilities(video_frames, prompt_bank, temperature) -> Tensor:
     return T.softmax(T.div(cos, temp), axis=-1)
 
 
-def dam_loss(video_frames, prompt_bank, true_indices, temperature) -> Tensor:
+def dam_loss(frames: Tensor, prompt_bank, true_indices, temperature) -> Tensor:
     """Cross-entropy of pooled videos against all training-class prompts.
 
-    ``video_frames``: list of T x D frame tensors (one per episode video);
+    ``frames``: the (V, T, D) frame stack of the episode's videos;
     ``prompt_bank``: C x D array of class prompt embeddings, row order
     defining the index space of ``true_indices``; ``temperature`` divides
     the cosine logits and may be a learnable scalar tensor.
     """
-    videos = list(video_frames)
-    if len(videos) != len(true_indices):
-        raise ShapeError(f"{len(videos)} videos vs {len(true_indices)} labels")
-    probs = dam_probabilities(videos, prompt_bank, temperature)
+    videos = frames.shape[0] if frames.ndim == 3 else 0
+    if videos != len(true_indices):
+        raise ShapeError(f"{videos} videos vs {len(true_indices)} labels")
+    probs = dam_probabilities(frames, prompt_bank, temperature)
     num_classes = probs.shape[1]
     for idx in true_indices:
         if not 0 <= idx < num_classes:
             raise ShapeError(f"label {idx} outside prompt bank of "
                              f"{num_classes} classes")
-    onehot = np.zeros((len(videos), num_classes))
-    onehot[np.arange(len(videos)), np.asarray(true_indices)] = 1.0
-    picked = T.reduce_sum(T.mul(probs, Tensor(onehot)), axis=-1)
-    return T.neg(T.reduce_mean(T.log(picked)))
+    rows, labels = np.arange(videos), np.asarray(true_indices)
+    picked = probs.data[rows, labels]
+    if (picked <= 0).any():
+        raise DomainError(f"dam_loss: true-class probability underflows to "
+                          f"0 for video {int(np.flatnonzero(picked <= 0)[0])}")
+    shape = probs.shape
+
+    def bwd(g):
+        dprobs = np.zeros(shape, g.dtype)
+        dprobs[rows, labels] = (-g / videos) / picked
+        return (dprobs,)
+
+    # the mean negative log of the true-class entries, one tape node
+    return T._record(-np.log(picked).mean(), (probs,), bwd)
 
 
 _clamp_lock = threading.Lock()
@@ -111,8 +125,9 @@ def task_loss(probabilities: Tensor, true_indices,
     """Mean negative log probability of the true class over the queries.
 
     ``probabilities``: the (Q, N) class probabilities of the queries. The
-    true-class entries are picked with a one-hot product; those below
-    ``floor`` are clamped there (and counted) so the log stays finite.
+    true-class entries are picked by index; those below ``floor`` are
+    clamped there (and counted) so the log stays finite. One tape node,
+    whose gradient reaches the picked entries only.
     """
     global _clamp_count
     if probabilities.ndim != 2:
@@ -127,21 +142,39 @@ def task_loss(probabilities: Tensor, true_indices,
     for idx in true_indices:
         if not 0 <= idx < num_classes:
             raise ShapeError(f"label {idx} outside {num_classes} classes")
-    onehot = np.zeros((queries, num_classes))
-    onehot[np.arange(queries), np.asarray(true_indices)] = 1.0
-    picked = T.reduce_sum(T.mul(probabilities, Tensor(onehot)), axis=-1)
-    clamped = int((picked.data < floor).sum())
+    rows = np.arange(queries)
+    labels = np.asarray(true_indices)
+    picked = probabilities.data[rows, labels]
+    clamped = int((picked < floor).sum())
     if clamped:
         with _clamp_lock:
             _clamp_count += clamped
-    # clamp_min(p, floor) = relu(p - floor) + floor inside the op set
-    picked = T.add(T.relu(T.sub(picked, Tensor(floor))), Tensor(floor))
-    return T.neg(T.scale(T.reduce_sum(T.log(picked)), 1.0 / queries))
+    # clamp_min(p, floor) = relu(p - floor) + floor, as the composition
+    # in tests/oracles.py takes it
+    low = np.asarray(floor, picked.dtype)
+    kept = np.maximum(picked - low, 0)
+    safe = kept + low
+    scale = 1.0 / queries
+    loss = -(np.log(safe).sum() * scale)
+    shape = probabilities.shape
+
+    def bwd(g):
+        dprobs = np.zeros(shape, g.dtype)
+        dprobs[rows, labels] = (-g * scale) / safe * (kept > 0)
+        return (dprobs,)
+
+    return T._record(loss, (probabilities,), bwd)
 
 
 def total_loss(adapt: Tensor, task: Tensor, consistency: Tensor,
                weights: LossWeights) -> Tensor:
-    """Weighted sum of the three terms; gradient flows into each."""
-    return T.add(T.add(T.scale(adapt, weights.lam_adapt),
-                       T.scale(task, weights.lam_task)),
-                 T.scale(consistency, weights.lam_consistency))
+    """Weighted sum of the three terms, one tape node; gradient flows into
+    each."""
+    la, lt, lc = (float(weights.lam_adapt), float(weights.lam_task),
+                  float(weights.lam_consistency))
+    total = (adapt.data * la + task.data * lt) + consistency.data * lc
+
+    def bwd(g):
+        return g * la, g * lt, g * lc
+
+    return T._record(total, (adapt, task, consistency), bwd)

@@ -42,7 +42,6 @@ PRESETS = {
     "full": Ablation(),
     "no-motion": Ablation(use_motion=False),
     "motion-only": Ablation(use_normal=False),
-    "no-consistency": Ablation(),
 }
 
 _GRADCHECK_TAG = 9
@@ -94,9 +93,8 @@ class RunConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
 
     def weights(self) -> LossWeights:
-        lam_con = 0.0 if self.preset == "no-consistency" \
-            else self.lam_consistency
-        return LossWeights(self.lam_adapt, self.lam_task, lam_con)
+        return LossWeights(self.lam_adapt, self.lam_task,
+                           self.lam_consistency)
 
     def align(self) -> AlignmentConfig:
         return AlignmentConfig(self.gamma, self.bidirectional,
@@ -282,7 +280,9 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     mode. Either way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
-    are never mutated.
+    are never mutated. The ``way``/``shot``/``queries`` overrides must be
+    at least 1, as in ``RunConfig``; a ConfigError says so before any
+    episode is sampled.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
     split = cfg.eval_split if split is None else split
@@ -291,6 +291,9 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     way = cfg.way if way is None else way
     shot = cfg.shot if shot is None else shot
     queries = cfg.queries if queries is None else queries
+    for name, value in (("way", way), ("shot", shot), ("queries", queries)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     kwargs = _episode_kwargs(cfg)
 
     t0 = time.perf_counter()

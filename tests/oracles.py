@@ -15,6 +15,16 @@ prototype/query pair, at a time, built from primitive tape ops
 ``reverse_sensitivity_check`` runs ``motion.motion_features`` on a clip
 and on its time reversal.
 
+The ``taped_*`` glue functions are the per-episode arithmetic between
+the fused layers as compositions of primitive tape ops:
+``taped_cost_matrix``, ``taped_motion_features`` (everything after Phi),
+``taped_branch_pass`` (the real/fake split, consistency sum, prototype
+mean and token-row drops), ``taped_similarity`` (the alpha-weighted,
+negated branch-cost sum), ``taped_task_loss`` and ``taped_total_loss``;
+``list_dam_loss`` pools each video of a list on its own. Each fused op
+must reproduce its composition's forward bit for bit and its gradients
+to rounding. ``_frame_rows`` drops the token row of enhanced stacks.
+
 ``taped_otam_distance`` is the soft-alignment DP recorded cell by cell on
 the autodiff tape: every soft-min is built from tape ops, so its gradient
 comes from replaying them. ``metric.otam_distance`` must reproduce its
@@ -39,8 +49,8 @@ pass shared one tail: each branch enhances the videos in two transformer
 calls, one under the real and one under the fake tokens,
 ``pair_distances`` copies each prototype and each query once per pair
 with ``broadcast_repeat``, the probability matrix is sliced row by row,
-and ``list_task_loss`` takes the true-class entry of each row in a
-per-query loop. ``model.episode_forward`` must reproduce
+``list_task_loss`` takes the true-class entry of each row in a
+per-query loop, and the glue runs on the compositions above. ``model.episode_forward`` must reproduce
 its probabilities bit for bit, its loss parts to rounding and its
 gradients to rounding.
 
@@ -57,8 +67,9 @@ from collections import Counter
 import numpy as np
 
 from cpm2c import cpm, metric, model, nn, objective, tensor as T
-from cpm2c.errors import NumericalError, ProtocolError, ShapeError
-from cpm2c.metric import BIG, AlignmentConfig, _frame_rows
+from cpm2c.errors import DomainError, NumericalError, ProtocolError, \
+    ShapeError
+from cpm2c.metric import BIG, AlignmentConfig
 from cpm2c.motion import motion_features
 from cpm2c.tensor import Tensor
 
@@ -289,6 +300,135 @@ def patch_layer_oracles(monkeypatch) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# the per-episode glue as primitive-op compositions
+
+
+def _frame_rows(enhanced: Tensor) -> Tensor:
+    """Drop the token row of an (L, D) enhanced sequence or of each
+    sequence of a (..., L, D) batch: alignment sees frames only."""
+    axis = enhanced.ndim - 2
+    return T.slice_axis(enhanced, axis, 1, enhanced.shape[axis])
+
+
+def taped_cost_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """Same contract as ``metric.cost_matrix``, from primitive ops."""
+    if a.shape[-1] != b.shape[-1] or a.ndim != b.ndim:
+        raise ShapeError(f"cost_matrix: shapes {a.shape} and {b.shape} "
+                         f"do not pair")
+    for name, x in (("a", a), ("b", b)):
+        sq = (np.asarray(x.data) ** 2).sum(axis=-1)
+        if (sq == 0).any():
+            idx = tuple(np.argwhere(sq == 0)[0])
+            raise DomainError(f"cost_matrix: zero-norm row {idx} in {name}")
+    dots = T.matmul(a, T.transpose(b, -1, -2))
+    na = _sqrt(T.reduce_sum(T.mul(a, a), axis=-1, keepdims=True))
+    nb = T.transpose(_sqrt(T.reduce_sum(T.mul(b, b), axis=-1,
+                                        keepdims=True)), -1, -2)
+    return T.sub(Tensor(1.0), T.div(dots, T.matmul(na, nb)))
+
+
+def taped_motion_features(phi: nn.PhiStack, frames: Tensor,
+                          train: bool = False) -> Tensor:
+    """Same contract as ``motion.motion_features``: Phi, then slices,
+    differences, global means and the average as primitive ops."""
+    axis = frames.ndim - 2
+    length = frames.shape[axis]
+    transformed = phi.forward(frames, train=train)
+    head = T.slice_axis(frames, axis, 0, length - 1)     # f^t
+    tail = T.slice_axis(frames, axis, 1, length)         # f^{t+1}
+    phi_head = T.slice_axis(transformed, axis, 0, length - 1)
+    phi_tail = T.slice_axis(transformed, axis, 1, length)
+    back = T.sub(head, phi_tail)
+    fwd = T.sub(tail, phi_head)
+    global_back = T.reduce_mean(back, axis=axis, keepdims=True)
+    global_fwd = T.reduce_mean(fwd, axis=axis, keepdims=True)
+    return T.scale(T.add(T.add(back, global_back), T.add(fwd, global_fwd)),
+                   0.5)
+
+
+def taped_branch_pass(branch, frames, tokens, n, k, train):
+    """Same contract as ``model._branch_pass``: the real/fake split, the
+    consistency sum, the prototype mean and the token-row drops as
+    primitive ops on the one enhancement call."""
+    support = n * k
+    total = frames.shape[0]
+    both = cpm.feature_enhance_batch(branch, T.concat([frames, frames]),
+                                     Tensor(tokens), train=train)
+    real = T.slice_axis(both, 0, 0, total)
+    fake = T.slice_axis(both, 0, total, 2 * total)
+    diff = T.sub(fake, real)
+    con = T.reduce_sum(T.mul(diff, diff))
+    real_support = T.slice_axis(real, 0, 0, support)
+    fake_query = T.slice_axis(fake, 0, support, total)
+    seq, dim = real_support.shape[1], real_support.shape[2]
+    protos = T.reduce_mean(T.reshape(real_support, (1, n, k, seq, dim)),
+                           axis=2)
+    q = total - support
+    protos = T.reshape(_frame_rows(protos), (1, 1, n, seq - 1, dim))
+    queries = T.reshape(_frame_rows(T.reshape(fake_query, (1, q, seq, dim))),
+                        (1, q, 1, seq - 1, dim))
+    return protos, queries, con, real.size
+
+
+def taped_task_loss(probabilities: Tensor, true_indices,
+                    floor: float = 1e-12) -> Tensor:
+    """Same contract as ``objective.task_loss``: a one-hot product picks
+    the true-class entries, and the clamp is relu(p - floor) + floor."""
+    queries, num_classes = probabilities.shape
+    onehot = np.zeros((queries, num_classes))
+    onehot[np.arange(queries), np.asarray(true_indices)] = 1.0
+    picked = T.reduce_sum(T.mul(probabilities, Tensor(onehot)), axis=-1)
+    clamped = int((picked.data < floor).sum())
+    if clamped:
+        with objective._clamp_lock:
+            objective._clamp_count += clamped
+    picked = T.add(T.relu(T.sub(picked, Tensor(floor))), Tensor(floor))
+    return T.neg(T.scale(T.reduce_sum(T.log(picked)), 1.0 / queries))
+
+
+def taped_total_loss(adapt: Tensor, task: Tensor, consistency: Tensor,
+                     weights: objective.LossWeights) -> Tensor:
+    """Same contract as ``objective.total_loss``, from scale and add."""
+    return T.add(T.add(T.scale(adapt, weights.lam_adapt),
+                       T.scale(task, weights.lam_task)),
+                 T.scale(consistency, weights.lam_consistency))
+
+
+def taped_similarity(dists, names, alpha: float) -> Tensor:
+    """The negated alpha-weighted sum of the branches' alignment costs
+    that ``model._tail`` feeds its softmax, from scale, add and neg."""
+    total = None
+    for dist, name in zip(dists, names):
+        if name == "motion":
+            dist = T.scale(dist, alpha)
+        total = dist if total is None else T.add(total, dist)
+    return T.neg(total)
+
+
+def list_dam_loss(video_frames, prompt_bank, true_indices,
+                  temperature) -> Tensor:
+    """``objective.dam_loss`` over a list of (T, D) frame tensors, each
+    video pooled by its own mean."""
+    videos = list(video_frames)
+    if len(videos) != len(true_indices):
+        raise ShapeError(f"{len(videos)} videos vs {len(true_indices)} labels")
+    bank = np.asarray(prompt_bank)
+    reps = T.concat([T.reshape(T.reduce_mean(f, axis=0), (1, bank.shape[1]))
+                     for f in videos], axis=0)              # (V, D)
+    norms = np.sqrt((bank.astype(np.float64) ** 2).sum(axis=1))
+    dots = T.matmul(reps, Tensor(bank.T))
+    rep_norm = _sqrt(T.reduce_sum(T.mul(reps, reps), axis=1, keepdims=True))
+    cos = T.div(dots, T.matmul(rep_norm, Tensor(norms.reshape(1, -1))))
+    temp = temperature if isinstance(temperature, Tensor) \
+        else Tensor(float(temperature))
+    probs = T.softmax(T.div(cos, temp), axis=-1)
+    onehot = np.zeros(probs.shape)
+    onehot[np.arange(len(videos)), np.asarray(true_indices)] = 1.0
+    picked = T.reduce_sum(T.mul(probs, Tensor(onehot)), axis=-1)
+    return T.neg(T.reduce_mean(T.log(picked)))
+
+
+# ---------------------------------------------------------------------------
 # the episode pipeline one video at a time
 
 
@@ -386,7 +526,7 @@ def pair_distances(protos: Tensor, queries: Tensor,
     q, lq = queries.shape[0], queries.shape[1]
     pe = T.reshape(broadcast_repeat(protos, 0, q), (q * n, lp, dim))
     qe = T.reshape(broadcast_repeat(queries, 1, n), (q * n, lq, dim))
-    dists = metric.otam_distance(metric.cost_matrix(pe, qe), align)
+    dists = metric.otam_distance(taped_cost_matrix(pe, qe), align)
     return T.reshape(dists, (q, n))
 
 
@@ -406,7 +546,7 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
 
     def branch_cost(branch, branch_frames, name):
         fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
-                                   range(support, total), name)
+                                   support, total - support, name)[support:]
         real = cpm.feature_enhance_batch(
             branch, T.slice_axis(branch_frames, 0, 0, support),
             Tensor(prompts_np[:support]))
@@ -423,7 +563,7 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
         total_cost = branch_cost(mdl.normal, frames, "normal")
     if ablation.use_motion:
         dists = T.scale(branch_cost(mdl.motion,
-                                    motion_features(mdl.phi, frames),
+                                    taped_motion_features(mdl.phi, frames),
                                     "motion"), alpha)
         total_cost = dists if total_cost is None else T.add(total_cost, dists)
     probs = np.asarray(T.softmax(T.neg(total_cost), axis=-1).data).copy()
@@ -498,16 +638,16 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
     total_cost = None
     con_sum, con_numel = None, 0
     if ablation.use_normal:
-        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
-                                   range(total), "normal")
+        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index, n * k,
+                                   n * p, "normal")
         protos, queries, con_sum, con_numel = _branch_pass(
             mdl.normal, frames, prompts_np, fakes, n, k, train)
         total_cost = pair_distances(_frame_rows(protos),
                                     _frame_rows(queries), align)
     if ablation.use_motion:
-        motion_frames = motion_features(mdl.phi, frames, train=train)
-        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
-                                   range(total), "motion")
+        motion_frames = taped_motion_features(mdl.phi, frames, train=train)
+        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index, n * k,
+                                   n * p, "motion")
         protos, queries, con, numel = _branch_pass(
             mdl.motion, motion_frames, prompts_np, fakes, n, k, train)
         dists = T.scale(pair_distances(_frame_rows(protos),
@@ -539,12 +679,11 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
         except KeyError as exc:
             raise ProtocolError(f"episode class {exc.args[0]} missing from "
                                 f"the prompt bank") from None
-        adapt = objective.dam_loss([Tensor(f) for f in frames_np],
-                                   bank_matrix, video_truth,
-                                   mdl.temperature())
+        adapt = list_dam_loss([Tensor(f) for f in frames_np], bank_matrix,
+                              video_truth, mdl.temperature())
     else:
         adapt = Tensor(0.0)
-    result.loss = objective.total_loss(adapt, task, consistency, weights)
+    result.loss = taped_total_loss(adapt, task, consistency, weights)
     result.parts = {"adapt": float(adapt.data),
                     "task": float(task.data),
                     "consistency": float(consistency.data),

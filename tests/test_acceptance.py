@@ -127,11 +127,10 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
         res = score_episodes(mdl, [ep], [i], **kwargs)[0]
         worst_cls = max(worst_cls, float(
             np.abs(res.probabilities.sum(axis=1) - 1.0).max()))
-        videos = [Tensor(rec.features())
-                  for group in ep.support for rec in group]
-        videos += [Tensor(rec.features())
-                   for group in ep.query for rec in group]
-        dam = objective.dam_probabilities(videos, bank_mat, cfg.temperature)
+        videos = [rec.features() for group in ep.support for rec in group]
+        videos += [rec.features() for group in ep.query for rec in group]
+        dam = objective.dam_probabilities(Tensor(np.stack(videos)), bank_mat,
+                                          cfg.temperature)
         worst_dam = max(worst_dam, float(
             np.abs(dam.data.sum(axis=1) - 1.0).max()))
 

@@ -172,26 +172,47 @@ def test_prototype_linearity():
 
 
 def test_fake_token_provenance_regenerates_bitwise():
-    a = cpm.fake_token(16, 3, 14, 2, "normal")
-    b = cpm.fake_token(16, 3, 14, 2, "normal")
-    assert a.dtype == np.float32 and a.shape == (16,)
+    a = cpm.fake_token(16, 3, 14, 5, "normal")
+    b = cpm.fake_token(16, 3, 14, 5, "normal")
+    assert a.dtype == np.float32 and a.shape == (5, 16)
     assert np.array_equal(a, b)
 
 
 def test_fake_token_varies_with_every_key_part():
-    base = cpm.fake_token(8, 0, 0, 0, "normal")
-    for other in [cpm.fake_token(8, 1, 0, 0, "normal"),
-                  cpm.fake_token(8, 0, 1, 0, "normal"),
-                  cpm.fake_token(8, 0, 0, 1, "normal"),
-                  cpm.fake_token(8, 0, 0, 0, "motion")]:
-        assert not np.array_equal(base, other)
+    base = cpm.fake_token(8, 0, 0, 4, "normal")
+    for other in [cpm.fake_token(8, 1, 0, 4, "normal"),
+                  cpm.fake_token(8, 0, 1, 4, "normal"),
+                  cpm.fake_token(8, 0, 0, 4, "motion")]:
+        assert not (base == other).any(axis=1).any()
+    # each video of an episode gets its own row
+    assert len({row.tobytes() for row in base}) == 4
+
+
+@pytest.mark.parametrize("dim", [8, 64, 512])
+def test_fake_token_prefix_equals_full_draw(dim):
+    # scoring draws only the queries' leading rows of the stream
+    full = cpm.fake_token(dim, 7, 3, 35, "motion")
+    for videos in (1, 5, 10, 34):
+        assert np.array_equal(cpm.fake_token(dim, 7, 3, videos, "motion"),
+                              full[:videos])
 
 
 def test_fake_token_distribution_is_standard_normal():
-    vecs = np.stack([cpm.fake_token(64, 0, i, 0, "normal")
-                     for i in range(200)])
+    vecs = np.concatenate([cpm.fake_token(64, 0, i, 10, "normal")
+                           for i in range(20)])
+    assert vecs.shape == (200, 64)
     assert abs(vecs.mean()) < 0.02
     assert abs(vecs.std() - 1.0) < 0.02
+    # rows are not correlated with each other
+    corr = np.corrcoef(vecs)[np.triu_indices(200, 1)]
+    assert abs(corr.mean()) < 0.01
+
+
+def test_fake_tokens_put_queries_first_in_the_stream():
+    rows = cpm.fake_token(6, 5, 2, 7, "normal")
+    canonical = model._fake_tokens(6, 5, 2, 4, 3, "normal")
+    assert np.array_equal(canonical[4:], rows[:3])
+    assert np.array_equal(canonical[:4], rows[3:])
 
 
 def test_query_feature_eval_deterministic():
@@ -199,7 +220,7 @@ def test_query_feature_eval_deterministic():
     frames = Tensor(np.random.default_rng(11).normal(size=(2, 3, 6)))
 
     def queries():
-        fakes = model._fake_tokens(6, 5, 2, [1, 2], "normal")
+        fakes = model._fake_tokens(6, 5, 2, 1, 2, "normal")[1:]
         return cpm.feature_enhance_batch(branch, frames, Tensor(fakes)).data
 
     assert np.array_equal(queries(), queries())

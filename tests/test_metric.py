@@ -357,10 +357,11 @@ def tail(protos, queries, alpha=0.0, cfg=AlignmentConfig(gamma=0.1),
     query frame rows, Q a multiple of N; ``motion`` is an optional
     (prototypes, queries) pair for the motion branch. Returns the (Q, N)
     probabilities and the EpisodeResult."""
-    pairs = [("normal", Tensor(protos[None]), Tensor(queries[None]))]
+    pairs = [("normal", Tensor(protos[None, None]),
+              Tensor(queries[None, :, None]))]
     if motion is not None:
-        pairs.append(("motion", Tensor(motion[0][None]),
-                      Tensor(motion[1][None])))
+        pairs.append(("motion", Tensor(motion[0][None, None]),
+                      Tensor(motion[1][None, :, None])))
     way = protos.shape[0]
     probs, (result,) = model._tail(pairs, cfg, alpha, way,
                                    queries.shape[0] // way)
@@ -415,9 +416,10 @@ def test_token_row_excluded_from_alignment():
     scored = model._enhance(mdl, "normal", mdl.normal, frames, tokens)
     assert np.array_equal(scored, full[:, 1:])
     protos, queries, _, _ = model._branch_pass(
-        mdl.normal, Tensor(frames), tokens, tokens, 1, 1, False)
-    assert np.allclose(protos.data[0, 0], full[0, 1:], atol=1e-12)
-    assert np.allclose(queries.data[0, 0], full[1, 1:], atol=1e-12)
+        mdl.normal, Tensor(frames), np.concatenate([tokens, tokens]), 1, 1,
+        False)
+    assert np.allclose(protos.data[0, 0, 0], full[0, 1:], atol=1e-12)
+    assert np.allclose(queries.data[0, 0, 0], full[1, 1:], atol=1e-12)
 
 
 def test_classify_identical_prototypes_uniform():

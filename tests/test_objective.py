@@ -31,7 +31,7 @@ def test_weights_validation():
 
 def test_dam_single_class_is_zero_loss():
     rng = np.random.default_rng(0)
-    frames = [Tensor(rng.normal(size=(4, 6))) for _ in range(3)]
+    frames = Tensor(rng.normal(size=(3, 4, 6)))
     bank = rng.normal(size=(1, 6))
     loss = objective.dam_loss(frames, bank, [0, 0, 0], 0.1)
     assert abs(loss.item()) < 1e-12
@@ -40,7 +40,7 @@ def test_dam_single_class_is_zero_loss():
 def test_dam_equidistant_two_classes_is_ln2():
     # pooled representation orthogonal to the difference of two prompts
     bank = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    frames = [Tensor(np.tile(np.array([1.0, 1.0, 0.0]), (4, 1)))]
+    frames = Tensor(np.tile(np.array([1.0, 1.0, 0.0]), (1, 4, 1)))
     loss = objective.dam_loss(frames, bank, [0], 0.07)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
@@ -51,7 +51,7 @@ def test_dam_matches_independent_oracle():
     bank = rng.normal(size=(3, 4))
     labels = [0, 1, 2, 0, 1, 2]
     t = 0.21
-    got = objective.dam_loss([Tensor(v) for v in vids], bank, labels, t).item()
+    got = objective.dam_loss(Tensor(np.stack(vids)), bank, labels, t).item()
     # straight numpy recomputation
     total = 0.0
     for v, y in zip(vids, labels):
@@ -68,24 +68,24 @@ def test_dam_scale_invariance_of_single_video():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(4, 5))
     bank = rng.normal(size=(3, 5))
-    a = objective.dam_loss([Tensor(v)], bank, [1], 0.1).item()
-    b = objective.dam_loss([Tensor(7.5 * v)], bank, [1], 0.1).item()
+    a = objective.dam_loss(Tensor(v[None]), bank, [1], 0.1).item()
+    b = objective.dam_loss(Tensor(7.5 * v[None]), bank, [1], 0.1).item()
     assert abs(a - b) < 1e-9
 
 
 def test_dam_rejects_zero_norm_prompt_and_video():
     rng = np.random.default_rng(3)
     with pytest.raises(DomainError, match="prompt"):
-        objective.dam_loss([Tensor(rng.normal(size=(3, 4)))],
+        objective.dam_loss(Tensor(rng.normal(size=(1, 3, 4))),
                            np.zeros((2, 4)), [0], 0.1)
     bank = rng.normal(size=(2, 4))
     with pytest.raises(DomainError, match="video"):
-        objective.dam_loss([Tensor(np.zeros((3, 4)))], bank, [0], 0.1)
+        objective.dam_loss(Tensor(np.zeros((1, 3, 4))), bank, [0], 0.1)
 
 
 def test_dam_gradient_flows_into_learnable_temperature():
     rng = np.random.default_rng(4)
-    frames = [Tensor(rng.normal(size=(4, 5))) for _ in range(3)]
+    frames = Tensor(rng.normal(size=(3, 4, 5)))
     bank = rng.normal(size=(3, 5))
     log_t = Tensor(math.log(0.1), requires_grad=True)
 
@@ -97,14 +97,14 @@ def test_dam_gradient_flows_into_learnable_temperature():
 
 def test_dam_label_and_alignment_errors():
     rng = np.random.default_rng(5)
-    frames = [Tensor(rng.normal(size=(3, 4)))]
+    frames = Tensor(rng.normal(size=(1, 3, 4)))
     bank = rng.normal(size=(2, 4))
     with pytest.raises(ShapeError):
         objective.dam_loss(frames, bank, [5], 0.1)
     with pytest.raises(ShapeError):
         objective.dam_loss(frames, bank, [0, 1], 0.1)
     with pytest.raises(ShapeError):
-        objective.dam_loss([], bank, [], 0.1)
+        objective.dam_loss(Tensor(np.zeros((0, 3, 4))), bank, [], 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,11 @@ def test_config_validation():
         tiny_config(preset="everything")
 
 
-def test_no_consistency_preset_zeroes_lambda3():
-    cfg = tiny_config(preset="no-consistency", lam_consistency=5.0)
-    assert cfg.weights().lam_consistency == 0.0
-    assert cfg.ablation().use_motion and cfg.ablation().use_normal
+def test_no_consistency_is_an_unknown_preset():
+    # --lam-consistency 0 is how a run drops the consistency term
+    with pytest.raises(ConfigError, match="unknown preset 'no-consistency'"):
+        tiny_config(preset="no-consistency")
+    assert tiny_config(lam_consistency=0.0).weights().lam_consistency == 0.0
 
 
 def test_manifest_shape_rejects_mixed_dims():
@@ -268,6 +269,24 @@ def test_worker_count_does_not_change_results():
                                   atol=1e-12, rtol=0.0)
         else:
             assert res.parts_mean is None
+
+
+@pytest.mark.parametrize("override", [dict(way=0), dict(shot=0),
+                                      dict(queries=0), dict(shot=-1)])
+@pytest.mark.parametrize("compute_losses", [False, True])
+def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
+                                              compute_losses):
+    manifest = tiny_manifest()
+    cfg = tiny_config()
+    mdl = runner.build_model(manifest, cfg)
+    sampled = []
+    monkeypatch.setattr(runner, "sample_episode",
+                        lambda *a, **k: sampled.append(a))
+    name = next(iter(override))
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+        runner.evaluate(manifest, mdl, cfg, episodes=2, split="train",
+                        compute_losses=compute_losses, **override)
+    assert not sampled
 
 
 def test_evaluate_never_mutates_the_model():

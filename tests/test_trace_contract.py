@@ -1,13 +1,17 @@
-"""The benchmark's tracing contract, checked on one training step.
+"""The benchmark's tracing contract, checked on one training step and
+on one evaluation call.
 
 ``perfbench/`` lies outside the test paths, yet its span tracer wraps
 functions at the names their callers bind (``runner.episode_forward``,
-``model.motion_features``, ...). A refactor that stops calling one of
-them through that name leaves a layer silently unmeasured. This test
-loads ``perfbench/spans.py`` and ``perfbench/run.py`` by path, unchanged,
-installs the tracer's layer table on one ``runner.train`` step, and
-checks that every layer the training workloads expect is reached.
-Evaluation is not covered here.
+``model.motion_features``, ...), and some of its hooks read their
+arguments by position. A refactor that stops calling one of them through
+that name leaves a layer silently unmeasured. These tests load
+``perfbench/spans.py`` and ``perfbench/run.py`` by path, unchanged,
+install the tracer's layer table on one ``runner.train`` step and on one
+``runner.evaluate`` call without losses, and check that every layer the
+workloads expect is reached. Evaluation without losses has not called
+``model.episode_forward`` since it scores episodes in blocks, so the
+eval check leaves that one entry out.
 """
 
 import importlib.util
@@ -67,3 +71,35 @@ def test_training_step_reaches_every_traced_layer(perfbench):
     assert len(episodes) == cfg.window
     assert all(isinstance(ep, data.EpisodeBatch) for ep in episodes)
     assert tracer.counters["tape_nodes"] > 0
+
+
+def test_evaluation_reaches_every_traced_layer(perfbench):
+    spans, run = perfbench
+    expected = set(run._EVAL_LAYERS) - {"model.episode_forward"}
+    synth = data.SyntheticConfig(num_classes=12, dim=8, frames=4, seed=3)
+    manifest = data.build_synthetic_manifest(synth, videos_per_class=3)
+    cfg = runner.RunConfig(way=3, shot=2, queries=1, seed=7, num_heads=2,
+                           eval_split="train", workers=1)
+    mdl = runner.build_model(manifest, cfg)
+    tracer = spans.Tracer()
+    tokens = []
+    try:
+        for owner, attr, name, hook in spans.layer_table(cpm2c):
+            tracer.wrap(owner, attr, name, hook)
+        # around the benchmark's fake-token wrapper, whose hook reads
+        # args[3] as the number of videos drawn
+        tracer.wrap(cpm2c.cpm, "fake_token", "fake-token arguments",
+                    lambda tr, args, kwargs: tokens.append(args))
+        res = runner.evaluate(manifest, mdl, cfg, episodes=3,
+                              compute_losses=False)
+    finally:
+        tracer.remove()
+    _, calls, _ = tracer.summary()
+    missing = sorted(name for name in expected if not calls[name])
+    assert not missing, f"traced layers not reached: {missing}"
+    assert res.episodes == 3
+    # one call per episode and branch, each drawing the queries' rows
+    queries = cfg.way * cfg.queries
+    assert calls["cpm.fake_token"] == 3 * 2
+    assert [args[3] for args in tokens] == [queries] * 6
+    assert tracer.counters["fake_token.useful"] == 6
