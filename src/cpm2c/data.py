@@ -356,6 +356,8 @@ class SyntheticConfig:
             raise ConfigError(f"negative noise sigma {self.sigma}")
         if self.num_classes < 1 or self.dim < 1 or self.frames < 1:
             raise ConfigError("num_classes, dim, frames must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_prototype(cfg: SyntheticConfig, class_id: int) -> np.ndarray:

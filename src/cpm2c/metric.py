@@ -42,6 +42,7 @@ shape they run as one stacked batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,9 @@ class AlignmentConfig:
     relaxed_ends: bool = False
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be positive and finite, "
+                              f"got {self.gamma}")
 
 
 def cost_matrix(a: Tensor, b: Tensor) -> Tensor:

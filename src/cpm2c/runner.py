@@ -18,7 +18,9 @@ so the reported numbers do not depend on the worker count.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import math
 import os
 import sys
 import time
@@ -45,6 +47,11 @@ PRESETS = {
 }
 
 _GRADCHECK_TAG = 9
+
+
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -80,17 +87,26 @@ class RunConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        for name in ("way", "shot", "queries", "window", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, "
-                                  f"got {getattr(self, name)}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        for name in ("way", "shot", "queries", "window", "workers",
+                     "num_heads", "eval_episodes", "log_every"):
+            _at_least(name, getattr(self, name), 1)
+        for name in ("steps", "seed", "eval_start", "phi_blocks"):
+            _at_least(name, getattr(self, name), 0)
+        if self.ffn_hidden is not None:
+            _at_least("ffn_hidden", self.ffn_hidden, 1)
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
                               f"{sorted(PRESETS)}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {value}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be >= 0 and finite, "
+                              f"got {self.alpha}")
+        self.weights()                   # each checks its own fields
+        self.align()
 
     def weights(self) -> LossWeights:
         return LossWeights(self.lam_adapt, self.lam_task,
@@ -132,6 +148,42 @@ def _episode_kwargs(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # training
 
+# glibc's mallopt parameter numbers, and the values training pins them to
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20      # glibc's ceiling for this parameter
+_TRIM_THRESHOLD = 64 << 20
+_malloc_pinned: Optional[bool] = None
+
+
+def pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds for the whole process, once.
+
+    ``backward`` frees an episode's activations as it walks the tape.
+    Under glibc's adaptive defaults that empties the top of the heap, the
+    allocator hands it back to the kernel, and the next forward pass
+    faults every page back in. With blocks under 32 MiB served from the
+    heap, and the heap trimmed only when 64 MiB lie free at its top, the
+    memory one step frees stays in the process for the next. Returns
+    whether both thresholds were set. Where the C library has no
+    ``mallopt`` nothing is done; later calls do nothing either and
+    return the first call's answer.
+    """
+    global _malloc_pinned
+    if _malloc_pinned is None:
+        _malloc_pinned = False
+        try:
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        except (OSError, TypeError):
+            mallopt = None
+        if mallopt is not None:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            _malloc_pinned = bool(
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+    return _malloc_pinned
+
 
 @dataclass
 class TrainResult:
@@ -171,8 +223,11 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
     the step's forward passes updated, roll back to the end of the last
     healthy step; the model as it stood then is written to the checkpoint
     when ``out_dir`` is given. Same config plus same seed reproduces the
-    run bit for bit.
+    run bit for bit. Each metrics row also counts the tape nodes the
+    step's episodes recorded. The first call pins the C allocator's
+    thresholds for the process (``pin_malloc_thresholds``).
     """
+    pin_malloc_thresholds()
     if mdl is None:
         mdl = build_model(manifest, cfg)
     log = log if log is not None else sys.stdout
@@ -196,17 +251,19 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
             buffers = _buffers(mdl)
             sums = {"adapt": 0.0, "task": 0.0, "consistency": 0.0,
                     "total": 0.0}
+            nodes = 0
             for j in range(cfg.window):
                 index = step * cfg.window + j
                 episode = sample_episode(manifest,
                                          episode_rng(cfg.seed, index),
                                          cfg.way, cfg.shot, cfg.queries,
                                          cfg.train_split)
-                with T.Tape():
+                with T.Tape() as tape:
                     res = episode_forward(mdl, episode, run_seed=cfg.seed,
                                           episode_index=index, bank=bank,
                                           train=True, **kwargs)
                 T.backward(res.loss)
+                nodes += len(tape)
                 for key in sums:
                     sums[key] += res.parts[key]
             if cfg.window > 1:
@@ -226,6 +283,7 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
             row = {"step": step + 1,
                    "wall": round(time.perf_counter() - start, 3)}
             row.update((k, sums[k] / cfg.window) for k in sums)
+            row["tape_nodes"] = nodes
             history.append(row)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(row) + "\n")
@@ -280,9 +338,9 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     mode. Either way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
-    are never mutated. The ``way``/``shot``/``queries`` overrides must be
-    at least 1, as in ``RunConfig``; a ConfigError says so before any
-    episode is sampled.
+    are never mutated. The ``episodes``/``way``/``shot``/``queries``
+    overrides must be at least 1, as in ``RunConfig``; a ConfigError says
+    so before any episode is sampled.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
     split = cfg.eval_split if split is None else split
@@ -291,9 +349,9 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     way = cfg.way if way is None else way
     shot = cfg.shot if shot is None else shot
     queries = cfg.queries if queries is None else queries
-    for name, value in (("way", way), ("shot", shot), ("queries", queries)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    for name, value in (("episodes", episodes), ("way", way),
+                        ("shot", shot), ("queries", queries)):
+        _at_least(name, value, 1)
     kwargs = _episode_kwargs(cfg)
 
     t0 = time.perf_counter()

@@ -4,6 +4,10 @@ A ``Tensor`` wraps a numpy array plus an optional gradient slot. Operations
 executed while a ``Tape`` is active record backward rules onto the tape;
 ``backward(loss)`` replays them in reverse append order and accumulates
 gradients into every ``requires_grad`` leaf that contributed to the loss.
+A tape is single-use: backward releases each node's backward closure,
+and with it the arrays that closure saved, in reverse order as the walk
+passes the node, so a consumed tape holds no activations and a second
+``backward`` on it raises GraphError.
 
 The primitive ops here are the building blocks. A composite that runs
 often (each layer in ``nn``, the token stack in ``cpm``, the alignment DP
@@ -166,13 +170,15 @@ class Tape:
 
     Node ids are list indices, so reverse append order is a valid reverse
     topological order. A tape is confined to the thread that opened it and
-    is discarded after ``backward``.
+    is single-use: ``backward`` consumes it, replacing each node with None
+    as the walk passes it, so ``len`` still counts the nodes recorded.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[Optional[_Node]] = []
         self._leaves: dict[int, Tensor] = {}
         self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node id
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _state.tapes.append(self)
@@ -238,21 +244,33 @@ def backward(loss: Tensor) -> dict:
     two leaves share a gradient array, no ``.grad`` is a view, and an
     optimizer may update a ``.grad`` in place. Returns a map of leaf node
     id to gradient tensor; its arrays may be those of ``.grad``.
+
+    The tape is single-use. The walk drops each node once it has taken
+    the node's partials, or at once if no gradient reaches it, so the
+    arrays a backward closure saved are released in reverse order as the
+    walk goes; at the end the tape holds no activation. A second
+    ``backward`` on any loss of a consumed tape raises GraphError.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     if tape is None or loss.node is None:
         raise GraphError("loss is not attached to an active tape")
+    if tape._consumed:
+        raise GraphError("tape already consumed by an earlier backward; "
+                         "record a new forward pass")
+    tape._consumed = True
+    nodes = tape._nodes
     grads: dict[int, np.ndarray] = {
         loss.node: np.ones_like(loss.data)
     }
     taken = set()  # ids of the arrays leaves took without a copy
-    for nid in range(len(tape._nodes) - 1, -1, -1):
+    for nid in range(len(nodes) - 1, -1, -1):
+        node = nodes[nid]
+        nodes[nid] = None  # release the closure and the arrays it saved
         g = grads.pop(nid, None)
         if g is None:
             continue
-        node = tape._nodes[nid]
         if node.backward is None:
             # leaf: deposit into the tensor's gradient slot
             leaf = tape._leaves[nid]

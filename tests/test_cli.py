@@ -301,6 +301,56 @@ def test_make_synth_env_seed(tmp_path, monkeypatch):
         assert np.array_equal(ra.features(), rb.features())
 
 
+@pytest.fixture(scope="module")
+def tiny_index(tmp_path_factory):
+    return make_tiny_manifest(tmp_path_factory.mktemp("tiny"))
+
+
+_OUT_OF_RANGE = [
+    (["train", "--seed", "-1"], None),
+    (["eval", "--seed", "-1"], None),
+    (["eval", "--eval-start", "-1"], None),
+    (["train"], "-1"),
+    (["make-synth", "--seed", "-1"], None),
+    (["make-synth"], "-1"),
+    (["train", "--log-every", "0"], None),
+    (["train", "--num-heads", "0"], None),
+    (["train", "--num-heads", "-2"], None),
+    (["train", "--ffn-hidden", "0"], None),
+    (["train", "--ffn-hidden", "-4"], None),
+    (["train", "--phi-blocks", "-1"], None),
+    (["eval", "--eval-episodes", "0"], None),
+    (["eval", "--eval-episodes", "-3"], None),
+    (["train", "--alpha", "nan"], None),
+    (["train", "--lr", "inf"], None),
+    (["train", "--temperature", "inf"], None),
+    (["train", "--gamma", "inf"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env", _OUT_OF_RANGE,
+    ids=[" ".join(argv) + ("" if env is None else f" CPM2C_SEED={env}")
+         for argv, env in _OUT_OF_RANGE])
+def test_out_of_range_setting_exits_one(tiny_index, tmp_path, monkeypatch,
+                                        capsys, argv, env):
+    if env is None:
+        monkeypatch.delenv("CPM2C_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CPM2C_SEED", env)
+    # a flag given twice takes its last value, so the case's flags go last
+    if argv[0] == "make-synth":
+        base = ["--out", str(tmp_path / "synth"), "--classes", "4",
+                "--dim", "8", "--frames", "4"]
+    else:
+        base = ["--manifest", tiny_index, "--way", "2", "--num-heads", "2",
+                "--steps", "1", "--eval-episodes", "2"]
+    assert cli.main(argv[:1] + base + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 def test_bad_fractions_exit_one(tmp_path):
     assert cli.main(["make-synth", "--out", str(tmp_path / "x"),
                      "--fractions", "0.5,0.5"]) == 1

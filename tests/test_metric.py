@@ -232,8 +232,10 @@ def test_empty_matrix_rejected():
 
 
 def test_alignment_config_validation():
-    with pytest.raises(ConfigError):
-        AlignmentConfig(gamma=0.0)
+    # an infinite soft-min temperature made otam_distance return nan
+    for gamma in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            AlignmentConfig(gamma=gamma)
 
 
 def test_otam_gradcheck():

@@ -1,5 +1,8 @@
 """Episode-level model assembly: batched pass vs per-video reference."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,6 +291,43 @@ def test_training_episode_tape_stays_small():
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
     assert len(tape) < 100, len(tape)
+
+
+def test_backward_frees_the_episode_while_its_result_lives():
+    # runner.train keeps an episode's result, and through its loss the
+    # tape, until the next episode_forward returns; backward must leave
+    # that tape holding no activation, only the new gradients
+    cfg = data.SyntheticConfig(num_classes=20, dim=32, frames=8, scale=1.0,
+                               sigma=0.3, seed=3)
+    manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
+    mdl = model.Model(dim=32, frames=8, num_heads=2, seed=11)
+    bank = manifest.prompt_bank()
+    episode = data.sample_episode(manifest, data.episode_rng(5, 0), 5, 1, 1,
+                                  "train")
+    params = [p for _, p in mdl.named_parameters()]
+
+    def forward():
+        with T.Tape():
+            return model.episode_forward(mdl, episode, run_seed=5,
+                                         episode_index=0, align=ALIGN,
+                                         bank=bank, train=True)
+
+    T.backward(forward().loss)           # warm every cache first
+    for p in params:
+        p.grad = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = forward()
+        added = tracemalloc.get_traced_memory()[0] - base
+        T.backward(res.loss)
+        grads = sum(p.grad.nbytes for p in params if p.grad is not None)
+        left = tracemalloc.get_traced_memory()[0] - base - grads
+    finally:
+        tracemalloc.stop()
+    assert res.loss.tape is not None     # the result is still referenced
+    assert left < 0.05 * added, (left, added)
 
 
 @pytest.mark.parametrize("preset", ["full", "no-motion", "motion-only"])

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,7 +128,63 @@ def test_history_and_metrics_file_agree(tmp_path):
     assert [row["step"] for row in rows] == [1, 2, 3]
     for row in rows:
         assert set(row) >= {"step", "wall", "adapt", "task", "consistency",
-                            "total"}
+                            "total", "tape_nodes"}
+
+
+def test_metrics_count_the_tape_nodes_of_each_window(monkeypatch):
+    manifest = tiny_manifest()
+    counted = []
+    original = T.backward
+
+    def counting(loss):
+        counted.append(len(loss.tape))
+        return original(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    result = runner.train(manifest, tiny_config(steps=2, window=3),
+                          log=io.StringIO())
+    assert len(counted) == 6 and min(counted) > 0
+    assert [row["tape_nodes"] for row in result.history] == \
+        [sum(counted[:3]), sum(counted[3:])]
+
+
+class _FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _fake_libc(monkeypatch, libc):
+    monkeypatch.setattr(runner, "_malloc_pinned", None)
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: libc)
+
+
+def test_malloc_thresholds_are_pinned_once_by_training(monkeypatch):
+    mallopt = _FakeMallopt()
+    _fake_libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+    manifest = tiny_manifest()
+    cfg = tiny_config()
+    runner.evaluate(manifest, runner.build_model(manifest, cfg), cfg,
+                    episodes=2, split="train")
+    assert mallopt.calls == []           # evaluation leaves malloc alone
+    runner.train(manifest, cfg, log=io.StringIO())
+    pinned = [(-3, 32 << 20), (-1, 64 << 20)]   # M_MMAP_, M_TRIM_THRESHOLD
+    assert mallopt.calls == pinned
+    assert runner.pin_malloc_thresholds() is True
+    runner.train(manifest, cfg, log=io.StringIO())
+    assert mallopt.calls == pinned
+
+
+def test_missing_mallopt_pins_nothing(monkeypatch):
+    _fake_libc(monkeypatch, SimpleNamespace())
+    assert runner.pin_malloc_thresholds() is False
+    assert runner.pin_malloc_thresholds() is False
+    manifest = tiny_manifest()
+    result = runner.train(manifest, tiny_config(), log=io.StringIO())
+    assert len(result.history) == 2
 
 
 def test_nan_gradient_aborts_and_rolls_back(tmp_path, monkeypatch):
@@ -272,7 +329,8 @@ def test_worker_count_does_not_change_results():
 
 
 @pytest.mark.parametrize("override", [dict(way=0), dict(shot=0),
-                                      dict(queries=0), dict(shot=-1)])
+                                      dict(queries=0), dict(shot=-1),
+                                      dict(episodes=0)])
 @pytest.mark.parametrize("compute_losses", [False, True])
 def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
                                               compute_losses):
@@ -283,9 +341,10 @@ def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
     monkeypatch.setattr(runner, "sample_episode",
                         lambda *a, **k: sampled.append(a))
     name = next(iter(override))
+    kwargs = dict(episodes=2, split="train", compute_losses=compute_losses)
+    kwargs.update(override)
     with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
-        runner.evaluate(manifest, mdl, cfg, episodes=2, split="train",
-                        compute_losses=compute_losses, **override)
+        runner.evaluate(manifest, mdl, cfg, **kwargs)
     assert not sampled
 
 

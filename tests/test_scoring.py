@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cpm2c import cpm, data, model, nn, runner, tensor as T
-from cpm2c.errors import ProtocolError
+from cpm2c.errors import ConfigError, ProtocolError
 from oracles import per_episode_scores
 
 DIM = 64
@@ -100,6 +100,12 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
                 assert len(got) == count
                 for g, r in zip(got, ref):
                     assert_same_result(g, r)
+                if count == 0:
+                    # an evaluation over no episodes has no accuracy
+                    with pytest.raises(ConfigError, match="episodes"):
+                        runner.evaluate(manifest, mdl, cfg, episodes=count,
+                                        workers=workers)
+                    continue
                 res = runner.evaluate(manifest, mdl, cfg, episodes=count,
                                       workers=workers)
                 assert res.per_episode_correct == [r.correct

@@ -482,6 +482,36 @@ def test_finished_tape_is_freed_while_its_leaves_live_on():
         gc.enable()
 
 
+def test_backward_releases_saved_arrays_and_keeps_the_node_count():
+    # exp's backward saves its output; once the walk has passed the node
+    # (or found that no gradient reaches it) nothing keeps that array
+    x = T.tensor(np.ones((3, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        used = T.exp(x)
+        unused = T.exp(x)
+        loss = T.reduce_sum(used)
+    saved = [weakref.ref(used.data), weakref.ref(unused.data)]
+    del used, unused
+    assert all(ref() is not None for ref in saved)
+    T.backward(loss)
+    assert [ref() for ref in saved] == [None, None]
+    assert len(tape) == 4                 # the leaf and three ops
+    assert np.allclose(x.grad, np.e)
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = T.tensor([1.0, 2.0], requires_grad=True)
+    with T.Tape():
+        y = T.mul(x, x)
+        loss = T.reduce_sum(y)
+        other = T.reduce_sum(T.add(y, x))
+    T.backward(loss)
+    for again in (loss, other):
+        with pytest.raises(GraphError, match="consumed"):
+            T.backward(again)
+    assert np.array_equal(x.grad, [2.0, 4.0])  # refused calls add nothing
+
+
 def test_untaped_ops_do_not_record():
     x = T.tensor([1.0], requires_grad=True)
     out = T.mul(x, x)
