@@ -11,15 +11,15 @@ features respond to frame order while pooled appearance stays blind.
 import numpy as np
 
 from cpm2c import motion
-from cpm2c.nn import PhiStack, identity_phi
+from cpm2c.nn import PhiStack
 from cpm2c.tensor import Tensor
 
 FRAMES, DIM = 6, 16
 rng = np.random.default_rng(2)
 
-# probe 1: under the identity stack the backward stream is the exact
-# negative of the forward stream, so everything cancels
-ident = identity_phi(DIM)
+# probe 1: under the identity stack (zero blocks) the backward stream is
+# the exact negative of the forward stream, so everything cancels
+ident = PhiStack(DIM, 0)
 still = np.tile(rng.standard_normal(DIM), (FRAMES, 1)).astype(np.float32)
 clip = rng.standard_normal((FRAMES, DIM)).astype(np.float32)
 for name, video in (("static video", still), ("moving clip", clip)):

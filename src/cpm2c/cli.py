@@ -53,8 +53,6 @@ def _coerce(name: str, raw) -> object:
             return int(text)
         if ftype == "float":
             return float(text)
-        if ftype == "Optional[int]":
-            return None if text.lower() in ("none", "") else int(text)
     except ValueError:
         raise ConfigError(f"setting {name}: cannot parse {raw!r} "
                           f"as {ftype}") from None
@@ -132,8 +130,8 @@ def _cmd_eval(args) -> int:
     mdl = runner.build_model(manifest, cfg)
     if args.checkpoint:
         runner.restore_model(mdl, args.checkpoint)
-    bank = manifest.prompt_bank(cfg.train_split) \
-        if cfg.eval_split == cfg.train_split and args.losses else None
+    bank = manifest.prompt_bank("train") \
+        if cfg.eval_split == "train" and args.losses else None
     res = runner.evaluate(manifest, mdl, cfg, split=cfg.eval_split,
                           compute_losses=args.losses, bank=bank)
     print(f"episodes: {res.episodes}  queries: {res.total_queries}")

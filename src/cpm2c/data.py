@@ -84,7 +84,7 @@ class DatasetManifest:
     class.
     """
 
-    def __init__(self, records, prompts, class_names=None):
+    def __init__(self, records, prompts):
         records = list(records)
         problems = []
         seen = set()
@@ -108,8 +108,6 @@ class DatasetManifest:
         self.records = records
         self.prompts = {int(c): np.asarray(v, dtype=np.float32)
                         for c, v in prompts.items()}
-        self.class_names = dict(class_names) if class_names else {
-            c: f"class_{c}" for c in self.prompts}
         self._by_split: dict[str, dict[int, list]] = {s: {} for s in SPLITS}
         for rec in records:
             self._by_split[rec.split].setdefault(rec.class_id, []).append(rec)
@@ -127,13 +125,6 @@ class DatasetManifest:
         """(class ids, stacked prompt matrix) for every class of a split."""
         ids = self.classes_in(split)
         return ids, np.stack([self.prompts[c] for c in ids])
-
-
-def prompt_token(manifest: DatasetManifest, class_id: int) -> np.ndarray:
-    """The stored prompt embedding for a class."""
-    if class_id not in manifest.prompts:
-        raise DataError(f"no prompt embedding for class {class_id}")
-    return manifest.prompts[class_id]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ from .tensor import Tensor
 
 _INIT_TAG = 8
 
+# the adaptation temperature a model starts from
+_INIT_TEMPERATURE = 0.1
+
 # Episodes per ``map_blocks`` block, and the most support videos that
 # ``score_episodes`` enhances in one pass. On 5-way 5-shot evaluation at
 # dim 64, blocks of 8 to 32 episodes and chunks of 32 to 256 videos all
@@ -77,27 +80,24 @@ class Model:
 
     The normal branch runs on sequences of length ``frames`` plus the
     token row; the motion branch on length ``frames - 1`` plus the token
-    row. The adaptation temperature is parameterized in log space so it
-    stays positive under unconstrained updates.
+    row. Each branch's FFN is 4 * dim wide and Phi has two blocks. The
+    adaptation temperature is parameterized in log space so it stays
+    positive under unconstrained updates; it starts at
+    ``_INIT_TEMPERATURE``.
     """
 
     def __init__(self, dim: int, frames: int, num_heads: int = 8,
-                 ffn_hidden: Optional[int] = None, phi_blocks: int = 2,
-                 temperature: float = 0.1, seed: int = 0):
+                 seed: int = 0):
         if frames < 2:
             raise ConfigError(f"model needs at least 2 frames, got {frames}")
-        if not temperature > 0:
-            raise ConfigError(f"temperature must be positive, "
-                              f"got {temperature}")
         self.dim = dim
         self.frames = frames
-        self.normal = cpm.CpmBranch(frames + 1, dim, num_heads, ffn_hidden,
-                                    keyed_rng(seed, _INIT_TAG, 0))
-        self.motion = cpm.CpmBranch(frames, dim, num_heads, ffn_hidden,
-                                    keyed_rng(seed, _INIT_TAG, 1))
-        self.phi = PhiStack(dim, phi_blocks,
-                            rng=keyed_rng(seed, _INIT_TAG, 2))
-        self.log_temperature = Tensor(math.log(temperature),
+        self.normal = cpm.CpmBranch(frames + 1, dim, num_heads,
+                                    rng=keyed_rng(seed, _INIT_TAG, 0))
+        self.motion = cpm.CpmBranch(frames, dim, num_heads,
+                                    rng=keyed_rng(seed, _INIT_TAG, 1))
+        self.phi = PhiStack(dim, 2, rng=keyed_rng(seed, _INIT_TAG, 2))
+        self.log_temperature = Tensor(math.log(_INIT_TEMPERATURE),
                                       requires_grad=True)
 
     def temperature(self) -> Tensor:

@@ -85,13 +85,6 @@ class Linear:
         layer.bias = T.zeros(out_dim, requires_grad=True)
         return layer
 
-    @classmethod
-    def identity(cls, dim: int) -> "Linear":
-        layer = cls.__new__(cls)
-        layer.weight = Tensor(np.eye(dim), requires_grad=True)
-        layer.bias = T.zeros(dim, requires_grad=True)
-        return layer
-
     def forward(self, x: Tensor) -> Tensor:
         """(..., in) -> (..., out); leading axes fold into one row axis."""
         if x.ndim < 2:
@@ -279,7 +272,6 @@ class BatchNorm:
         self.eps = eps
         self.running_mean = np.zeros(dim, dtype=np.float32)
         self.running_var = np.ones(dim, dtype=np.float32)
-        self.frozen = False  # identity harness: never update running stats
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if not train:
@@ -287,19 +279,17 @@ class BatchNorm:
             normed = T.div(T.sub(x, Tensor(self.running_mean)), Tensor(denom))
             return T.add(T.mul(normed, self.gamma), self.beta)
         out, mean, var = _normalize(x, self.gamma, self.beta, -2, self.eps)
-        if not self.frozen:
-            n = x.shape[-2]
-            correction = n / (n - 1) if n > 1 else 1.0
-            m = self.momentum
-            dim = self.running_mean.shape[0]
-            batch_mean = mean.reshape(-1, dim).mean(axis=0)
-            batch_var = var.reshape(-1, dim).mean(axis=0)
-            self.running_mean = ((1 - m) * self.running_mean
-                                 + m * batch_mean).astype(
-                self.running_mean.dtype)
-            self.running_var = ((1 - m) * self.running_var
-                                + m * correction * batch_var).astype(
-                self.running_var.dtype)
+        n = x.shape[-2]
+        correction = n / (n - 1) if n > 1 else 1.0
+        m = self.momentum
+        dim = self.running_mean.shape[0]
+        batch_mean = mean.reshape(-1, dim).mean(axis=0)
+        batch_var = var.reshape(-1, dim).mean(axis=0)
+        self.running_mean = ((1 - m) * self.running_mean
+                             + m * batch_mean).astype(self.running_mean.dtype)
+        self.running_var = ((1 - m) * self.running_var
+                            + m * correction * batch_var).astype(
+            self.running_var.dtype)
         return out
 
     def named_parameters(self, prefix: str = ""):
@@ -316,7 +306,8 @@ class PhiStack:
     """Per-frame pointwise transform: (linear, batch-norm, ReLU) blocks.
 
     Operates on a T x D stack frame-wise; batch statistics are taken over
-    the T axis. ``skip_relu`` exists for the exact-identity harness.
+    the T axis. With zero blocks the stack is the exact identity, in train
+    and in eval mode.
     """
 
     def __init__(self, dim: int, blocks: int = 2,
@@ -324,13 +315,10 @@ class PhiStack:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.linears = [Linear(dim, dim, rng) for _ in range(blocks)]
         self.norms = [BatchNorm(dim) for _ in range(blocks)]
-        self.skip_relu = False
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         for lin, bn in zip(self.linears, self.norms):
-            x = bn.forward(lin.forward(x), train=train)
-            if not self.skip_relu:
-                x = T.relu(x)
+            x = T.relu(bn.forward(lin.forward(x), train=train))
         return x
 
     def named_parameters(self, prefix: str = ""):
@@ -346,24 +334,6 @@ class PhiStack:
             out.extend(lin.named_state(_join(prefix, f"block{i}.linear")))
             out.extend(bn.named_state(_join(prefix, f"block{i}.bn")))
         return out
-
-
-def identity_phi(dim: int, blocks: int = 2) -> PhiStack:
-    """A PhiStack configured to be the exact identity map in eval mode.
-
-    Linear layers are identity, batch-norm stats are frozen at (0, 1)
-    with eps 0, and the ReLU is bypassed. Used by tests that assert
-    difference identities exactly.
-    """
-    phi = PhiStack.__new__(PhiStack)
-    phi.linears = [Linear.identity(dim) for _ in range(blocks)]
-    phi.norms = []
-    for _ in range(blocks):
-        bn = BatchNorm(dim, eps=0.0)
-        bn.frozen = True
-        phi.norms.append(bn)
-    phi.skip_relu = True
-    return phi
 
 
 class PositionalEmbedding:

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import DatasetManifest, episode_rng, keyed_rng, sample_episode, \
-    write_manifest
+from .data import SPLITS, DatasetManifest, episode_rng, keyed_rng, \
+    sample_episode, write_manifest
 from .errors import ConfigError, DataError, NumericalError
 from .metric import AlignmentConfig
 from .model import Ablation, Model, episode_forward, map_blocks, \
@@ -54,6 +54,12 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+def _known_split(split: str) -> None:
+    if split not in SPLITS:
+        raise ConfigError(f"unknown split {split!r}; choose from "
+                          f"{list(SPLITS)}")
+
+
 @dataclass
 class RunConfig:
     """Every knob of a training or evaluation run."""
@@ -65,7 +71,6 @@ class RunConfig:
     window: int = 1                  # episodes accumulated per step
     lr: float = 1e-3
     seed: int = 0
-    temperature: float = 0.1
     alpha: float = 1.0
     gamma: float = 0.1
     bidirectional: bool = True
@@ -76,10 +81,7 @@ class RunConfig:
     consistency_reduction: str = "sum"
     preset: str = "full"
     num_heads: int = 8
-    ffn_hidden: Optional[int] = None
-    phi_blocks: int = 2
     workers: int = 1
-    train_split: str = "train"
     eval_split: str = "val"
     eval_episodes: int = 200
     eval_start: int = 1_000_000      # index offset keeping eval episodes
@@ -90,18 +92,15 @@ class RunConfig:
         for name in ("way", "shot", "queries", "window", "workers",
                      "num_heads", "eval_episodes", "log_every"):
             _at_least(name, getattr(self, name), 1)
-        for name in ("steps", "seed", "eval_start", "phi_blocks"):
+        for name in ("steps", "seed", "eval_start"):
             _at_least(name, getattr(self, name), 0)
-        if self.ffn_hidden is not None:
-            _at_least("ffn_hidden", self.ffn_hidden, 1)
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
                               f"{sorted(PRESETS)}")
-        for name in ("lr", "temperature"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {value}")
+        _known_split(self.eval_split)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, "
+                              f"got {self.lr}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be >= 0 and finite, "
                               f"got {self.alpha}")
@@ -131,8 +130,7 @@ def manifest_shape(manifest: DatasetManifest):
 def build_model(manifest: DatasetManifest, cfg: RunConfig) -> Model:
     frames, dim = manifest_shape(manifest)
     return Model(dim=dim, frames=frames, num_heads=cfg.num_heads,
-                 ffn_hidden=cfg.ffn_hidden, phi_blocks=cfg.phi_blocks,
-                 temperature=cfg.temperature, seed=cfg.seed)
+                 seed=cfg.seed)
 
 
 def restore_model(mdl: Model, path) -> None:
@@ -216,12 +214,13 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
           log=None) -> TrainResult:
     """Run cfg.steps optimizer steps of episodic training.
 
-    Each step averages gradients over ``cfg.window`` episodes. A
-    non-finite gradient aborts the run and a NumericalError names the
-    step. ``Adam.step`` refuses such a gradient before it touches any
-    parameter or moment, so only the BatchNorm running statistics, which
-    the step's forward passes updated, roll back to the end of the last
-    healthy step; the model as it stood then is written to the checkpoint
+    Episodes, and the adaptation loss's prompt bank, come from the
+    ``"train"`` split. Each step averages gradients over ``cfg.window``
+    episodes. A non-finite gradient aborts the run and a NumericalError
+    names the step. ``Adam.step`` refuses such a gradient before it
+    touches any parameter or moment, so only the BatchNorm running
+    statistics, which the step's forward passes updated, roll back to the
+    end of the last healthy step; the model as it stood then is written to the checkpoint
     when ``out_dir`` is given. Same config plus same seed reproduces the
     run bit for bit. Each metrics row also counts the tape nodes the
     step's episodes recorded. The first call pins the C allocator's
@@ -232,7 +231,7 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
         mdl = build_model(manifest, cfg)
     log = log if log is not None else sys.stdout
     optimizer = Adam(mdl.named_parameters(), lr=cfg.lr)
-    bank = manifest.prompt_bank(cfg.train_split)
+    bank = manifest.prompt_bank("train")
     kwargs = _episode_kwargs(cfg)
     history = []
     metrics_fh = None
@@ -257,7 +256,7 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
                 episode = sample_episode(manifest,
                                          episode_rng(cfg.seed, index),
                                          cfg.way, cfg.shot, cfg.queries,
-                                         cfg.train_split)
+                                         "train")
                 with T.Tape() as tape:
                     res = episode_forward(mdl, episode, run_seed=cfg.seed,
                                           episode_index=index, bank=bank,
@@ -339,8 +338,8 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
     are never mutated. The ``episodes``/``way``/``shot``/``queries``
-    overrides must be at least 1, as in ``RunConfig``; a ConfigError says
-    so before any episode is sampled.
+    overrides must be at least 1, and ``split`` must name a split, as in
+    ``RunConfig``; a ConfigError says so before any episode is sampled.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
     split = cfg.eval_split if split is None else split
@@ -352,6 +351,7 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     for name, value in (("episodes", episodes), ("way", way),
                         ("shot", shot), ("queries", queries)):
         _at_least(name, value, 1)
+    _known_split(split)
     kwargs = _episode_kwargs(cfg)
 
     t0 = time.perf_counter()
@@ -446,11 +446,10 @@ def gradcheck(manifest: DatasetManifest, cfg: RunConfig,
     t0 = time.perf_counter()
     with T.precision("float64"):
         mdl = build_model(manifest, cfg)
-        bank = manifest.prompt_bank(cfg.train_split)
+        bank = manifest.prompt_bank("train")
         episode = sample_episode(manifest,
                                  episode_rng(cfg.seed, episode_index),
-                                 cfg.way, cfg.shot, cfg.queries,
-                                 cfg.train_split)
+                                 cfg.way, cfg.shot, cfg.queries, "train")
         kwargs = _episode_kwargs(cfg)
 
         def loss_value() -> float:

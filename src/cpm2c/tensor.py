@@ -232,7 +232,7 @@ def _record(out_data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Run reverse accumulation from a scalar loss.
 
     Gradients are added into ``.grad`` of every contributing leaf (so
@@ -242,8 +242,7 @@ def backward(loss: Tensor) -> dict:
     view, and no other leaf took it in this pass. Otherwise, as when one
     ``add`` feeds two leaves the same array, the leaf gets a copy. So no
     two leaves share a gradient array, no ``.grad`` is a view, and an
-    optimizer may update a ``.grad`` in place. Returns a map of leaf node
-    id to gradient tensor; its arrays may be those of ``.grad``.
+    optimizer may update a ``.grad`` in place.
 
     The tape is single-use. The walk drops each node once it has taken
     the node's partials, or at once if no gradient reaches it, so the
@@ -282,7 +281,6 @@ def backward(loss: Tensor) -> dict:
                 taken.add(id(g))
             else:
                 leaf.grad = np.array(g)
-            grads[nid] = g  # keep for the returned map
             continue
         partials = node.backward(g)
         for iid, pg in zip(node.inputs, partials):
@@ -290,7 +288,6 @@ def backward(loss: Tensor) -> dict:
                 continue
             acc = grads.get(iid)
             grads[iid] = pg if acc is None else acc + pg
-    return {nid: Tensor(g) for nid, g in grads.items() if nid in tape._leaves}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

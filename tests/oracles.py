@@ -215,19 +215,17 @@ def taped_batchnorm_forward(self: nn.BatchNorm, x: Tensor,
         mean = T.reduce_mean(x, axis=-2, keepdims=True)
         centered = T.sub(x, mean)
         var = T.reduce_mean(T.mul(centered, centered), axis=-2, keepdims=True)
-        if not self.frozen:
-            n = x.shape[-2]
-            correction = n / (n - 1) if n > 1 else 1.0
-            m = self.momentum
-            dim = self.running_mean.shape[0]
-            batch_mean = mean.data.reshape(-1, dim).mean(axis=0)
-            batch_var = var.data.reshape(-1, dim).mean(axis=0)
-            self.running_mean = ((1 - m) * self.running_mean
-                                 + m * batch_mean).astype(
-                self.running_mean.dtype)
-            self.running_var = ((1 - m) * self.running_var
-                                + m * correction * batch_var).astype(
-                self.running_var.dtype)
+        n = x.shape[-2]
+        correction = n / (n - 1) if n > 1 else 1.0
+        m = self.momentum
+        dim = self.running_mean.shape[0]
+        batch_mean = mean.data.reshape(-1, dim).mean(axis=0)
+        batch_var = var.data.reshape(-1, dim).mean(axis=0)
+        self.running_mean = ((1 - m) * self.running_mean
+                             + m * batch_mean).astype(self.running_mean.dtype)
+        self.running_var = ((1 - m) * self.running_var
+                            + m * correction * batch_var).astype(
+            self.running_var.dtype)
         denom = _sqrt(T.add(var, Tensor(self.eps)))
         normed = T.div(centered, denom)
     else:

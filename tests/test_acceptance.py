@@ -130,7 +130,7 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
         videos = [rec.features() for group in ep.support for rec in group]
         videos += [rec.features() for group in ep.query for rec in group]
         dam = objective.dam_probabilities(Tensor(np.stack(videos)), bank_mat,
-                                          cfg.temperature)
+                                          mdl.temperature())
         worst_dam = max(worst_dam, float(
             np.abs(dam.data.sum(axis=1) - 1.0).max()))
 
@@ -238,7 +238,7 @@ def test_motion_pathway_carries_the_order_signal(motion_ablation, capsys):
 
 def test_identity_phi_motion_nullity_and_offset_invariance(capsys):
     with T.precision("float64"):
-        phi = nn.identity_phi(6)
+        phi = nn.PhiStack(6, 0)
         rng = np.random.default_rng(3)
         static = np.tile(rng.standard_normal(6), (5, 1))
         peak = float(np.abs(motion.motion_features(phi,

@@ -51,12 +51,11 @@ def test_env_seed_fallback(monkeypatch):
 
 def test_boolean_and_optional_coercion():
     cfg = cli.build_run_config(run_args(
-        ["train", "--manifest", "x", "--bidirectional", "false",
-         "--ffn-hidden", "32"]))
-    assert cfg.bidirectional is False and cfg.ffn_hidden == 32
+        ["train", "--manifest", "x", "--bidirectional", "false"]))
+    assert cfg.bidirectional is False
     cfg = cli.build_run_config(run_args(
-        ["train", "--manifest", "x", "--ffn-hidden", "none"]))
-    assert cfg.ffn_hidden is None
+        ["train", "--manifest", "x", "--bidirectional", "On"]))
+    assert cfg.bidirectional is True
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -65,6 +64,25 @@ def test_unknown_config_key_rejected(tmp_path):
     args = run_args(["train", "--manifest", "x", "--config", str(cfile)])
     with pytest.raises(cli.ConfigError, match="warp_factor"):
         cli.build_run_config(args)
+
+
+@pytest.mark.parametrize("flag", ["--temperature", "--phi-blocks",
+                                  "--ffn-hidden", "--train-split"])
+def test_removed_run_flag_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["train", "--manifest", "x", flag, "1"])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "usage:" in stderr and f"unrecognized arguments: {flag}" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_removed_config_key_is_unknown(tmp_path, capsys):
+    cfile = tmp_path / "old.cfg"
+    cfile.write_text("temperature = 0.5\n")
+    code = cli.main(["train", "--manifest", "x", "--config", str(cfile)])
+    assert code == 1
+    assert "unknown setting 'temperature'" in capsys.readouterr().err
 
 
 def test_malformed_config_line_rejected(tmp_path):
@@ -316,14 +334,11 @@ _OUT_OF_RANGE = [
     (["train", "--log-every", "0"], None),
     (["train", "--num-heads", "0"], None),
     (["train", "--num-heads", "-2"], None),
-    (["train", "--ffn-hidden", "0"], None),
-    (["train", "--ffn-hidden", "-4"], None),
-    (["train", "--phi-blocks", "-1"], None),
     (["eval", "--eval-episodes", "0"], None),
     (["eval", "--eval-episodes", "-3"], None),
+    (["eval", "--eval-split", "bogus"], None),
     (["train", "--alpha", "nan"], None),
     (["train", "--lr", "inf"], None),
-    (["train", "--temperature", "inf"], None),
     (["train", "--gamma", "inf"], None),
 ]
 

@@ -119,8 +119,7 @@ def test_build_synthetic_manifest_counts_and_prompts():
     assert len(man.classes_in("val")) == 2
     assert len(man.classes_in("test")) == 2
     for cid in range(8):
-        assert np.array_equal(data.prompt_token(man, cid),
-                              data.class_prompt(cfg, cid))
+        assert np.array_equal(man.prompts[cid], data.class_prompt(cfg, cid))
 
 
 @pytest.mark.parametrize("mode", ["static", "permuted"])
@@ -135,12 +134,6 @@ def test_manifest_features_equal_per_video_synth_encode(mode):
     for cid in range(cfg.num_classes):
         assert manifest.prompts[cid].tobytes() == \
             data.class_prompt(cfg, cid).tobytes()
-
-
-def test_prompt_token_unknown_class():
-    man = data.build_synthetic_manifest(small_cfg(), videos_per_class=2)
-    with pytest.raises(DataError):
-        data.prompt_token(man, 1234)
 
 
 def test_manifest_round_trip_bit_exact(tmp_path):

@@ -411,15 +411,15 @@ def test_named_parameters_unique_and_complete():
 
 
 def test_temperature_is_exp_of_log():
-    mdl = model.Model(dim=8, frames=4, num_heads=2, temperature=0.25)
+    mdl = model.Model(dim=8, frames=4, num_heads=2)
+    assert np.allclose(mdl.temperature().data, 0.1, atol=1e-12)
+    mdl.log_temperature.data = np.log(np.asarray(0.25))
     assert np.allclose(mdl.temperature().data, 0.25, atol=1e-12)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         model.Model(dim=8, frames=1, num_heads=2)
-    with pytest.raises(ConfigError):
-        model.Model(dim=8, frames=4, num_heads=2, temperature=0.0)
     with pytest.raises(ConfigError):
         model.Ablation(use_normal=False, use_motion=False)
     _, mdl, episode = tiny_setup()

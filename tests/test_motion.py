@@ -27,7 +27,7 @@ def motion_oracle(frames, transformed):
 
 
 def test_identity_phi_static_video_gives_zero():
-    phi = nn.identity_phi(4)
+    phi = nn.PhiStack(4, 0)
     frames = Tensor(np.tile(np.array([1.5, -2.0, 0.25, 3.0]), (6, 1)))
     out = motion.motion_features(phi, frames).data
     assert out.shape == (5, 4)
@@ -35,7 +35,7 @@ def test_identity_phi_static_video_gives_zero():
 
 
 def test_identity_phi_hand_case_cancels():
-    phi = nn.identity_phi(1)
+    phi = nn.PhiStack(1, 0)
     out = motion.motion_features(phi, Tensor([[0.0], [2.0]])).data
     assert out.shape == (1, 1)
     assert out[0, 0] == 0.0
@@ -44,7 +44,7 @@ def test_identity_phi_hand_case_cancels():
 def test_identity_phi_any_input_cancels():
     # with Phi = id the forward and backward streams are exact negations,
     # so the aggregate vanishes for every input, not just static ones
-    phi = nn.identity_phi(3)
+    phi = nn.PhiStack(3, 0)
     frames = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
     out = motion.motion_features(phi, frames).data
     assert np.max(np.abs(out)) < 1e-12
@@ -63,7 +63,7 @@ def test_matches_straight_line_oracle_with_real_phi():
 def test_constant_offset_invariance_exact():
     # integer-valued frames and offset keep every addition exact, so the
     # difference algebra must return bit-identical motion
-    phi = nn.identity_phi(3)
+    phi = nn.PhiStack(3, 0)
     rng = np.random.default_rng(2)
     frames = rng.integers(-8, 8, size=(5, 3)).astype(float)
     offset = np.array([4.0, -2.0, 8.0])
@@ -73,20 +73,20 @@ def test_constant_offset_invariance_exact():
 
 
 def test_output_length_is_frames_minus_one():
-    phi = nn.identity_phi(2)
+    phi = nn.PhiStack(2, 0)
     for length in (2, 3, 5, 8):
         frames = Tensor(np.random.default_rng(length).normal(size=(length, 2)))
         assert motion.motion_features(phi, frames).shape == (length - 1, 2)
 
 
 def test_too_few_frames_rejected():
-    phi = nn.identity_phi(2)
+    phi = nn.PhiStack(2, 0)
     with pytest.raises(ProtocolError):
         motion.motion_features(phi, Tensor(np.zeros((1, 2))))
 
 
 def test_palindrome_reversal_relation_under_identity_phi():
-    phi = nn.identity_phi(2)
+    phi = nn.PhiStack(2, 0)
     seq = np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 0.5], [2.0, -1.0],
                     [0.0, 1.0]])
     fwd, rev = reverse_sensitivity_check(phi, Tensor(seq))

@@ -27,12 +27,6 @@ def weighted_sum(out, rng):
 # linear
 
 
-def test_linear_identity_passthrough():
-    layer = nn.Linear.identity(3)
-    x = Tensor([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
-    assert np.array_equal(layer.forward(x).data, x.data)
-
-
 def test_linear_hand_case():
     layer = nn.Linear.zeros(2, 1)
     layer.weight.data = np.array([[1.0, 1.0]])
@@ -264,11 +258,13 @@ def test_batchnorm_eval_uses_running_stats_deterministically():
 
 
 def test_identity_phi_is_exact_identity():
-    phi = nn.identity_phi(5, blocks=2)
+    phi = nn.PhiStack(5, 0)
     rng = np.random.default_rng(15)
     x = Tensor(rng.normal(size=(8, 5)))
-    out = phi.forward(x, train=False)
-    assert np.array_equal(out.data, x.data)
+    for train in (False, True):
+        out = phi.forward(x, train=train)
+        assert np.array_equal(out.data, x.data)
+    assert phi.named_state() == []
 
 
 def test_phi_forward_shape_and_gradcheck():

@@ -51,6 +51,8 @@ def test_config_validation():
         tiny_config(lr=0.0)
     with pytest.raises(ConfigError):
         tiny_config(preset="everything")
+    with pytest.raises(ConfigError, match="unknown split 'bogus'"):
+        tiny_config(eval_split="bogus")
 
 
 def test_no_consistency_is_an_unknown_preset():
@@ -116,6 +118,32 @@ def test_same_seed_training_is_bit_identical():
     strip = lambda h: [{k: v for k, v in row.items() if k != "wall"}
                        for row in h]
     assert strip(a.history) == strip(b.history)
+
+
+def test_initial_temperature_changes_nothing_but_itself():
+    # the adaptation loss reaches only log_temperature, and nothing else
+    # reads it, so its starting value cannot move a prediction
+    manifest = tiny_manifest()
+    cfg = tiny_config(steps=10, window=2)
+    runs = []
+    for temperature in (None, 0.5):
+        mdl = runner.build_model(manifest, cfg)
+        if temperature is not None:
+            mdl.log_temperature.data = np.asarray(
+                np.log(temperature), mdl.log_temperature.data.dtype)
+        tr = runner.train(manifest, cfg, mdl=mdl, log=io.StringIO())
+        ev = runner.evaluate(manifest, tr.model, cfg, episodes=20,
+                             split="train")
+        runs.append((tr, ev))
+    (a, ev_a), (b, ev_b) = runs
+    others = lambda mdl: [(name, value) for name, value in state_arrays(mdl)
+                          if name != "log_temperature"]
+    assert_states_equal(others(a.model), others(b.model))
+    assert [row["task"] for row in a.history] == \
+        [row["task"] for row in b.history]
+    assert [row["adapt"] for row in a.history] != \
+        [row["adapt"] for row in b.history]
+    assert ev_a.per_episode_correct == ev_b.per_episode_correct
 
 
 def test_history_and_metrics_file_agree(tmp_path):
@@ -345,6 +373,20 @@ def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
     kwargs.update(override)
     with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
         runner.evaluate(manifest, mdl, cfg, **kwargs)
+    assert not sampled
+
+
+@pytest.mark.parametrize("compute_losses", [False, True])
+def test_evaluate_rejects_an_unknown_split(monkeypatch, compute_losses):
+    manifest = tiny_manifest()
+    cfg = tiny_config()
+    mdl = runner.build_model(manifest, cfg)
+    sampled = []
+    monkeypatch.setattr(runner, "sample_episode",
+                        lambda *a, **k: sampled.append(a))
+    with pytest.raises(ConfigError, match="unknown split 'bogus'"):
+        runner.evaluate(manifest, mdl, cfg, episodes=2, split="bogus",
+                        compute_losses=compute_losses)
     assert not sampled
 
 
