@@ -45,8 +45,7 @@ print(f"4x4 matrix          {len(paths)} monotone paths, "
 
 with T.precision("float64"):
     for gamma in (10.0, 1.0, 0.1, 0.01, 0.001):
-        cfg = metric.AlignmentConfig(gamma=gamma, bidirectional=False)
-        soft = float(metric.otam_distance(Tensor(costs), cfg).data)
+        soft = float(metric.otam_distance(Tensor(costs), gamma).data)
         print(f"gamma {gamma:>6}        soft score {soft:8.4f}   "
               f"gap to cheapest {soft - min(paths):+.2e}")
 
@@ -54,17 +53,20 @@ with T.precision("float64"):
 # to every cell says how much each frame pairing participates
 with Tape():
     cell = Tensor(costs, requires_grad=True)
-    score = metric.otam_distance(cell, metric.AlignmentConfig(
-        gamma=0.1, bidirectional=False))
+    score = metric.otam_distance(cell, gamma=0.1)
 backward(score)
 print("participation weights (rows: query frames, cols: support frames)")
 for row in cell.grad:
     print("   " + "  ".join(f"{v:5.2f}" for v in row))
 
-# frame-level use: cosine costs between two random videos, scored both
-# ways and averaged, exactly as classification does it
+# frame-level use: cosine costs between two random videos, as
+# classification scores them. Right and down moves swap under transpose,
+# so the transposed matrix costs exactly the same, and one orientation is
+# the whole score.
 a = Tensor(rng.standard_normal((5, 8)))
-b = Tensor(rng.standard_normal((5, 8)))
+b = Tensor(rng.standard_normal((6, 8)))
 C = metric.cost_matrix(a, b)
-both = metric.otam_distance(C, metric.AlignmentConfig(gamma=0.1))
-print(f"video pair          bidirectional distance {float(both.data):.4f}")
+ab = metric.otam_distance(C, gamma=0.1)
+ba = metric.otam_distance(Tensor(C.data.T), gamma=0.1)
+print(f"video pair          distance {float(ab.data):.4f}, transposed "
+      f"{float(ba.data):.4f}, same bits = {bool(ab.data == ba.data)}")

@@ -26,8 +26,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
-               "false": False, "0": False, "no": False, "off": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,10 +43,6 @@ def _coerce(name: str, raw) -> object:
     ftype = _RUN_FIELDS[name].type
     text = raw.strip()
     try:
-        if ftype == "bool":
-            if text.lower() not in _BOOL_WORDS:
-                raise ValueError(text)
-            return _BOOL_WORDS[text.lower()]
         if ftype == "int":
             return int(text)
         if ftype == "float":

@@ -1,11 +1,18 @@
 """Temporal alignment scoring between enhanced frame sequences.
 
 Per-frame-pair costs (1 - cosine) feed a soft-minimum dynamic program
-over monotone alignment paths (moves: right, down, diagonal; fixed
-corners, optional free start/end along the query axis). The soft minimum
-is a log-sum-exp at temperature gamma, so the score is differentiable
-and converges to the exact minimal path cost as gamma shrinks. This is
-OTAM's scoring rule (Cao et al. 2020, arXiv:1906.11415).
+over monotone alignment paths from the first frame pair to the last
+(moves: right, down, diagonal). The soft minimum is a log-sum-exp at
+temperature gamma, so the score is differentiable and converges to the
+exact minimal path cost as gamma shrinks. This is OTAM's scoring rule
+(Cao et al. 2020, arXiv:1906.11415).
+
+OTAM and CLIP-FSAR (Wang et al. 2023, arXiv:2301.07944) average the
+score over the cost matrix and its transpose because their path set is
+asymmetric. This move set maps onto itself under transpose (right and
+down swap, diagonal stays), and each cell's soft minimum adds its left
+and up candidates in either order to the same bits, so
+cost(C^T) == cost(C) exactly and one orientation is the whole score.
 
 Sign convention: alignment yields a cost; the model negates the
 combined cost into a similarity so that the classification softmax
@@ -34,16 +41,11 @@ E[pred] += E[cell] * W[cell, dir], and dL/dC = E. Reusing the stored
 weights instead of recomputing them from the table, as
 exp((R[cell] - C[cell] - R[pred]) / gamma), avoids cancellation between
 nearly equal path costs, which loses float32 gradient accuracy.
-
-Both orientations of a bidirectional score and the relaxed-ends zero
-padding fold into the same op; when the two orientations have the same
-shape they run as one stacked batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,27 +54,6 @@ from .errors import ConfigError, DomainError, ShapeError
 from .tensor import Tensor, _unbroadcast
 
 BIG = 1e30
-
-
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Soft-alignment settings.
-
-    gamma: soft-min temperature (smaller is closer to the hard minimum).
-    bidirectional: average the score over the cost matrix and its
-        transpose.
-    relaxed_ends: pad zero-cost columns on the query axis so paths may
-        start and end anywhere along it.
-    """
-
-    gamma: float = 0.1
-    bidirectional: bool = True
-    relaxed_ends: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be positive and finite, "
-                              f"got {self.gamma}")
 
 
 def cost_matrix(a: Tensor, b: Tensor) -> Tensor:
@@ -182,13 +163,16 @@ def _soft_dp_backward(W: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
     return E[rows + cols + 1, :, rows + 1].transpose(2, 0, 1)
 
 
-def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
+def otam_distance(C: Tensor, gamma: float = 0.1) -> Tensor:
     """Soft alignment cost of one (m, n) matrix or a (..., m, n) batch.
 
     Returns a scalar for a single matrix and one cost per matrix, in the
-    batch's leading shape, for a batch. The whole alignment, both
-    orientations included, is one tape node.
+    batch's leading shape, for a batch: one ``_soft_dp`` call and one
+    tape node. ``gamma`` is the soft-min temperature (smaller is closer
+    to the hard minimum) and must be positive and finite.
     """
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
     if C.size == 0:
         raise ShapeError("otam_distance: empty cost matrix")
     if C.ndim < 2:
@@ -197,35 +181,11 @@ def otam_distance(C: Tensor, cfg: AlignmentConfig = AlignmentConfig()) -> Tensor
     # and that cycle would keep every tape alive until a full collection
     shape = C.shape
     X = C.data.reshape((-1,) + shape[-2:])
-    batch = X.shape[0]
-    views = [X, X.transpose(0, 2, 1)] if cfg.bidirectional else [X]
-    if cfg.relaxed_ends:
-        # zero-cost columns before and after the query axis
-        views = [np.pad(V, ((0, 0), (0, 0), (1, 1))) for V in views]
-    if len(views) == 2 and views[0].shape == views[1].shape:
-        groups = [np.concatenate(views)]
-    else:
-        groups = views
     keep = C.requires_grad and T.active_tape() is not None
-    runs = [_soft_dp(V, cfg.gamma, keep) for V in groups]
-    costs = np.concatenate([cost for cost, _ in runs])
-    dist = costs if len(views) == 1 else (costs[:batch] + costs[batch:]) * 0.5
+    dist, W = _soft_dp(X, gamma, keep)
 
     def bwd(g):
-        share = np.reshape(g, (batch,))
-        if len(views) == 2:
-            share = share * 0.5
-        per_view = []
-        for V, (_, W) in zip(groups, runs):
-            dV = _soft_dp_backward(W, np.tile(share, len(V) // batch),
-                                   V.shape)
-            per_view += [dV[i:i + batch] for i in range(0, len(V), batch)]
-        if cfg.relaxed_ends:
-            per_view = [d[:, :, 1:-1] for d in per_view]
-        dC = per_view[0]
-        if len(views) == 2:
-            dC = dC + per_view[1].transpose(0, 2, 1)
-        return (dC.reshape(shape),)
+        dX = _soft_dp_backward(W, np.reshape(g, (len(X),)), X.shape)
+        return (dX.reshape(shape),)
 
     return T._record(dist.reshape(shape[:-2]), (C,), bwd)
-

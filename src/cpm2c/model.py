@@ -41,7 +41,6 @@ import numpy as np
 from . import cpm, metric, objective, tensor as T
 from .data import EpisodeBatch, keyed_rng
 from .errors import ConfigError, ProtocolError
-from .metric import AlignmentConfig
 from .motion import motion_features
 from .nn import PhiStack, _join
 from .objective import LossWeights
@@ -51,6 +50,10 @@ _INIT_TAG = 8
 
 # the adaptation temperature a model starts from
 _INIT_TEMPERATURE = 0.1
+
+# attention heads of each branch's transformer; the feature dim must be a
+# multiple of this
+HEADS = 8
 
 # Episodes per ``map_blocks`` block, and the most support videos that
 # ``score_episodes`` enhances in one pass. On 5-way 5-shot evaluation at
@@ -80,21 +83,21 @@ class Model:
 
     The normal branch runs on sequences of length ``frames`` plus the
     token row; the motion branch on length ``frames - 1`` plus the token
-    row. Each branch's FFN is 4 * dim wide and Phi has two blocks. The
+    row. Each branch's transformer has ``HEADS`` attention heads and a
+    4 * dim wide FFN, and Phi has two blocks. The
     adaptation temperature is parameterized in log space so it stays
     positive under unconstrained updates; it starts at
     ``_INIT_TEMPERATURE``.
     """
 
-    def __init__(self, dim: int, frames: int, num_heads: int = 8,
-                 seed: int = 0):
+    def __init__(self, dim: int, frames: int, seed: int = 0):
         if frames < 2:
             raise ConfigError(f"model needs at least 2 frames, got {frames}")
         self.dim = dim
         self.frames = frames
-        self.normal = cpm.CpmBranch(frames + 1, dim, num_heads,
+        self.normal = cpm.CpmBranch(frames + 1, dim, HEADS,
                                     rng=keyed_rng(seed, _INIT_TAG, 0))
-        self.motion = cpm.CpmBranch(frames, dim, num_heads,
+        self.motion = cpm.CpmBranch(frames, dim, HEADS,
                                     rng=keyed_rng(seed, _INIT_TAG, 1))
         self.phi = PhiStack(dim, 2, rng=keyed_rng(seed, _INIT_TAG, 2))
         self.log_temperature = Tensor(math.log(_INIT_TEMPERATURE),
@@ -183,7 +186,7 @@ def _similarity(dists, names, alpha: float) -> Tensor:
     return T._record(-total, dists, bwd)
 
 
-def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
+def _tail(pairs, gamma: float, alpha: float, way: int,
           queries_per_class: int):
     """(name, prototypes, queries) per used branch, normal first ->
     the (E, Q, N) probability tensor and one EpisodeResult per episode.
@@ -191,7 +194,7 @@ def _tail(pairs, align: AlignmentConfig, alpha: float, way: int,
     Prototypes are (E, 1, N, L, D) and queries (E, Q, 1, L, D) frame
     rows: the cost call broadcasts them into every pair without copies,
     with prototype rows as the first alignment axis."""
-    dists = [metric.otam_distance(metric.cost_matrix(protos, queries), align)
+    dists = [metric.otam_distance(metric.cost_matrix(protos, queries), gamma)
              for _, protos, queries in pairs]
     sims = _similarity(dists, [name for name, _, _ in pairs], alpha)
     probs = T.softmax(sims, axis=-1)
@@ -257,9 +260,8 @@ def _branch_pass(branch, frames, tokens, n, k, train):
 
 def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
                     episode_index: int, weights: LossWeights = LossWeights(),
-                    align: AlignmentConfig = AlignmentConfig(),
-                    alpha: float = 1.0, ablation: Ablation = Ablation(),
-                    bank=None, train: bool = False,
+                    gamma: float = 0.1, alpha: float = 1.0,
+                    ablation: Ablation = Ablation(), bank=None, train: bool = False,
                     consistency_reduction: str = "sum") -> EpisodeResult:
     """Run one episode through the full pipeline, losses included.
 
@@ -290,7 +292,7 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
         pairs.append((name, protos, queries))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
-    probs, (result,) = _tail(pairs, align, alpha, n, p)
+    probs, (result,) = _tail(pairs, gamma, alpha, n, p)
 
     task = objective.task_loss(T.reshape(probs, (n * p, n)), labels)
     consistency = con_sum
@@ -392,7 +394,7 @@ def _support_features(model: Model, episodes, branches):
 
 
 def _score_block(model: Model, episodes, indices, support_rows,
-                 support, branches, run_seed: int, align: AlignmentConfig,
+                 support, branches, run_seed: int, gamma: float,
                  alpha: float):
     """Score a block of same-shaped episodes against their prototypes."""
     n, k, p = episodes[0].way, episodes[0].shot, episodes[0].queries_per_class
@@ -413,12 +415,12 @@ def _score_block(model: Model, episodes, indices, support_rows,
         pairs.append((name,
                       Tensor(protos.reshape(count, 1, n, length, dim)),
                       Tensor(queries.reshape(count, q, 1, length, dim))))
-    return _tail(pairs, align, alpha, n, p)[1]
+    return _tail(pairs, gamma, alpha, n, p)[1]
 
 
 def score_episodes(model: Model, episodes, indices, *, run_seed: int,
-                   align: AlignmentConfig = AlignmentConfig(),
-                   alpha: float = 1.0, ablation: Ablation = Ablation(),
+                   gamma: float = 0.1, alpha: float = 1.0,
+                   ablation: Ablation = Ablation(),
                    workers: int = 1) -> list:
     """Class probabilities of every episode, in eval mode, without losses.
 
@@ -449,5 +451,5 @@ def score_episodes(model: Model, episodes, indices, *, run_seed: int,
     return map_blocks(
         lambda lo, hi: _score_block(model, episodes[lo:hi], indices[lo:hi],
                                     support_rows[lo:hi], support, branches,
-                                    run_seed, align, alpha),
+                                    run_seed, gamma, alpha),
         len(episodes), workers)

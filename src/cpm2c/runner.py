@@ -33,8 +33,7 @@ from . import tensor as T
 from .data import SPLITS, DatasetManifest, episode_rng, keyed_rng, \
     sample_episode, write_manifest
 from .errors import ConfigError, DataError, NumericalError
-from .metric import AlignmentConfig
-from .model import Ablation, Model, episode_forward, map_blocks, \
+from .model import HEADS, Ablation, Model, episode_forward, map_blocks, \
     score_episodes
 from .nn import Adam, apply_state, load_checkpoint, save_checkpoint
 from .objective import LossWeights
@@ -73,14 +72,11 @@ class RunConfig:
     seed: int = 0
     alpha: float = 1.0
     gamma: float = 0.1
-    bidirectional: bool = True
-    relaxed_ends: bool = False
     lam_adapt: float = 1.0
     lam_task: float = 1.0
     lam_consistency: float = 1.0
     consistency_reduction: str = "sum"
     preset: str = "full"
-    num_heads: int = 8
     workers: int = 1
     eval_split: str = "val"
     eval_episodes: int = 200
@@ -90,10 +86,14 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("way", "shot", "queries", "window", "workers",
-                     "num_heads", "eval_episodes", "log_every"):
+                     "eval_episodes", "log_every"):
             _at_least(name, getattr(self, name), 1)
         for name in ("steps", "seed", "eval_start"):
             _at_least(name, getattr(self, name), 0)
+        if self.consistency_reduction not in ("sum", "mean"):
+            raise ConfigError(f"unknown consistency_reduction "
+                              f"{self.consistency_reduction!r}; choose from "
+                              f"['mean', 'sum']")
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
                               f"{sorted(PRESETS)}")
@@ -104,16 +104,14 @@ class RunConfig:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be >= 0 and finite, "
                               f"got {self.alpha}")
-        self.weights()                   # each checks its own fields
-        self.align()
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be positive and finite, "
+                              f"got {self.gamma}")
+        self.weights()                   # checks its own fields
 
     def weights(self) -> LossWeights:
         return LossWeights(self.lam_adapt, self.lam_task,
                            self.lam_consistency)
-
-    def align(self) -> AlignmentConfig:
-        return AlignmentConfig(self.gamma, self.bidirectional,
-                               self.relaxed_ends)
 
     def ablation(self) -> Ablation:
         return PRESETS[self.preset]
@@ -129,8 +127,10 @@ def manifest_shape(manifest: DatasetManifest):
 
 def build_model(manifest: DatasetManifest, cfg: RunConfig) -> Model:
     frames, dim = manifest_shape(manifest)
-    return Model(dim=dim, frames=frames, num_heads=cfg.num_heads,
-                 seed=cfg.seed)
+    if dim % HEADS:
+        raise DataError(f"feature dim {dim} is not a multiple of the "
+                        f"model's {HEADS} attention heads")
+    return Model(dim=dim, frames=frames, seed=cfg.seed)
 
 
 def restore_model(mdl: Model, path) -> None:
@@ -138,7 +138,7 @@ def restore_model(mdl: Model, path) -> None:
 
 
 def _episode_kwargs(cfg: RunConfig):
-    return dict(weights=cfg.weights(), align=cfg.align(), alpha=cfg.alpha,
+    return dict(weights=cfg.weights(), gamma=cfg.gamma, alpha=cfg.alpha,
                 ablation=cfg.ablation(),
                 consistency_reduction=cfg.consistency_reduction)
 
@@ -370,7 +370,7 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
         results = map_blocks(with_losses, episodes, workers)
     else:
         results = score_episodes(mdl, sampled, indices, run_seed=cfg.seed,
-                                 align=cfg.align(), alpha=cfg.alpha,
+                                 gamma=cfg.gamma, alpha=cfg.alpha,
                                  ablation=cfg.ablation(), workers=workers)
 
     correct = 0

@@ -69,7 +69,7 @@ import numpy as np
 from cpm2c import cpm, metric, model, nn, objective, tensor as T
 from cpm2c.errors import DomainError, NumericalError, ProtocolError, \
     ShapeError
-from cpm2c.metric import BIG, AlignmentConfig
+from cpm2c.metric import BIG
 from cpm2c.motion import motion_features
 from cpm2c.tensor import Tensor
 
@@ -130,22 +130,13 @@ def _soft_dp(C: Tensor, gamma: float) -> Tensor:
     return T.reshape(T.slice_axis(prev1, 1, m - 1, m), (batch,))
 
 
-def taped_otam_distance(C: Tensor,
-                        cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
-    """Same contract as ``metric.otam_distance``, recorded cell by cell."""
+def taped_otam_distance(C: Tensor, gamma: float = 0.1) -> Tensor:
+    """Same contract as ``metric.otam_distance`` on one matrix or a
+    (B, m, n) batch, recorded cell by cell."""
     single = C.ndim == 2
     if single:
         C = T.reshape(C, (1,) + C.shape)
-
-    def one_direction(X):
-        if cfg.relaxed_ends:
-            pad = Tensor(np.zeros((X.shape[0], X.shape[1], 1)))
-            X = T.concat([pad, X, pad], axis=2)
-        return _soft_dp(X, cfg.gamma)
-
-    dist = one_direction(C)
-    if cfg.bidirectional:
-        dist = T.scale(T.add(dist, one_direction(T.transpose(C, 1, 2))), 0.5)
+    dist = _soft_dp(C, gamma)
     return T.reshape(dist, ()) if single else dist
 
 
@@ -473,28 +464,27 @@ def build_prototype(real_supports) -> Tensor:
 
 
 def combined_distance(normal_s, normal_q, motion_s, motion_q, alpha: float,
-                      cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
+                      gamma: float = 0.1) -> Tensor:
     """Similarity of one prototype and one query: the negated sum of the
     normal alignment cost and alpha times the motion one, token rows
     dropped. An absent branch passes None for both its features."""
     total = None
     if normal_s is not None:
         total = metric.otam_distance(metric.cost_matrix(
-            _frame_rows(normal_s), _frame_rows(normal_q)), cfg)
+            _frame_rows(normal_s), _frame_rows(normal_q)), gamma)
     if motion_s is not None:
         dm = T.scale(metric.otam_distance(metric.cost_matrix(
-            _frame_rows(motion_s), _frame_rows(motion_q)), cfg), alpha)
+            _frame_rows(motion_s), _frame_rows(motion_q)), gamma), alpha)
         total = dm if total is None else T.add(total, dm)
     return T.neg(total)
 
 
-def classify(query, prototypes, alpha: float,
-             cfg: AlignmentConfig = AlignmentConfig()) -> Tensor:
+def classify(query, prototypes, alpha: float, gamma: float = 0.1) -> Tensor:
     """Class probabilities of one (normal, motion) query: a softmax over
     its similarities to each (normal, motion) prototype."""
     normal_q, motion_q = query
     sims = [combined_distance(proto_n, normal_q, proto_m, motion_q, alpha,
-                              cfg)
+                              gamma)
             for proto_n, proto_m in prototypes]
     stacked = T.concat([T.reshape(s, (1,)) for s in sims], axis=0)
     return T.softmax(stacked, axis=-1)
@@ -513,8 +503,7 @@ def reverse_sensitivity_check(phi: nn.PhiStack, frames: Tensor,
 # per-episode scoring and losses
 
 
-def pair_distances(protos: Tensor, queries: Tensor,
-                   align: AlignmentConfig) -> Tensor:
+def pair_distances(protos: Tensor, queries: Tensor, gamma: float) -> Tensor:
     """Alignment cost of every query against every prototype -> (Q, N).
 
     All Q x N cost matrices run through one batched DP; entry (q, c) uses
@@ -524,13 +513,12 @@ def pair_distances(protos: Tensor, queries: Tensor,
     q, lq = queries.shape[0], queries.shape[1]
     pe = T.reshape(broadcast_repeat(protos, 0, q), (q * n, lp, dim))
     qe = T.reshape(broadcast_repeat(queries, 1, n), (q * n, lq, dim))
-    dists = metric.otam_distance(taped_cost_matrix(pe, qe), align)
+    dists = metric.otam_distance(taped_cost_matrix(pe, qe), gamma)
     return T.reshape(dists, (q, n))
 
 
 def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
-                       episode_index: int,
-                       align: AlignmentConfig = AlignmentConfig(),
+                       episode_index: int, gamma: float = 0.1,
                        alpha: float = 1.0,
                        ablation: model.Ablation = model.Ablation()):
     """Same contract as ``score_episodes(mdl, [episode], [index])[0]``,
@@ -554,7 +542,7 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
         seq, dim = real.shape[1], real.shape[2]
         protos = T.reduce_mean(T.reshape(real, (n, k, seq, dim)), axis=1)
         return pair_distances(_frame_rows(protos), _frame_rows(queries),
-                              align)
+                              gamma)
 
     total_cost = None
     if ablation.use_normal:
@@ -620,8 +608,7 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
                        episode_index: int,
                        weights: objective.LossWeights =
                        objective.LossWeights(),
-                       align: AlignmentConfig = AlignmentConfig(),
-                       alpha: float = 1.0,
+                       gamma: float = 0.1, alpha: float = 1.0,
                        ablation: model.Ablation = model.Ablation(),
                        bank=None, train: bool = False,
                        consistency_reduction: str = "sum"):
@@ -641,7 +628,7 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
         protos, queries, con_sum, con_numel = _branch_pass(
             mdl.normal, frames, prompts_np, fakes, n, k, train)
         total_cost = pair_distances(_frame_rows(protos),
-                                    _frame_rows(queries), align)
+                                    _frame_rows(queries), gamma)
     if ablation.use_motion:
         motion_frames = taped_motion_features(mdl.phi, frames, train=train)
         fakes = model._fake_tokens(mdl.dim, run_seed, episode_index, n * k,
@@ -649,7 +636,7 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
         protos, queries, con, numel = _branch_pass(
             mdl.motion, motion_frames, prompts_np, fakes, n, k, train)
         dists = T.scale(pair_distances(_frame_rows(protos),
-                                       _frame_rows(queries), align), alpha)
+                                       _frame_rows(queries), gamma), alpha)
         total_cost = dists if total_cost is None else T.add(total_cost, dists)
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel

@@ -89,7 +89,6 @@ def _enumerate_path_costs(costs):
 
 def test_soft_alignment_tracks_enumerated_minimum(capsys):
     rng = np.random.default_rng(7)
-    cfg = metric.AlignmentConfig(gamma=1e-3, bidirectional=False)
     worst_excess = -np.inf
     worst_gap = 0.0
     with T.precision("float64"):
@@ -99,7 +98,7 @@ def test_soft_alignment_tracks_enumerated_minimum(capsys):
             else:
                 m, n = (int(v) for v in rng.integers(1, 5, size=2))
             costs = rng.uniform(0.0, 2.0, size=(m, n))
-            soft = float(metric.otam_distance(Tensor(costs), cfg).data)
+            soft = float(metric.otam_distance(Tensor(costs), 1e-3).data)
             totals = _enumerate_path_costs(costs)
             gap = abs(soft - min(totals))
             bound = 1e-3 * math.log(len(totals)) + 1e-12  # float slack
@@ -117,7 +116,7 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
     cfg = runner.RunConfig(way=5, shot=1, queries=1, seed=0)
     mdl = runner.build_model(static_manifest, cfg)
     _, bank_mat = static_manifest.prompt_bank("train")
-    kwargs = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+    kwargs = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
     worst_cls = 0.0
     worst_dam = 0.0

@@ -49,15 +49,6 @@ def test_env_seed_fallback(monkeypatch):
         cli.build_run_config(run_args(["train", "--manifest", "x"]))
 
 
-def test_boolean_and_optional_coercion():
-    cfg = cli.build_run_config(run_args(
-        ["train", "--manifest", "x", "--bidirectional", "false"]))
-    assert cfg.bidirectional is False
-    cfg = cli.build_run_config(run_args(
-        ["train", "--manifest", "x", "--bidirectional", "On"]))
-    assert cfg.bidirectional is True
-
-
 def test_unknown_config_key_rejected(tmp_path):
     cfile = tmp_path / "bad.cfg"
     cfile.write_text("warp_factor = 9\n")
@@ -83,6 +74,23 @@ def test_removed_config_key_is_unknown(tmp_path, capsys):
     code = cli.main(["train", "--manifest", "x", "--config", str(cfile)])
     assert code == 1
     assert "unknown setting 'temperature'" in capsys.readouterr().err
+
+
+def test_alignment_and_head_settings_are_gone(tmp_path, capsys):
+    # one alignment orientation, fixed ends and 8 heads are built in
+    for flag in ("--bidirectional", "--relaxed-ends", "--num-heads"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--manifest", "x", flag, "1"])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in stderr
+        assert "Traceback" not in stderr
+        key = flag[2:].replace("-", "_")
+        cfile = tmp_path / f"{key}.cfg"
+        cfile.write_text(f"{key} = 1\n")
+        code = cli.main(["train", "--manifest", "x", "--config", str(cfile)])
+        assert code == 1
+        assert f"unknown setting {key!r}" in capsys.readouterr().err
 
 
 def test_malformed_config_line_rejected(tmp_path):
@@ -121,7 +129,7 @@ def test_corrupt_checkpoint_exits_two(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a checkpoint")
     code = cli.main(["eval", "--manifest", index, "--checkpoint", str(bad),
-                     "--way", "2", "--num-heads", "2"])
+                     "--way", "2"])
     assert code == 2
 
 
@@ -129,7 +137,7 @@ def test_non_utf8_checkpoint_entry_name_exits_two(tmp_path, capsys):
     index = make_tiny_manifest(tmp_path)
     out = str(tmp_path / "run")
     assert cli.main(["train", "--manifest", index, "--out", out,
-                     "--steps", "0", "--way", "2", "--num-heads", "2"]) == 0
+                     "--steps", "0", "--way", "2"]) == 0
     path = os.path.join(out, "checkpoint.bin")
     blob = bytearray(open(path, "rb").read())
     blob[len(nn.CHECKPOINT_MAGIC) + 12] = 0xFF   # first byte of entry 0's name
@@ -137,7 +145,7 @@ def test_non_utf8_checkpoint_entry_name_exits_two(tmp_path, capsys):
         fh.write(blob)
     capsys.readouterr()
     code = cli.main(["eval", "--manifest", index, "--checkpoint", path,
-                     "--way", "2", "--num-heads", "2"])
+                     "--way", "2"])
     assert code == 2
     assert "not UTF-8" in capsys.readouterr().err
 
@@ -163,7 +171,7 @@ def test_corrupt_file_exits_two(tmp_path, capsys, target, corrupt, message):
     index = make_tiny_manifest(tmp_path)
     run_dir = str(tmp_path / "run")
     assert cli.main(["train", "--manifest", index, "--out", run_dir,
-                     "--steps", "0", "--way", "2", "--num-heads", "2"]) == 0
+                     "--steps", "0", "--way", "2"]) == 0
     checkpoint = os.path.join(run_dir, "checkpoint.bin")
     path = checkpoint if target == "checkpoint.bin" else \
         os.path.join(os.path.dirname(index), target)
@@ -173,7 +181,7 @@ def test_corrupt_file_exits_two(tmp_path, capsys, target, corrupt, message):
         fh.write(corrupt(blob))
     capsys.readouterr()
     code = cli.main(["eval", "--manifest", index, "--checkpoint", checkpoint,
-                     "--way", "2", "--num-heads", "2"])
+                     "--way", "2"])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -189,8 +197,7 @@ def test_non_integer_index_field_exits_two(tmp_path, capsys, field, value):
     lines[0] = json.dumps(row)
     with open(index, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    code = cli.main(["eval", "--manifest", index, "--way", "2",
-                     "--num-heads", "2"])
+    code = cli.main(["eval", "--manifest", index, "--way", "2"])
     assert code == 2
     err = capsys.readouterr().err
     assert "line 1" in err and f"{field}={value!r}" in err
@@ -219,8 +226,7 @@ def test_feature_file_outside_data_directory_exits_two(tmp_path, capsys,
         (tmp_path / "synth" / first["feature_file"]).read_bytes())
     target = str(outside) if absolute else "../outside.bin"
     _rewrite_first_row(index, feature_file=target)
-    code = cli.main(["eval", "--manifest", index, "--way", "2",
-                     "--num-heads", "2"])
+    code = cli.main(["eval", "--manifest", index, "--way", "2"])
     assert code == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "not inside the data directory" in err
@@ -253,10 +259,31 @@ def test_video_id_naming_the_prompt_sidecar_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_feature_dim_the_heads_cannot_split_exits_two(tmp_path, capsys):
+    index = make_tiny_manifest(tmp_path, dim=12)
+    for argv in (["train", "--steps", "1"], ["eval"], ["gradcheck"]):
+        code = cli.main(argv[:1] + ["--manifest", index, "--way", "2"]
+                        + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert "dim 12" in err and "8 attention heads" in err
+
+
+def test_unknown_consistency_reduction_exits_one_before_loading(capsys):
+    # scoring without losses never reads the reduction, so only the
+    # config check can catch it; a missing manifest would exit 2
+    code = cli.main(["eval", "--manifest", "/nonexistent/index.jsonl",
+                     "--consistency-reduction", "median"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'median'" in err
+
+
 def test_gradcheck_impossible_tolerance_exits_three(tmp_path, capsys):
     index = make_tiny_manifest(tmp_path)
     code = cli.main(["gradcheck", "--manifest", index, "--coords", "1",
-                     "--tolerance", "0", "--way", "2", "--num-heads", "2"])
+                     "--tolerance", "0", "--way", "2"])
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
 
@@ -269,8 +296,7 @@ def test_train_eval_gradcheck_roundtrip(tmp_path, capsys):
     index = make_tiny_manifest(tmp_path)
     out = str(tmp_path / "run")
     code = cli.main(["train", "--manifest", index, "--out", out,
-                     "--steps", "2", "--way", "2", "--num-heads", "2",
-                     "--log-every", "1"])
+                     "--steps", "2", "--way", "2", "--log-every", "1"])
     assert code == 0
     shown = capsys.readouterr().out
     assert "checkpoint" in shown and "step" in shown
@@ -279,14 +305,14 @@ def test_train_eval_gradcheck_roundtrip(tmp_path, capsys):
 
     code = cli.main(["eval", "--manifest", index, "--checkpoint",
                      os.path.join(out, "checkpoint.bin"), "--way", "2",
-                     "--num-heads", "2", "--eval-episodes", "4",
+                     "--eval-episodes", "4",
                      "--eval-split", "train", "--losses"])
     assert code == 0
     shown = capsys.readouterr().out
     assert "accuracy" in shown and "mean losses" in shown
 
     code = cli.main(["gradcheck", "--manifest", index, "--coords", "2",
-                     "--way", "2", "--num-heads", "2"])
+                     "--way", "2"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
 
@@ -332,8 +358,6 @@ _OUT_OF_RANGE = [
     (["make-synth", "--seed", "-1"], None),
     (["make-synth"], "-1"),
     (["train", "--log-every", "0"], None),
-    (["train", "--num-heads", "0"], None),
-    (["train", "--num-heads", "-2"], None),
     (["eval", "--eval-episodes", "0"], None),
     (["eval", "--eval-episodes", "-3"], None),
     (["eval", "--eval-split", "bogus"], None),
@@ -358,8 +382,8 @@ def test_out_of_range_setting_exits_one(tiny_index, tmp_path, monkeypatch,
         base = ["--out", str(tmp_path / "synth"), "--classes", "4",
                 "--dim", "8", "--frames", "4"]
     else:
-        base = ["--manifest", tiny_index, "--way", "2", "--num-heads", "2",
-                "--steps", "1", "--eval-episodes", "2"]
+        base = ["--manifest", tiny_index, "--way", "2", "--steps", "1",
+                "--eval-episodes", "2"]
     assert cli.main(argv[:1] + base + argv[1:]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err

@@ -15,7 +15,8 @@ DEMOS = ["01_autodiff_tape.py", "02_consistency_prototypes.py",
          "03_motion_compensation.py", "04_temporal_alignment.py"]
 # a line each demo must print: the outcome of the check it narrates
 CLAIMS = {"02_consistency_prototypes.py": "prototype == mean   True",
-          "03_motion_compensation.py": "rows reversed = True"}
+          "03_motion_compensation.py": "rows reversed = True",
+          "04_temporal_alignment.py": "same bits = True"}
 
 
 @pytest.mark.parametrize("name", DEMOS)

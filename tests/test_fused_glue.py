@@ -173,7 +173,7 @@ def test_training_episode_tape_is_freed_without_garbage_collection():
     # refer back to its tape and keep it alive until a full collection
     synth = data.SyntheticConfig(num_classes=8, dim=8, frames=4, seed=3)
     manifest = data.build_synthetic_manifest(synth, videos_per_class=3)
-    mdl = model.Model(dim=8, frames=4, num_heads=2, seed=11)
+    mdl = model.Model(dim=8, frames=4, seed=11)
     episode = data.sample_episode(manifest, data.episode_rng(5, 0), 3, 1, 1,
                                   "train")
     gc.disable()

@@ -187,7 +187,7 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
                                       1, "train")
 
         def run():
-            mdl = model.Model(dim=16, frames=8, num_heads=4, seed=11)
+            mdl = model.Model(dim=16, frames=8, seed=11)
             rng = np.random.default_rng(12)
             for branch in (mdl.normal, mdl.motion):
                 block = branch.transformer

@@ -9,7 +9,6 @@ import pytest
 from cpm2c import cpm, data, model, motion, nn, objective, \
     runner, tensor as T
 from cpm2c.errors import ConfigError, ProtocolError
-from cpm2c.metric import AlignmentConfig
 from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
 from oracles import (build_prototype, classify, consistency_loss,
@@ -22,14 +21,14 @@ def float64_mode():
         yield
 
 
-ALIGN = AlignmentConfig(gamma=0.1)
+GAMMA = 0.1
 
 
 def tiny_setup(way=2, shot=2, queries=1, seed=3):
     cfg = data.SyntheticConfig(num_classes=4, dim=8, frames=4, scale=1.0,
                                sigma=0.3, seed=seed)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=4)
-    mdl = model.Model(dim=8, frames=4, num_heads=2, seed=11)
+    mdl = model.Model(dim=8, frames=4, seed=11)
     episode = data.sample_episode(manifest, data.episode_rng(5, 0), way,
                                   shot, queries, "train")
     return manifest, mdl, episode
@@ -70,14 +69,14 @@ def reference_probs(mdl, episode, run_seed, episode_index, alpha,
                 fake = fakes["motion"][vid]
                 qm = query_feature(
                     mdl.motion, motion.motion_features(mdl.phi, frames), fake)
-            rows.append(classify((qn, qm), protos, alpha, ALIGN).data)
+            rows.append(classify((qn, qm), protos, alpha, GAMMA).data)
     return np.stack(rows)
 
 
 def test_probability_rows_sum_to_one():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, bank=manifest.prompt_bank())
+                                gamma=GAMMA, bank=manifest.prompt_bank())
     assert res.probabilities.shape == (2, 2)
     assert np.allclose(res.probabilities.sum(axis=1), 1.0, atol=1e-6)
     assert res.loss is not None
@@ -86,7 +85,7 @@ def test_probability_rows_sum_to_one():
 
 def test_batched_probabilities_match_per_pair_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
                                alpha=0.7)[0]
     ref = reference_probs(mdl, episode, 5, 0, 0.7)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
@@ -94,7 +93,7 @@ def test_batched_probabilities_match_per_pair_reference():
 
 def test_normal_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
                                alpha=1.0,
                                ablation=model.Ablation(use_motion=False))[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
@@ -103,7 +102,7 @@ def test_normal_only_matches_reference():
 
 def test_motion_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
                                alpha=1.0,
                                ablation=model.Ablation(use_normal=False))[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_normal=False)
@@ -112,7 +111,7 @@ def test_motion_only_matches_reference():
 
 def test_alpha_zero_ignores_motion_distances():
     _, mdl, episode = tiny_setup()
-    both = model.score_episodes(mdl, [episode], [0], run_seed=5, align=ALIGN,
+    both = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
                                 alpha=0.0)[0]
     ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
     assert np.allclose(both.probabilities, ref, atol=1e-8)
@@ -121,9 +120,9 @@ def test_alpha_zero_ignores_motion_distances():
 def test_losses_flag_does_not_change_probabilities():
     manifest, mdl, episode = tiny_setup()
     with_l = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                   align=ALIGN, bank=manifest.prompt_bank())
+                                   gamma=GAMMA, bank=manifest.prompt_bank())
     without = model.score_episodes(mdl, [episode], [0], run_seed=5,
-                                   align=ALIGN)[0]
+                                   gamma=GAMMA)[0]
     assert np.allclose(with_l.probabilities, without.probabilities, atol=1e-10)
     assert without.loss is None and without.parts == {}
 
@@ -131,7 +130,7 @@ def test_losses_flag_does_not_change_probabilities():
 def test_consistency_part_matches_single_pair_loss():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, bank=manifest.prompt_bank())
+                                gamma=GAMMA, bank=manifest.prompt_bank())
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     reals, fakes = [], []
     order = [(c, rec) for c in range(n) for rec in episode.support[c]]
@@ -153,7 +152,7 @@ def test_consistency_part_matches_single_pair_loss():
 def test_task_part_is_cross_entropy_of_probabilities():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, bank=manifest.prompt_bank())
+                                gamma=GAMMA, bank=manifest.prompt_bank())
     picked = res.probabilities[np.arange(len(res.true_labels)),
                                res.true_labels]
     assert np.allclose(res.parts["task"], -np.log(picked).mean(), atol=1e-10)
@@ -162,7 +161,7 @@ def test_task_part_is_cross_entropy_of_probabilities():
 def test_adapt_part_matches_direct_dam_loss():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, bank=manifest.prompt_bank())
+                                gamma=GAMMA, bank=manifest.prompt_bank())
     ids, bank = manifest.prompt_bank()
     frames, truth = [], []
     for c in range(episode.way):
@@ -182,7 +181,7 @@ def test_total_combines_parts_with_weights():
     manifest, mdl, episode = tiny_setup()
     w = LossWeights(lam_adapt=0.5, lam_task=2.0, lam_consistency=0.25)
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                align=ALIGN, weights=w,
+                                gamma=GAMMA, weights=w,
                                 bank=manifest.prompt_bank())
     expect = (0.5 * res.parts["adapt"] + 2.0 * res.parts["task"]
               + 0.25 * res.parts["consistency"])
@@ -191,7 +190,7 @@ def test_total_combines_parts_with_weights():
 
 def test_mean_consistency_reduction_rescales():
     manifest, mdl, episode = tiny_setup()
-    kw = dict(run_seed=5, episode_index=0, align=ALIGN,
+    kw = dict(run_seed=5, episode_index=0, gamma=GAMMA,
               bank=manifest.prompt_bank())
     by_sum = model.episode_forward(mdl, episode, **kw)
     by_mean = model.episode_forward(mdl, episode,
@@ -206,7 +205,7 @@ def test_gradients_reach_every_parameter():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
         res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, align=ALIGN,
+                                    episode_index=0, gamma=GAMMA,
                                     bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     for name, p in mdl.named_parameters():
@@ -218,7 +217,7 @@ def test_disabled_motion_leaves_phi_untouched():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
         res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, align=ALIGN,
+                                    episode_index=0, gamma=GAMMA,
                                     bank=manifest.prompt_bank(), train=True,
                                     ablation=model.Ablation(use_motion=False))
     T.backward(res.loss)
@@ -240,12 +239,12 @@ def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
         manifest = data.build_synthetic_manifest(synth, videos_per_class=10)
         episode = data.sample_episode(manifest, data.episode_rng(7, 0), way,
                                       shot, queries, "train")
-        kw = dict(run_seed=7, episode_index=0, align=ALIGN, alpha=0.7,
+        kw = dict(run_seed=7, episode_index=0, gamma=GAMMA, alpha=0.7,
                   bank=manifest.prompt_bank("train"), train=train,
                   consistency_reduction="mean")
 
         def run(forward):
-            mdl = model.Model(dim=dim, frames=8, num_heads=8, seed=11)
+            mdl = model.Model(dim=dim, frames=8, seed=11)
             rng = np.random.default_rng(12)
             for branch in (mdl.normal, mdl.motion):
                 branch.transformer.attn.out = nn.Linear(dim, dim, rng)
@@ -282,12 +281,12 @@ def test_training_episode_tape_stays_small():
     cfg = data.SyntheticConfig(num_classes=20, dim=8, frames=8, scale=1.0,
                                sigma=0.3, seed=3)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
-    mdl = model.Model(dim=8, frames=8, num_heads=2, seed=11)
+    mdl = model.Model(dim=8, frames=8, seed=11)
     episode = data.sample_episode(manifest, data.episode_rng(5, 0), 5, 1, 1,
                                   "train")
     with T.Tape() as tape:
         res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, align=ALIGN,
+                                    episode_index=0, gamma=GAMMA,
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
     assert len(tape) < 100, len(tape)
@@ -300,7 +299,7 @@ def test_backward_frees_the_episode_while_its_result_lives():
     cfg = data.SyntheticConfig(num_classes=20, dim=32, frames=8, scale=1.0,
                                sigma=0.3, seed=3)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
-    mdl = model.Model(dim=32, frames=8, num_heads=2, seed=11)
+    mdl = model.Model(dim=32, frames=8, seed=11)
     bank = manifest.prompt_bank()
     episode = data.sample_episode(manifest, data.episode_rng(5, 0), 5, 1, 1,
                                   "train")
@@ -309,7 +308,7 @@ def test_backward_frees_the_episode_while_its_result_lives():
     def forward():
         with T.Tape():
             return model.episode_forward(mdl, episode, run_seed=5,
-                                         episode_index=0, align=ALIGN,
+                                         episode_index=0, gamma=GAMMA,
                                          bank=bank, train=True)
 
     T.backward(forward().loss)           # warm every cache first
@@ -345,7 +344,7 @@ def test_training_episode_enhances_once_per_branch(monkeypatch, preset):
     monkeypatch.setattr(cpm, "feature_enhance_batch", counted)
     with T.Tape():
         res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, align=ALIGN,
+                                    episode_index=0, gamma=GAMMA,
                                     bank=manifest.prompt_bank(), train=True,
                                     ablation=ablation)
     T.backward(res.loss)
@@ -360,7 +359,7 @@ def test_training_gradients_are_owned_and_distinct():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
         res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, align=ALIGN,
+                                    episode_index=0, gamma=GAMMA,
                                     bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     grads = [p.grad for _, p in mdl.named_parameters()]
@@ -373,7 +372,7 @@ def test_training_gradients_are_owned_and_distinct():
 
 def test_same_inputs_reproduce_bitwise():
     manifest, mdl, episode = tiny_setup()
-    kw = dict(run_seed=5, episode_index=0, align=ALIGN,
+    kw = dict(run_seed=5, episode_index=0, gamma=GAMMA,
               bank=manifest.prompt_bank())
     a = model.episode_forward(mdl, episode, **kw)
     b = model.episode_forward(mdl, episode, **kw)
@@ -384,22 +383,22 @@ def test_same_inputs_reproduce_bitwise():
 def test_run_seed_changes_fake_tokens_and_probabilities():
     _, mdl, episode = tiny_setup()
     a = model.score_episodes(mdl, [episode], [0], run_seed=5,
-                             align=ALIGN)[0]
+                             gamma=GAMMA)[0]
     b = model.score_episodes(mdl, [episode], [0], run_seed=6,
-                             align=ALIGN)[0]
+                             gamma=GAMMA)[0]
     assert not np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_predictions_and_correct_count_agree():
     manifest, mdl, episode = tiny_setup(way=2, shot=1, queries=2)
     res = model.score_episodes(mdl, [episode], [0], run_seed=5,
-                               align=ALIGN)[0]
+                               gamma=GAMMA)[0]
     assert np.array_equal(res.predictions, res.probabilities.argmax(axis=1))
     assert res.correct == int((res.predictions == res.true_labels).sum())
 
 
 def test_named_parameters_unique_and_complete():
-    mdl = model.Model(dim=8, frames=4, num_heads=2, seed=0)
+    mdl = model.Model(dim=8, frames=4, seed=0)
     names = [n for n, _ in mdl.named_parameters()]
     assert len(names) == len(set(names))
     assert "log_temperature" in names
@@ -411,7 +410,7 @@ def test_named_parameters_unique_and_complete():
 
 
 def test_temperature_is_exp_of_log():
-    mdl = model.Model(dim=8, frames=4, num_heads=2)
+    mdl = model.Model(dim=8, frames=4)
     assert np.allclose(mdl.temperature().data, 0.1, atol=1e-12)
     mdl.log_temperature.data = np.log(np.asarray(0.25))
     assert np.allclose(mdl.temperature().data, 0.25, atol=1e-12)
@@ -419,7 +418,7 @@ def test_temperature_is_exp_of_log():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        model.Model(dim=8, frames=1, num_heads=2)
+        model.Model(dim=8, frames=1)
     with pytest.raises(ConfigError):
         model.Ablation(use_normal=False, use_motion=False)
     _, mdl, episode = tiny_setup()

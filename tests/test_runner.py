@@ -21,7 +21,7 @@ def tiny_manifest(seed=3):
 
 def tiny_config(**over):
     base = dict(way=2, shot=1, queries=1, steps=2, window=1, lr=1e-3,
-                seed=0, num_heads=2, log_every=1000)
+                seed=0, log_every=1000)
     base.update(over)
     return runner.RunConfig(**base)
 
@@ -101,7 +101,7 @@ def test_window_accumulation_matches_manual_mean_of_gradients():
         with T.Tape():
             res = runner.episode_forward(
                 mdl, episode, run_seed=0, episode_index=index, bank=bank,
-                train=True, weights=cfg.weights(), align=cfg.align(),
+                train=True, weights=cfg.weights(), gamma=cfg.gamma,
                 alpha=cfg.alpha, ablation=cfg.ablation())
         T.backward(res.loss)
     for _, p in mdl.named_parameters():

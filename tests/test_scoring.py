@@ -73,16 +73,12 @@ def assert_same_result(got, ref):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("preset", ["full", "no-motion", "motion-only"])
-@pytest.mark.parametrize("bidirectional,relaxed_ends",
-                         [(True, True), (True, False), (False, True),
-                          (False, False)])
-def test_blocks_are_bit_identical_to_per_episode_scoring(
-        manifest, dtype, preset, bidirectional, relaxed_ends):
+def test_blocks_are_bit_identical_to_per_episode_scoring(manifest, dtype,
+                                                         preset):
     with T.precision(dtype):
-        cfg = eval_config(preset=preset, bidirectional=bidirectional,
-                          relaxed_ends=relaxed_ends)
+        cfg = eval_config(preset=preset)
         mdl = scrambled_model(manifest, cfg)
-        kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+        kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
         episodes, indices = sample(manifest, cfg, BLOCK + 3)
         ref = [per_episode_scores(mdl, ep, episode_index=i, **kw)
@@ -115,7 +111,7 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
 def test_more_threads_than_cores_with_fast_switching_match_serial(manifest):
     cfg = eval_config()
     mdl = scrambled_model(manifest, cfg)
-    kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+    kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
               ablation=cfg.ablation())
     episodes, indices = sample(manifest, cfg, 4 * BLOCK + 1)
     serial = model.score_episodes(mdl, episodes, indices, **kw)
@@ -148,9 +144,9 @@ def test_small_models_match_per_episode_scoring_to_rounding(dtype, tol):
     small = data.build_synthetic_manifest(synth, videos_per_class=8,
                                           fractions=(0.25, 0.25, 0.5))
     with T.precision(dtype):
-        cfg = eval_config(num_heads=2)
+        cfg = eval_config()
         mdl = runner.build_model(small, cfg)
-        kw = dict(run_seed=cfg.seed, align=cfg.align(), alpha=cfg.alpha,
+        kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
         episodes, indices = sample(small, cfg, 2 * BLOCK + 3)
         got = model.score_episodes(mdl, episodes, indices, **kw)

@@ -52,7 +52,7 @@ def test_training_step_reaches_every_traced_layer(perfbench):
     synth = data.SyntheticConfig(num_classes=12, dim=8, frames=4, seed=3)
     manifest = data.build_synthetic_manifest(synth, videos_per_class=2)
     cfg = runner.RunConfig(way=5, shot=1, queries=1, steps=1, window=2,
-                           seed=7, num_heads=2, log_every=1,
+                           seed=7, log_every=1,
                            consistency_reduction="mean")
     tracer = spans.Tracer()
     episodes = []
@@ -78,7 +78,7 @@ def test_evaluation_reaches_every_traced_layer(perfbench):
     expected = set(run._EVAL_LAYERS) - {"model.episode_forward"}
     synth = data.SyntheticConfig(num_classes=12, dim=8, frames=4, seed=3)
     manifest = data.build_synthetic_manifest(synth, videos_per_class=3)
-    cfg = runner.RunConfig(way=3, shot=2, queries=1, seed=7, num_heads=2,
+    cfg = runner.RunConfig(way=3, shot=2, queries=1, seed=7,
                            eval_split="train", workers=1)
     mdl = runner.build_model(manifest, cfg)
     tracer = spans.Tracer()
