@@ -259,17 +259,38 @@ def test_otam_gradcheck():
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (4, 3), (3, 3),
                                    (3, 4, 3)])
-def test_otam_gradcheck_shapes(shape):
+@pytest.mark.parametrize("through_costs", [False, True])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_otam_gradcheck_orientations_ends_and_shapes(shape, through_costs,
+                                                      transposed):
     # edge rows and columns, degenerate single-row/column tables, square,
-    # non-square and batched tables
+    # non-square and batched tables, each in both orientations; the
+    # gradient is checked at the table itself or at the frame features
+    # on either end of the cost matrix it is built from
     rng = np.random.default_rng(21)
-    C = Tensor(rng.uniform(0.1, 1.9, size=shape), requires_grad=True)
     w = Tensor(rng.normal(size=shape[:-2]))
+    if through_costs:
+        a = Tensor(rng.normal(size=shape[:-1] + (3,)), requires_grad=True)
+        b = Tensor(rng.normal(size=shape[:-2] + shape[-1:] + (3,)),
+                   requires_grad=True)
+        leaves = (a, b)
+
+        def table():
+            return (metric.cost_matrix(b, a) if transposed
+                    else metric.cost_matrix(a, b))
+    else:
+        C = rng.uniform(0.1, 1.9, size=shape)
+        C = np.ascontiguousarray(C.swapaxes(-1, -2)) if transposed else C
+        leaves = (Tensor(C, requires_grad=True),)
+
+        def table():
+            return leaves[0]
 
     def f():
-        return T.reduce_sum(T.mul(metric.otam_distance(C, 0.1), w))
+        return T.reduce_sum(T.mul(metric.otam_distance(table(), 0.1), w))
 
-    check_grads(f, C, tol=1e-6)
+    for x in leaves:
+        check_grads(f, x, tol=1e-6)
 
 
 def _value_and_grad(otam, C, gamma, dtype):

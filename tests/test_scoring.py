@@ -73,11 +73,15 @@ def assert_same_result(got, ref):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("preset", ["full", "no-motion", "motion-only"])
-def test_blocks_are_bit_identical_to_per_episode_scoring(manifest, dtype,
-                                                         preset):
+@pytest.mark.parametrize("two_queries", [False, True])
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_blocks_are_bit_identical_to_per_episode_scoring(
+        manifest, dtype, preset, scrambled, two_queries):
+    # the model as built and a scrambled one; one and two queries a class
     with T.precision(dtype):
-        cfg = eval_config(preset=preset)
-        mdl = scrambled_model(manifest, cfg)
+        cfg = eval_config(preset=preset, queries=2 if two_queries else 1)
+        mdl = (scrambled_model(manifest, cfg) if scrambled
+               else runner.build_model(manifest, cfg))
         kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
         episodes, indices = sample(manifest, cfg, BLOCK + 3)
