@@ -4,8 +4,10 @@ A branch enhances a frame stack by injecting a class token (real prompt
 embedding or a random fake stand-in): the token is added to every frame,
 prepended as an extra row, summed with positions, and passed through a
 transformer. This module holds the branch, the batched token stack and
-enhancement, and the keyed fake tokens: one stream per episode and
-branch, one row per video. ``model`` builds the class
+enhancement, and the keyed fake tokens: in training one stream per
+episode and branch, one row per video; in evaluation one stream per
+video and branch (``video_key``), so a test video has one stand-in
+wherever it is drawn. ``model`` builds the class
 prototypes (means of real-token enhanced supports) and the consistency
 loss (pulling fake-token enhancements toward real-token ones, so the
 fake path becomes a valid query representation) from whole batches.
@@ -85,17 +87,26 @@ def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,
     return branch.transformer.forward(stacked, train=train)
 
 
-def fake_token(dim: int, run_seed: int, episode_index: int, videos: int,
-               branch: str) -> np.ndarray:
-    """The (videos, dim) standard-normal float32 tokens of one episode and
-    branch, drawn from one stream keyed by (run, episode, branch).
+def video_key(video_id: str) -> int:
+    """The fake-token key of one video in evaluation.
 
-    Row i is video i of the stream's order, which puts an episode's
-    queries before its supports (``model._fake_tokens``). Draws are
-    sequential, so fewer rows are a prefix of more rows bit for bit and
-    scoring draws only the queries. The same key always regenerates the
-    same rows, which makes evaluation worker-count-invariant and runs
-    replayable.
+    Injective in ``video_id`` (the leading byte keeps leading NULs) and at
+    least 2**64, so it never equals a training episode index.
     """
-    rng = keyed_rng(run_seed, FAKE_TAG, episode_index, BRANCH_CODES[branch])
+    return 2 ** 64 + int.from_bytes(b"\x01" + video_id.encode(), "big")
+
+
+def fake_token(dim: int, run_seed: int, key: int, videos: int,
+               branch: str) -> np.ndarray:
+    """The (videos, dim) standard-normal float32 tokens of one stream,
+    keyed by (run, key, branch).
+
+    In training ``key`` is the episode index and row i is video i of the
+    stream's order, which puts an episode's queries before its supports
+    (``model._fake_tokens``). In evaluation it is a ``video_key`` and one
+    row is drawn. Draws are sequential, so fewer rows are a prefix of
+    more rows bit for bit. The same key always regenerates the same rows,
+    which makes evaluation worker-count-invariant and runs replayable.
+    """
+    rng = keyed_rng(run_seed, FAKE_TAG, key, BRANCH_CODES[branch])
     return rng.standard_normal((videos, dim), dtype=np.float32)

@@ -127,20 +127,21 @@ def _soft_dp(X: np.ndarray, gamma: float, keep_weights: bool):
     W = (np.empty((diagonals, 3, batch, m), X.dtype) if keep_weights
          else None)
     inv = 1.0 / gamma
+    # one anti-diagonal's left, up and diagonal candidates, stacked so
+    # that each elementwise step is one call over all three
+    cand = np.empty((3, batch, m), X.dtype)
     for k in range(1, diagonals):
-        left, up, diag = R[k, :, 1:], R[k, :, :-1], R[k - 1, :, :-1]
+        cand[0] = R[k, :, 1:]
+        cand[1] = R[k, :, :-1]
+        cand[2] = R[k - 1, :, :-1]
         # the subtracted minimum is exact to shift by and keeps sentinel
         # candidates underflowing cleanly to zero weight
-        z = np.minimum(np.minimum(left, up), diag)
-        e_left = np.exp((z - left) * inv)
-        e_up = np.exp((z - up) * inv)
-        e_diag = np.exp((z - diag) * inv)
-        total = e_left + e_up + e_diag
+        z = np.minimum(np.minimum(cand[0], cand[1]), cand[2])
+        e = np.exp((z - cand) * inv)
+        total = e[0] + e[1] + e[2]
         R[k + 1, :, 1:] = skewed[k] + (z - np.log(total) * gamma)
         if W is not None:
-            np.divide(e_left, total, out=W[k, 0])
-            np.divide(e_up, total, out=W[k, 1])
-            np.divide(e_diag, total, out=W[k, 2])
+            np.divide(e, total, out=W[k])
     return R[diagonals, :, m].copy(), W
 
 

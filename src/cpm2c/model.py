@@ -2,10 +2,11 @@
 
 The normal branch enhances raw frame stacks, the motion branch enhances
 motion-compensated difference sequences, and both contribute soft
-alignment costs to the query-vs-prototype similarity. Every episode
-pass ends in one tail, ``_tail``: per branch, one cost-matrix call on
-broadcast prototype/query operands and one DP call, then the
-alpha-weighted sum, a softmax over classes and the ``EpisodeResult``s.
+alignment costs to the query-vs-prototype similarity. Every pass ends in
+the same two steps: per branch, ``_branch_costs`` makes one cost-matrix
+call on broadcast prototype/query operands and one DP call; then
+``_outcomes`` takes the alpha-weighted sum, a softmax over classes and
+the ``EpisodeResult``s.
 
 ``episode_forward`` computes the losses of one episode. Each branch
 enhances every video under the real and under the fake tokens in one
@@ -16,17 +17,22 @@ enhanced stacks (prototypes, queries, consistency), the branch-cost
 sum and each loss record one tape node, so a 5-way 1-shot episode
 records under 100.
 
-Fake tokens come from one keyed stream per episode and branch, one row
-per video (``cpm.fake_token``). The stream holds the queries' rows
-first, so ``score_episodes``, which needs only those, draws a prefix.
+Fake (stand-in) tokens depend on the mode. In training they come from
+one keyed stream per episode and branch, one row per video
+(``_fake_tokens``). In eval mode each video's token comes from its own
+stream, keyed by the video and the branch (``cpm.video_key``), so a test
+video has one token, and one representation per branch, in every
+episode that draws it.
 
 ``score_episodes`` is the only path that scores without losses, and it
-never updates the model. In eval mode a support video's real-token
-features depend on nothing but the video and its class prompt, so each
-distinct support video is enhanced once per call and per branch. Queries
-are scored in fixed blocks of episodes (``map_blocks``, which evaluation
-with losses shares): per block and branch, one Phi pass, one fake-token
-enhancement pass, one cost-matrix call and one DP call.
+never updates the model. In eval mode a video's enhanced features depend
+on nothing but the video and its role: a support under its class
+prompt, a query under its own token. So, one branch at a time, each
+distinct support and query video of the call is enhanced once, the
+episodes' costs are computed in fixed blocks (``map_blocks``, which
+evaluation with losses shares), and the branch's features are freed
+before the next branch. Eval-mode ``episode_forward`` gives the same
+probabilities bit for bit.
 """
 
 from __future__ import annotations
@@ -55,13 +61,14 @@ _INIT_TEMPERATURE = 0.1
 # multiple of this
 HEADS = 8
 
-# Episodes per ``map_blocks`` block, and the most support videos that
+# Episodes per ``map_blocks`` block, and the most videos that
 # ``score_episodes`` enhances in one pass. On 5-way 5-shot evaluation at
 # dim 64, blocks of 8 to 32 episodes and chunks of 32 to 256 videos all
 # ran at about the same speed, and a single block of 200 episodes ran
-# slower. The smallest of these sizes hold the transient memory of a
-# call to about 2 MiB above scoring one episode at a time, most of it
-# the kept support features.
+# slower. The smallest sizes hold the transient memory of a call lowest:
+# a call keeps one branch's features of its distinct videos (about 1.4
+# MiB for 200 episodes), and blocks of 25 or 50 episodes raised the
+# benchmark's peak RSS by 2 to 6 MiB.
 _BLOCK_EPISODES = 8
 _SUPPORT_CHUNK = 32
 
@@ -133,33 +140,39 @@ class EpisodeResult:
     parts: dict = field(default_factory=dict)  # float value per term
 
 
-def _episode_frames(episode: EpisodeBatch):
-    """Stacked frames, class prompts and labels in canonical video order.
+def _episode_videos(episode: EpisodeBatch) -> list:
+    """The episode's video records in canonical order: support-first,
+    class-major (all K supports of episode class 0, ..., then all P
+    queries of class 0, ...). The position in this order is the video
+    index of the training token stream."""
+    return [rec for recs in episode.support + episode.query for rec in recs]
 
-    Videos are ordered support-first, class-major: all K supports of
-    episode class 0, ..., then all P queries of class 0, ... The position
-    in this order is the video index that keys fake tokens.
-    """
-    frames, prompts = [], []
-    for recs in episode.support:
-        frames.extend(rec.features() for rec in recs)
-    for recs in episode.query:
-        frames.extend(rec.features() for rec in recs)
+
+def _episode_frames(episode: EpisodeBatch):
+    """Stacked frames, class prompts and labels in canonical video order."""
+    frames = np.stack([rec.features() for rec in _episode_videos(episode)])
+    prompts = []
     for c in range(episode.way):
         prompts.extend([episode.prompts[c]] * episode.shot)
     for c in range(episode.way):
         prompts.extend([episode.prompts[c]] * episode.queries_per_class)
     labels = np.repeat(np.arange(episode.way), episode.queries_per_class)
-    return np.stack(frames), np.stack(prompts), labels
+    return frames, np.stack(prompts), labels
 
 
 def _fake_tokens(dim, run_seed, episode_index, support, queries, branch):
-    """The (support + queries, dim) fake tokens of one episode and branch
-    in canonical video order. The keyed stream holds the queries' rows
-    first, so scoring, which needs only those, draws a prefix of it."""
+    """The (support + queries, dim) training fake tokens of one episode
+    and branch in canonical video order. The keyed stream holds the
+    queries' rows first."""
     rows = cpm.fake_token(dim, run_seed, episode_index, support + queries,
                           branch)
     return np.concatenate([rows[queries:], rows[:queries]])
+
+
+def _video_token(dim, run_seed, video_id, branch) -> np.ndarray:
+    """The (dim,) eval-mode fake token of one video and branch."""
+    return cpm.fake_token(dim, run_seed, cpm.video_key(video_id), 1,
+                          branch)[0]
 
 
 def _branches(model: Model, ablation: Ablation):
@@ -186,18 +199,18 @@ def _similarity(dists, names, alpha: float) -> Tensor:
     return T._record(-total, dists, bwd)
 
 
-def _tail(pairs, gamma: float, alpha: float, way: int,
-          queries_per_class: int):
-    """(name, prototypes, queries) per used branch, normal first ->
-    the (E, Q, N) probability tensor and one EpisodeResult per episode.
+def _branch_costs(protos, queries, gamma: float) -> Tensor:
+    """(E, 1, N, L, D) prototype and (E, Q, 1, L, D) query frame rows ->
+    the (E, Q, N) alignment costs of one branch. The cost call broadcasts
+    them into every pair without copies, with prototype rows as the
+    first alignment axis."""
+    return metric.otam_distance(metric.cost_matrix(protos, queries), gamma)
 
-    Prototypes are (E, 1, N, L, D) and queries (E, Q, 1, L, D) frame
-    rows: the cost call broadcasts them into every pair without copies,
-    with prototype rows as the first alignment axis."""
-    dists = [metric.otam_distance(metric.cost_matrix(protos, queries), gamma)
-             for _, protos, queries in pairs]
-    sims = _similarity(dists, [name for name, _, _ in pairs], alpha)
-    probs = T.softmax(sims, axis=-1)
+
+def _outcomes(dists, names, alpha: float, way: int, queries_per_class: int):
+    """The (E, Q, N) costs of each used branch, normal first -> the
+    (E, Q, N) probability tensor and one EpisodeResult per episode."""
+    probs = T.softmax(_similarity(dists, names, alpha), axis=-1)
     labels = np.repeat(np.arange(way), queries_per_class)
     results = []
     for episode_probs in probs.data:
@@ -268,8 +281,10 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     ``bank`` is the (class ids, prompt matrix) pair from the training
     split; when given, the adaptation loss scores every episode video
     against the whole bank. Queries classify through their fake-token
-    features; support prototypes come from real-token features. Scoring
-    without losses is ``score_episodes``.
+    features; support prototypes come from real-token features. The fake
+    tokens come from the episode's stream (``episode_index``) in training
+    and from each video's own stream in eval mode. Scoring without
+    losses is ``score_episodes``.
     """
     if alpha < 0:
         raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
@@ -279,20 +294,27 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
     frames_np, prompts_np, labels = _episode_frames(episode)
     frames = Tensor(frames_np)
 
-    pairs = []
+    branches = _branches(model, ablation)
+    dists = []
     con_sum, con_numel = None, 0
-    for name, branch in _branches(model, ablation):
+    for name, branch in branches:
         branch_frames = frames if name == "normal" else \
             motion_features(model.phi, frames, train=train)
-        fakes = _fake_tokens(model.dim, run_seed, episode_index, n * k,
-                             n * p, name)
+        if train:
+            fakes = _fake_tokens(model.dim, run_seed, episode_index, n * k,
+                                 n * p, name)
+        else:
+            fakes = np.stack([_video_token(model.dim, run_seed,
+                                           rec.video_id, name)
+                              for rec in _episode_videos(episode)])
         protos, queries, con, numel = _branch_pass(
             branch, branch_frames, np.concatenate([prompts_np, fakes]), n,
             k, train)
-        pairs.append((name, protos, queries))
+        dists.append(_branch_costs(protos, queries, gamma))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
-    probs, (result,) = _tail(pairs, gamma, alpha, n, p)
+    probs, (result,) = _outcomes(dists, [name for name, _ in branches],
+                                 alpha, n, p)
 
     task = objective.task_loss(T.reshape(probs, (n * p, n)), labels)
     consistency = con_sum
@@ -355,101 +377,112 @@ def _enhance(model: Model, name: str, branch, frames: np.ndarray,
     return cpm.feature_enhance_batch(branch, x, Tensor(tokens)).data[:, 1:]
 
 
-def _support_features(model: Model, episodes, branches):
-    """Enhance every distinct support video of ``episodes`` once per branch.
+def _distinct_videos(episodes):
+    """Index every distinct video of ``episodes`` once per role.
 
-    A support video is identified by its class and video id. Returns the
-    (E, N*K) row of each episode's supports, in canonical order, and per
-    branch name a (V, L-1, D) array of real-token features. The distinct
-    videos are split into near-equal chunks of at most
-    ``_SUPPORT_CHUNK``, so no pass is much smaller than the others.
+    A support video is keyed by its class and video id, a query video by
+    its video id. Returns the (record, class prompt) of every distinct
+    video in first-seen order, the prompt None for a query, and each
+    episode's (N*K) support rows and (Q) query rows into that list, in
+    canonical order.
     """
     rows: dict = {}
-    frames, prompts, index = [], [], []
+    videos = []
+
+    def row(key, rec, prompt):
+        if key not in rows:
+            rows[key] = len(videos)
+            videos.append((rec, prompt))
+        return rows[key]
+
+    # support keys are (class, id) pairs and query keys bare ids, so the
+    # two roles of one video never share a row
+    support_rows, query_rows = [], []
     for ep in episodes:
-        episode_rows = []
-        for c in range(ep.way):
-            for rec in ep.support[c]:
-                key = (ep.class_ids[c], rec.video_id)
-                if key not in rows:
-                    rows[key] = len(frames)
-                    frames.append(rec.features())
-                    prompts.append(ep.prompts[c])
-                episode_rows.append(rows[key])
-        index.append(episode_rows)
-    count = len(frames)
-    chunks = np.array_split(np.arange(count), -(-count // _SUPPORT_CHUNK))
-    features = {}
-    for name, branch in branches:
-        out = None
-        for chunk in chunks:
-            lo, hi = chunk[0], chunk[-1] + 1
-            feats = _enhance(model, name, branch, np.stack(frames[lo:hi]),
-                             np.stack(prompts[lo:hi]))
-            if out is None:
-                out = np.empty((count,) + feats.shape[1:], feats.dtype)
-            out[lo:hi] = feats
-        features[name] = out
-    return np.asarray(index), features
+        support_rows.append([row((ep.class_ids[c], rec.video_id), rec,
+                                 ep.prompts[c])
+                             for c in range(ep.way) for rec in ep.support[c]])
+        query_rows.append([row(rec.video_id, rec, None)
+                           for recs in ep.query for rec in recs])
+    return videos, np.asarray(support_rows), np.asarray(query_rows)
 
 
-def _score_block(model: Model, episodes, indices, support_rows,
-                 support, branches, run_seed: int, gamma: float,
-                 alpha: float):
-    """Score a block of same-shaped episodes against their prototypes."""
-    n, k, p = episodes[0].way, episodes[0].shot, episodes[0].queries_per_class
-    count, q = len(episodes), n * p
-    frames = np.stack([rec.features() for ep in episodes
-                       for recs in ep.query for rec in recs])
-    pairs = []
-    for name, branch in branches:
-        # the queries' rows lead each episode's token stream
-        tokens = np.concatenate([cpm.fake_token(model.dim, run_seed, index,
-                                                q, name)
-                                 for index in indices])
-        queries = _enhance(model, name, branch, frames, tokens)
-        length, dim = queries.shape[1], queries.shape[2]
-        # the same mean over the K supports as the loss path takes
-        protos = support[name][support_rows].reshape(count * n, k, length,
-                                                     dim).mean(axis=1)
-        pairs.append((name,
-                      Tensor(protos.reshape(count, 1, n, length, dim)),
-                      Tensor(queries.reshape(count, q, 1, length, dim))))
-    return _tail(pairs, gamma, alpha, n, p)[1]
+def _video_features(model: Model, name: str, branch, videos, run_seed: int):
+    """The (V, L-1, D) eval-mode features of ``videos`` in one branch:
+    supports under their class prompts, queries under their fake tokens.
+    The videos are split into near-equal chunks of at most
+    ``_SUPPORT_CHUNK``, so no pass is much smaller than the others."""
+    count = len(videos)
+    out = None
+    for chunk in np.array_split(np.arange(count), -(-count // _SUPPORT_CHUNK)):
+        lo, hi = chunk[0], chunk[-1] + 1
+        part = videos[lo:hi]
+        tokens = [prompt if prompt is not None else
+                  _video_token(model.dim, run_seed, rec.video_id, name)
+                  for rec, prompt in part]
+        feats = _enhance(model, name, branch,
+                         np.stack([rec.features() for rec, _ in part]),
+                         np.stack(tokens))
+        if out is None:
+            out = np.empty((count,) + feats.shape[1:], feats.dtype)
+        out[lo:hi] = feats
+    return out
 
 
-def score_episodes(model: Model, episodes, indices, *, run_seed: int,
+def _block_costs(features, support_rows, query_rows, n: int, k: int,
+                 gamma: float) -> list:
+    """One branch's (Q, N) costs of each episode of a block, from the
+    rows of its support and query videos in ``features``."""
+    count, q = query_rows.shape
+    length, dim = features.shape[1:]
+    # the same mean over the K supports as the loss path takes
+    protos = features[support_rows].reshape(count * n, k, length,
+                                            dim).mean(axis=1)
+    queries = features[query_rows]
+    costs = _branch_costs(Tensor(protos.reshape(count, 1, n, length, dim)),
+                          Tensor(queries.reshape(count, q, 1, length, dim)),
+                          gamma)
+    return list(costs.data)
+
+
+def score_episodes(model: Model, episodes, *, run_seed: int,
                    gamma: float = 0.1, alpha: float = 1.0,
                    ablation: Ablation = Ablation(),
                    workers: int = 1) -> list:
     """Class probabilities of every episode, in eval mode, without losses.
 
-    ``episodes`` share one way/shot/queries shape; ``indices`` are their
-    episode indices, which key the queries' fake tokens exactly as
-    ``episode_forward`` does. Each distinct support video is enhanced
-    once per branch, then ``map_blocks`` scores the episodes in fixed
-    blocks on ``workers`` threads. Each episode's probabilities equal
-    ``episode_forward``'s in eval mode bit for bit, except where BLAS
-    picks another kernel for the block's larger batches, which moves
-    only the last bits. Returns one EpisodeResult per episode, in order.
-    The model is never updated, and nothing is kept after the call.
+    ``episodes`` share one way/shot/queries shape. For each branch in
+    turn, every distinct video of the call is enhanced once per role:
+    supports under their class prompts, queries under their eval-mode
+    fake tokens, which are keyed by (run, video, branch) exactly as
+    ``episode_forward`` keys them in eval mode. ``map_blocks`` then
+    computes the episodes' costs in fixed blocks on ``workers`` threads,
+    and the branch's features are freed before the next branch. Each
+    episode's probabilities equal ``episode_forward``'s in eval mode, and
+    scoring the episode alone, bit for bit, except where BLAS picks
+    another kernel for larger batches, which moves only the last bits.
+    Returns one EpisodeResult per episode, in order. The model is never
+    updated, and nothing is kept after the call.
     """
     if alpha < 0:
         raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
-    episodes, indices = list(episodes), list(indices)
-    if len(episodes) != len(indices):
-        raise ProtocolError(f"{len(episodes)} episodes but "
-                            f"{len(indices)} episode indices")
+    episodes = list(episodes)
     if not episodes:
         return []
     if len({(ep.way, ep.shot, ep.queries_per_class)
             for ep in episodes}) > 1:
         raise ProtocolError("episodes scored together must share one "
                             "way/shot/queries shape")
+    n, k, p = episodes[0].way, episodes[0].shot, episodes[0].queries_per_class
+    videos, support_rows, query_rows = _distinct_videos(episodes)
     branches = _branches(model, ablation)
-    support_rows, support = _support_features(model, episodes, branches)
-    return map_blocks(
-        lambda lo, hi: _score_block(model, episodes[lo:hi], indices[lo:hi],
-                                    support_rows[lo:hi], support, branches,
-                                    run_seed, gamma, alpha),
-        len(episodes), workers)
+    dists = []
+    for name, branch in branches:
+        features = _video_features(model, name, branch, videos, run_seed)
+        costs = map_blocks(
+            lambda lo, hi: _block_costs(features, support_rows[lo:hi],
+                                        query_rows[lo:hi], n, k, gamma),
+            len(episodes), workers)
+        dists.append(Tensor(np.stack(costs)))
+        del features
+    return _outcomes(dists, [name for name, _ in branches], alpha, n, p)[1]

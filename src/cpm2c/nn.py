@@ -163,7 +163,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     scores = (qh @ kh.swapaxes(2, 3)) * scale
     if np.isnan(scores).any():
         raise DomainError("softmax: NaN in input")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # the row max as a loop over the few key columns: same bits as
+    # scores.max(axis=-1), several times faster at these short rows
+    top = scores[..., 0].copy()
+    for j in range(1, length):
+        np.maximum(top, scores[..., j], out=top)
+    e = np.exp(scores - top[..., None])
     weights = e / e.sum(axis=-1, keepdims=True)
     ctx = weights @ vh
 

@@ -8,9 +8,10 @@ touches a parameter, and the BatchNorm running statistics, the only
 state the step's forward passes changed, roll back to their values
 before the step.
 Evaluation samples every episode of the call first. Without losses it
-hands them to ``model.score_episodes``, which enhances each distinct
-support video once and scores the episodes in fixed blocks. With losses
-it runs each episode through ``episode_forward`` in eval mode. Either
+hands them to ``model.score_episodes``, which, one branch at a time,
+enhances each distinct video once per role (support or query) and
+computes the episodes' costs in fixed blocks. With losses it runs each
+episode through ``episode_forward`` in eval mode. Either
 way worker threads map over the same fixed blocks of episodes through
 ``model.map_blocks``, and results are reduced in episode-index order,
 so the reported numbers do not depend on the worker count.
@@ -332,9 +333,11 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     Episode i draws from the stream keyed by (seed, start_index + i), so
     the run is reproducible and disjoint from training. All episodes are
     sampled first. Without losses they are scored by ``score_episodes``,
-    which enhances each distinct support video once per branch for this
+    which enhances each distinct video once per role and branch for this
     call only; with losses each runs through ``episode_forward`` in eval
-    mode. Either way ``workers`` threads map over the same fixed blocks
+    mode. In eval mode a video's fake token is keyed by the run, the video
+    and the branch, so it is the same in every episode that draws the
+    video. Either way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
     are never mutated. The ``episodes``/``way``/``shot``/``queries``
@@ -369,7 +372,7 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     if compute_losses:
         results = map_blocks(with_losses, episodes, workers)
     else:
-        results = score_episodes(mdl, sampled, indices, run_seed=cfg.seed,
+        results = score_episodes(mdl, sampled, run_seed=cfg.seed,
                                  gamma=cfg.gamma, alpha=cfg.alpha,
                                  ablation=cfg.ablation(), workers=workers)
 

@@ -2,8 +2,9 @@
 
 The package runs one episode path: batched enhancement
 (``cpm.feature_enhance_batch``) into one prototype-to-probability tail
-(``model._tail``). Each function here is an earlier or a per-item form
-of a piece of that path, and the tests hold the package to it.
+(``model._branch_costs`` per branch, then ``model._outcomes``). Each
+function here is an earlier or a per-item form of a piece of that path,
+and the tests hold the package to it.
 
 ``stack_token_frames``, ``feature_enhance``, ``query_feature``,
 ``build_prototype``, ``consistency_loss``, ``combined_distance`` and
@@ -39,10 +40,13 @@ in, so a whole model can run on the compositions, and counts their
 calls; ``count_layer_calls`` counts the fused layers' calls alike.
 
 ``per_episode_scores`` scores one episode without losses the way
-evaluation did before it scored episodes in blocks: every support video
-is enhanced again for every episode, and each episode gets its own
+evaluation did before it scored episodes in blocks: every video is
+enhanced again for every episode, and each episode gets its own
 transformer, cost-matrix and DP calls. ``model.score_episodes`` must
-reproduce its probabilities bit for bit.
+reproduce its probabilities bit for bit. ``eval_fake_tokens`` draws an
+episode's eval-mode fake tokens one video at a time, each from its own
+keyed stream; ``training_fake_tokens`` draws the training tokens from
+the episode's stream and puts them in canonical video order.
 
 ``per_episode_losses`` is the loss path as it stood before every episode
 pass shared one tail: each branch enhances the videos in two transformer
@@ -517,22 +521,40 @@ def pair_distances(protos: Tensor, queries: Tensor, gamma: float) -> Tensor:
     return T.reshape(dists, (q, n))
 
 
+def eval_fake_tokens(mdl: model.Model, run_seed: int, videos, branch: str):
+    """The (V, D) eval-mode fake tokens of ``videos``: one keyed stream
+    per video and branch, one row drawn from each."""
+    return np.stack([cpm.fake_token(mdl.dim, run_seed,
+                                    cpm.video_key(rec.video_id), 1,
+                                    branch)[0] for rec in videos])
+
+
+def training_fake_tokens(mdl: model.Model, run_seed: int,
+                         episode_index: int, episode, branch: str):
+    """The (V, D) training fake tokens of an episode in canonical video
+    order: the episode's stream holds the queries' rows first."""
+    support = episode.way * episode.shot
+    queries = episode.way * episode.queries_per_class
+    rows = cpm.fake_token(mdl.dim, run_seed, episode_index,
+                          support + queries, branch)
+    return np.concatenate([rows[queries:], rows[:queries]])
+
+
 def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
-                       episode_index: int, gamma: float = 0.1,
-                       alpha: float = 1.0,
+                       gamma: float = 0.1, alpha: float = 1.0,
                        ablation: model.Ablation = model.Ablation()):
-    """Same contract as ``score_episodes(mdl, [episode], [index])[0]``,
-    one episode at a time: the supports under their real tokens and the
+    """Same contract as ``score_episodes(mdl, [episode])[0]``, one
+    episode at a time: the supports under their real tokens and the
     queries under their fake tokens, one pass each per branch."""
     n, k = episode.way, episode.shot
     frames_np, prompts_np, labels = model._episode_frames(episode)
     total = frames_np.shape[0]
     support = n * k
     frames = Tensor(frames_np)
+    query_videos = [rec for recs in episode.query for rec in recs]
 
     def branch_cost(branch, branch_frames, name):
-        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index,
-                                   support, total - support, name)[support:]
+        fakes = eval_fake_tokens(mdl, run_seed, query_videos, name)
         real = cpm.feature_enhance_batch(
             branch, T.slice_axis(branch_frames, 0, 0, support),
             Tensor(prompts_np[:support]))
@@ -617,22 +639,27 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
     loss."""
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     frames_np, prompts_np, labels = model._episode_frames(episode)
-    total = frames_np.shape[0]
     frames = Tensor(frames_np)
+    videos = [rec for recs in episode.support + episode.query
+              for rec in recs]
+
+    def fake_tokens(branch):
+        if train:
+            return training_fake_tokens(mdl, run_seed, episode_index,
+                                        episode, branch)
+        return eval_fake_tokens(mdl, run_seed, videos, branch)
 
     total_cost = None
     con_sum, con_numel = None, 0
     if ablation.use_normal:
-        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index, n * k,
-                                   n * p, "normal")
+        fakes = fake_tokens("normal")
         protos, queries, con_sum, con_numel = _branch_pass(
             mdl.normal, frames, prompts_np, fakes, n, k, train)
         total_cost = pair_distances(_frame_rows(protos),
                                     _frame_rows(queries), gamma)
     if ablation.use_motion:
         motion_frames = taped_motion_features(mdl.phi, frames, train=train)
-        fakes = model._fake_tokens(mdl.dim, run_seed, episode_index, n * k,
-                                   n * p, "motion")
+        fakes = fake_tokens("motion")
         protos, queries, con, numel = _branch_pass(
             mdl.motion, motion_frames, prompts_np, fakes, n, k, train)
         dists = T.scale(pair_distances(_frame_rows(protos),

@@ -200,7 +200,7 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
                     consistency_reduction="mean", **kw)
             T.backward(train.loss)
             grads = {n: p.grad for n, p in mdl.named_parameters()}
-            evaluated = model.score_episodes(mdl, [episode], [0],
+            evaluated = model.score_episodes(mdl, [episode],
                                              run_seed=5)[0]
             return train, evaluated, grads, len(tape)
 

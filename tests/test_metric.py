@@ -369,22 +369,24 @@ def test_otam_gradient_is_soft_argmin_weights():
 
 
 # ---------------------------------------------------------------------------
-# the combined cost and classification (model._tail)
+# the combined cost and classification (model._branch_costs and
+# model._outcomes)
 
 
 def tail(protos, queries, alpha=0.0, gamma=0.1, motion=None):
-    """``model._tail`` over one episode of (N, L, D) prototype and (Q, L, D)
-    query frame rows, Q a multiple of N; ``motion`` is an optional
-    (prototypes, queries) pair for the motion branch. Returns the (Q, N)
-    probabilities and the EpisodeResult."""
-    pairs = [("normal", Tensor(protos[None, None]),
-              Tensor(queries[None, :, None]))]
+    """``model._branch_costs`` and ``model._outcomes`` over one episode of
+    (N, L, D) prototype and (Q, L, D) query frame rows, Q a multiple of N;
+    ``motion`` is an optional (prototypes, queries) pair for the motion
+    branch. Returns the (Q, N) probabilities and the EpisodeResult."""
+    pairs = [("normal", protos, queries)]
     if motion is not None:
-        pairs.append(("motion", Tensor(motion[0][None, None]),
-                      Tensor(motion[1][None, :, None])))
+        pairs.append(("motion",) + motion)
+    dists = [model._branch_costs(Tensor(p[None, None]),
+                                 Tensor(q[None, :, None]), gamma)
+             for _, p, q in pairs]
     way = protos.shape[0]
-    probs, (result,) = model._tail(pairs, gamma, alpha, way,
-                                   queries.shape[0] // way)
+    probs, (result,) = model._outcomes(dists, [name for name, _, _ in pairs],
+                                       alpha, way, queries.shape[0] // way)
     return probs.data[0], result
 
 
@@ -419,7 +421,7 @@ def test_combined_recomposition_oracle():
 def test_combined_rejects_negative_alpha_and_empty():
     mdl = model.Model(dim=8, frames=4, seed=11)
     with pytest.raises(ConfigError):
-        model.score_episodes(mdl, [], [], run_seed=5, alpha=-1.0)
+        model.score_episodes(mdl, [], run_seed=5, alpha=-1.0)
     with pytest.raises(ConfigError):
         model.Ablation(use_normal=False, use_motion=False)
 

@@ -12,7 +12,8 @@ from cpm2c.errors import ConfigError, ProtocolError
 from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
 from oracles import (build_prototype, classify, consistency_loss,
-                     feature_enhance, per_episode_losses, query_feature)
+                     eval_fake_tokens, feature_enhance, per_episode_losses,
+                     query_feature)
 
 
 @pytest.fixture(autouse=True)
@@ -34,10 +35,14 @@ def tiny_setup(way=2, shot=2, queries=1, seed=3):
     return manifest, mdl, episode
 
 
-def reference_probs(mdl, episode, run_seed, episode_index, alpha,
-                    use_normal=True, use_motion=True):
+def eval_token(mdl, run_seed, rec, branch):
+    return eval_fake_tokens(mdl, run_seed, [rec], branch)[0]
+
+
+def reference_probs(mdl, episode, run_seed, alpha, use_normal=True,
+                    use_motion=True):
     """Per-video, per-pair recomputation through the oracles."""
-    n, k, p = episode.way, episode.shot, episode.queries_per_class
+    n = episode.way
     protos = []
     for c in range(n):
         token = Tensor(episode.prompts[c])
@@ -54,19 +59,16 @@ def reference_probs(mdl, episode, run_seed, episode_index, alpha,
                     token)
                 for r in episode.support[c]])
         protos.append((pn, pm))
-    fakes = {branch: model._fake_tokens(mdl.dim, run_seed, episode_index,
-                                        n * k, n * p, branch)
-             for branch in ("normal", "motion")}
     rows = []
     for c in range(n):
-        for i, rec in enumerate(episode.query[c]):
-            vid = n * k + c * p + i
+        for rec in episode.query[c]:
             frames = Tensor(rec.features())
             qn = qm = None
             if use_normal:
-                qn = query_feature(mdl.normal, frames, fakes["normal"][vid])
+                qn = query_feature(mdl.normal, frames,
+                                   eval_token(mdl, run_seed, rec, "normal"))
             if use_motion:
-                fake = fakes["motion"][vid]
+                fake = eval_token(mdl, run_seed, rec, "motion")
                 qm = query_feature(
                     mdl.motion, motion.motion_features(mdl.phi, frames), fake)
             rows.append(classify((qn, qm), protos, alpha, GAMMA).data)
@@ -85,35 +87,35 @@ def test_probability_rows_sum_to_one():
 
 def test_batched_probabilities_match_per_pair_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
+    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
                                alpha=0.7)[0]
-    ref = reference_probs(mdl, episode, 5, 0, 0.7)
+    ref = reference_probs(mdl, episode, 5, 0.7)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_normal_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
+    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
                                alpha=1.0,
                                ablation=model.Ablation(use_motion=False))[0]
-    ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
+    ref = reference_probs(mdl, episode, 5, 1.0, use_motion=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_motion_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
+    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
                                alpha=1.0,
                                ablation=model.Ablation(use_normal=False))[0]
-    ref = reference_probs(mdl, episode, 5, 0, 1.0, use_normal=False)
+    ref = reference_probs(mdl, episode, 5, 1.0, use_normal=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_alpha_zero_ignores_motion_distances():
     _, mdl, episode = tiny_setup()
-    both = model.score_episodes(mdl, [episode], [0], run_seed=5, gamma=GAMMA,
+    both = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
                                 alpha=0.0)[0]
-    ref = reference_probs(mdl, episode, 5, 0, 1.0, use_motion=False)
+    ref = reference_probs(mdl, episode, 5, 1.0, use_motion=False)
     assert np.allclose(both.probabilities, ref, atol=1e-8)
 
 
@@ -121,7 +123,7 @@ def test_losses_flag_does_not_change_probabilities():
     manifest, mdl, episode = tiny_setup()
     with_l = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
                                    gamma=GAMMA, bank=manifest.prompt_bank())
-    without = model.score_episodes(mdl, [episode], [0], run_seed=5,
+    without = model.score_episodes(mdl, [episode], run_seed=5,
                                    gamma=GAMMA)[0]
     assert np.allclose(with_l.probabilities, without.probabilities, atol=1e-10)
     assert without.loss is None and without.parts == {}
@@ -131,20 +133,19 @@ def test_consistency_part_matches_single_pair_loss():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
                                 gamma=GAMMA, bank=manifest.prompt_bank())
-    n, k, p = episode.way, episode.shot, episode.queries_per_class
+    n = episode.way
     reals, fakes = [], []
     order = [(c, rec) for c in range(n) for rec in episode.support[c]]
     order += [(c, rec) for c in range(n) for rec in episode.query[c]]
-    tokens = {branch: model._fake_tokens(mdl.dim, 5, 0, n * k, n * p, branch)
-              for branch in ("normal", "motion")}
-    for vid, (c, rec) in enumerate(order):
+    for c, rec in order:
         frames = Tensor(rec.features())
         token = Tensor(episode.prompts[c])
         mot = motion.motion_features(mdl.phi, frames)
         for branch, seq in (("normal", frames), ("motion", mot)):
             arm = mdl.normal if branch == "normal" else mdl.motion
             reals.append(feature_enhance(arm, seq, token))
-            fakes.append(query_feature(arm, seq, tokens[branch][vid]))
+            fakes.append(query_feature(arm, seq,
+                                       eval_token(mdl, 5, rec, branch)))
     expected = consistency_loss(reals, fakes)
     assert np.allclose(res.parts["consistency"], expected.data, atol=1e-8)
 
@@ -382,16 +383,16 @@ def test_same_inputs_reproduce_bitwise():
 
 def test_run_seed_changes_fake_tokens_and_probabilities():
     _, mdl, episode = tiny_setup()
-    a = model.score_episodes(mdl, [episode], [0], run_seed=5,
+    a = model.score_episodes(mdl, [episode], run_seed=5,
                              gamma=GAMMA)[0]
-    b = model.score_episodes(mdl, [episode], [0], run_seed=6,
+    b = model.score_episodes(mdl, [episode], run_seed=6,
                              gamma=GAMMA)[0]
     assert not np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_predictions_and_correct_count_agree():
     manifest, mdl, episode = tiny_setup(way=2, shot=1, queries=2)
-    res = model.score_episodes(mdl, [episode], [0], run_seed=5,
+    res = model.score_episodes(mdl, [episode], run_seed=5,
                                gamma=GAMMA)[0]
     assert np.array_equal(res.predictions, res.probabilities.argmax(axis=1))
     assert res.correct == int((res.predictions == res.true_labels).sum())

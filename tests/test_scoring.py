@@ -1,12 +1,12 @@
 """Scoring without losses: blocks of episodes against the per-episode oracle.
 
-``model.score_episodes`` enhances each distinct support video once per
-call and scores the episodes in fixed blocks. Its probabilities must be
-bit-identical to ``per_episode_scores``, which scores one episode at a
-time, at every episode count and worker count. The shapes here match
-the 5-way 5-shot evaluation workload at dim 64, where every matrix
-product of either path is large enough for BLAS to take the same kernel
-whatever the batch size.
+``model.score_episodes`` enhances each distinct video of a call once per
+role and branch, and computes the episodes' costs in fixed blocks. Its
+probabilities must be bit-identical to ``per_episode_scores``, which
+scores one episode at a time, at every episode count and worker count.
+The shapes here match the 5-way 5-shot evaluation workload at dim 64,
+where every matrix product of either path is large enough for BLAS to
+take the same kernel whatever the batch size.
 """
 
 import sys
@@ -55,11 +55,11 @@ def scrambled_model(manifest, cfg):
 
 
 def sample(manifest, cfg, count):
-    indices = [cfg.eval_start + i for i in range(count)]
-    episodes = [data.sample_episode(manifest, data.episode_rng(cfg.seed, i),
-                                    cfg.way, cfg.shot, cfg.queries,
-                                    cfg.eval_split) for i in indices]
-    return episodes, indices
+    """The first ``count`` episodes that ``runner.evaluate`` scores."""
+    return [data.sample_episode(manifest, data.episode_rng(cfg.seed, i),
+                                cfg.way, cfg.shot, cfg.queries,
+                                cfg.eval_split)
+            for i in range(cfg.eval_start, cfg.eval_start + count)]
 
 
 def assert_same_result(got, ref):
@@ -84,19 +84,18 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
                else runner.build_model(manifest, cfg))
         kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
-        episodes, indices = sample(manifest, cfg, BLOCK + 3)
-        ref = [per_episode_scores(mdl, ep, episode_index=i, **kw)
-               for ep, i in zip(episodes, indices)]
+        episodes = sample(manifest, cfg, BLOCK + 3)
+        ref = [per_episode_scores(mdl, ep, **kw) for ep in episodes]
         # the loss path shares the scorer's tail: same probabilities
         with_losses = model.episode_forward(mdl, episodes[0],
-                                            episode_index=indices[0], **kw)
+                                            episode_index=cfg.eval_start,
+                                            **kw)
         assert np.array_equal(with_losses.probabilities,
                               ref[0].probabilities)
         for count in (0, 1, BLOCK - 1, BLOCK + 3):   # the last is ragged
             for workers in (1, 2, 4):
                 got = model.score_episodes(mdl, episodes[:count],
-                                           indices[:count], workers=workers,
-                                           **kw)
+                                           workers=workers, **kw)
                 assert len(got) == count
                 for g, r in zip(got, ref):
                     assert_same_result(g, r)
@@ -117,15 +116,14 @@ def test_more_threads_than_cores_with_fast_switching_match_serial(manifest):
     mdl = scrambled_model(manifest, cfg)
     kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
               ablation=cfg.ablation())
-    episodes, indices = sample(manifest, cfg, 4 * BLOCK + 1)
-    serial = model.score_episodes(mdl, episodes, indices, **kw)
+    episodes = sample(manifest, cfg, 4 * BLOCK + 1)
+    serial = model.score_episodes(mdl, episodes, **kw)
     serial_losses = runner.evaluate(manifest, mdl, cfg, episodes=2 * BLOCK + 1,
                                     compute_losses=True, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = model.score_episodes(mdl, episodes, indices, workers=8,
-                                        **kw)
+        threaded = model.score_episodes(mdl, episodes, workers=8, **kw)
         threaded_losses = runner.evaluate(manifest, mdl, cfg,
                                           episodes=2 * BLOCK + 1,
                                           compute_losses=True, workers=8)
@@ -152,10 +150,10 @@ def test_small_models_match_per_episode_scoring_to_rounding(dtype, tol):
         mdl = runner.build_model(small, cfg)
         kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
                   ablation=cfg.ablation())
-        episodes, indices = sample(small, cfg, 2 * BLOCK + 3)
-        got = model.score_episodes(mdl, episodes, indices, **kw)
-        for g, ep, i in zip(got, episodes, indices):
-            ref = per_episode_scores(mdl, ep, episode_index=i, **kw)
+        episodes = sample(small, cfg, 2 * BLOCK + 3)
+        got = model.score_episodes(mdl, episodes, **kw)
+        for g, ep in zip(got, episodes):
+            ref = per_episode_scores(mdl, ep, **kw)
             assert np.allclose(g.probabilities, ref.probabilities, rtol=0,
                                atol=tol)
             assert g.correct == ref.correct
@@ -163,6 +161,7 @@ def test_small_models_match_per_episode_scoring_to_rounding(dtype, tol):
 
 def test_one_call_enhances_each_support_video_once_per_branch(manifest,
                                                               monkeypatch):
+    # and each query video once per branch, under its own fake token
     cfg = eval_config(seed=3)
     mdl = runner.build_model(manifest, cfg)
     calls = []
@@ -174,11 +173,14 @@ def test_one_call_enhances_each_support_video_once_per_branch(manifest,
 
     monkeypatch.setattr(cpm, "feature_enhance_batch", recording)
     count = 2 * BLOCK + 3
-    episodes, _ = sample(manifest, cfg, count)
+    episodes = sample(manifest, cfg, count)
     distinct = {(ep.class_ids[c], rec.video_id): rec
                 for ep in episodes for c in range(ep.way)
                 for rec in ep.support[c]}
     assert len(distinct) < count * cfg.way * cfg.shot   # reuse is possible
+    distinct_queries = {rec.video_id: rec for ep in episodes
+                        for recs in ep.query for rec in recs}
+    assert len(distinct_queries) < count * cfg.way * cfg.queries
     prompts = {manifest.prompts[c].tobytes()
                for c in manifest.classes_in("test")}
 
@@ -198,10 +200,12 @@ def test_one_call_enhances_each_support_video_once_per_branch(manifest,
     assert set(first) == {id(mdl.normal), id(mdl.motion)}
     for support, queries in first.values():
         assert len(support) == len(set(support)) == len(distinct)
-        assert len(queries) == count * cfg.way * cfg.queries
-    normal_support = first[id(mdl.normal)][0]
+        assert len(queries) == len(set(queries)) == len(distinct_queries)
+    normal_support, normal_queries = first[id(mdl.normal)]
     assert set(normal_support) == {rec.features().tobytes()
                                    for rec in distinct.values()}
+    assert set(normal_queries) == {rec.features().tobytes()
+                                   for rec in distinct_queries.values()}
 
     # nothing is kept between calls: the next call enhances them again
     calls.clear()
@@ -209,14 +213,68 @@ def test_one_call_enhances_each_support_video_once_per_branch(manifest,
     assert rows_per_branch() == first
 
 
+def test_an_episode_scores_the_same_alone_and_in_a_full_call(manifest):
+    # at the evaluation benchmark's shapes and call size: a query's token
+    # and enhanced features do not depend on the other episodes
+    cfg = eval_config()
+    mdl = scrambled_model(manifest, cfg)
+    kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
+              ablation=cfg.ablation())
+    count = 200
+    episodes = sample(manifest, cfg, count)
+    together = model.score_episodes(mdl, episodes, **kw)
+    alone = [model.score_episodes(mdl, [ep], **kw)[0] for ep in episodes]
+    for got, ref in zip(together, alone):
+        assert_same_result(got, ref)
+    res = runner.evaluate(manifest, mdl, cfg, episodes=count)
+    assert res.per_episode_correct == [r.correct for r in alone]
+
+
+def test_a_shared_video_gets_one_eval_stand_in_and_two_training_ones(
+        manifest, monkeypatch):
+    cfg = eval_config()
+    mdl = runner.build_model(manifest, cfg)
+    episodes = sample(manifest, cfg, 10)
+
+    def videos(ep):
+        return [rec for recs in ep.support + ep.query for rec in recs]
+
+    first, second, shared = next(
+        (i, j, rec) for i in range(len(episodes))
+        for j in range(i + 1, len(episodes)) for rec in videos(episodes[i])
+        if rec.video_id in {r.video_id for r in videos(episodes[j])})
+    original = cpm.feature_enhance_batch
+    calls = []
+
+    def recording(branch, frames, tokens, train=False):
+        if branch is mdl.normal:
+            calls.append((frames.data, tokens.data))
+        return original(branch, frames, tokens, train=train)
+
+    monkeypatch.setattr(cpm, "feature_enhance_batch", recording)
+
+    def stand_in(index, train):
+        # the loss path enhances every video under its real token and
+        # then under its fake token: the fake half holds the stand-ins
+        calls.clear()
+        with T.Tape():
+            model.episode_forward(mdl, episodes[index], run_seed=cfg.seed,
+                                  episode_index=index, train=train)
+        (frames, tokens), = calls
+        fake = len(frames) // 2
+        row = next(i for i in range(fake, len(frames))
+                   if np.array_equal(frames[i], shared.features()))
+        return tokens[row]
+
+    assert np.array_equal(stand_in(first, False), stand_in(second, False))
+    assert not np.array_equal(stand_in(first, True), stand_in(second, True))
+
+
 def test_scoring_rejects_mismatched_inputs(manifest):
     cfg = eval_config()
     mdl = runner.build_model(manifest, cfg)
-    episodes, indices = sample(manifest, cfg, 2)
+    episodes = sample(manifest, cfg, 2)
     other = data.sample_episode(manifest, data.episode_rng(cfg.seed, 0),
                                 4, 5, 1, "test")
-    with pytest.raises(ProtocolError, match="indices"):
-        model.score_episodes(mdl, episodes, indices[:1], run_seed=cfg.seed)
     with pytest.raises(ProtocolError, match="shape"):
-        model.score_episodes(mdl, episodes + [other], indices + [0],
-                             run_seed=cfg.seed)
+        model.score_episodes(mdl, episodes + [other], run_seed=cfg.seed)

@@ -87,7 +87,7 @@ def test_evaluation_reaches_every_traced_layer(perfbench):
         for owner, attr, name, hook in spans.layer_table(cpm2c):
             tracer.wrap(owner, attr, name, hook)
         # around the benchmark's fake-token wrapper, whose hook reads
-        # args[3] as the number of videos drawn
+        # args[3] (the rows drawn) by position
         tracer.wrap(cpm2c.cpm, "fake_token", "fake-token arguments",
                     lambda tr, args, kwargs: tokens.append(args))
         res = runner.evaluate(manifest, mdl, cfg, episodes=3,
@@ -98,8 +98,15 @@ def test_evaluation_reaches_every_traced_layer(perfbench):
     missing = sorted(name for name in expected if not calls[name])
     assert not missing, f"traced layers not reached: {missing}"
     assert res.episodes == 3
-    # one call per episode and branch, each drawing the queries' rows
-    queries = cfg.way * cfg.queries
-    assert calls["cpm.fake_token"] == 3 * 2
-    assert [args[3] for args in tokens] == [queries] * 6
-    assert tracer.counters["fake_token.useful"] == 6
+    # one call per distinct query video and branch, each drawing one row
+    queries = {rec.video_id
+               for index in range(cfg.eval_start, cfg.eval_start + 3)
+               for recs in data.sample_episode(
+                   manifest, data.episode_rng(cfg.seed, index), cfg.way,
+                   cfg.shot, cfg.queries, cfg.eval_split).query
+               for rec in recs}
+    assert calls["cpm.fake_token"] == len(queries) * 2
+    assert [args[3] for args in tokens] == [1] * (len(queries) * 2)
+    assert {args[2] for args in tokens} == {cpm2c.cpm.video_key(video)
+                                           for video in queries}
+    assert tracer.counters["fake_token.useful"] == len(queries) * 2
