@@ -7,6 +7,7 @@ order-only construction is exactly the regime where appearance matching
 saturates and the motion pathway pays its way.
 """
 
+import dataclasses
 import io
 import time
 
@@ -28,8 +29,9 @@ for preset in ("full", "no-motion", "motion-only"):
                            consistency_reduction="mean", log_every=10 ** 9)
     t0 = time.time()
     run = runner.train(manifest, cfg, log=io.StringIO())
-    res = runner.evaluate(manifest, run.model, cfg, episodes=300,
-                          split="test", shot=5, workers=4)
+    res = runner.evaluate(manifest, run.model,
+                          dataclasses.replace(cfg, eval_split="test", shot=5),
+                          episodes=300, workers=4)
     print(f"{preset:<12} test 5-way 5-shot accuracy "
           f"{res.accuracy:.3f} +/- {res.half_width:.3f}   "
           f"({time.time() - t0:.0f}s)")

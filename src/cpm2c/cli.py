@@ -75,18 +75,26 @@ def parse_config_file(path: str) -> dict:
     return settings
 
 
+def _env_seed():
+    """The ``CPM2C_SEED`` environment variable as an int, None if unset."""
+    env = os.environ.get("CPM2C_SEED")
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"CPM2C_SEED must be an integer, "
+                          f"got {env!r}") from None
+
+
 def build_run_config(args) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
     if "seed" not in values and getattr(args, "seed", None) is None:
-        env = os.environ.get("CPM2C_SEED")
-        if env is not None:
-            try:
-                values["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"CPM2C_SEED must be an integer, "
-                                  f"got {env!r}") from None
+        seed = _env_seed()
+        if seed is not None:
+            values["seed"] = seed
     for name in _RUN_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -103,13 +111,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"override {name}")
 
 
-def _load_manifest(path: str) -> data.DatasetManifest:
-    return data.load_manifest(path)
-
-
 def _cmd_train(args) -> int:
     cfg = build_run_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = data.load_manifest(args.manifest)
     result = runner.train(manifest, cfg, out_dir=args.out)
     print(f"trained {cfg.steps} steps in {result.wall_time:.1f}s")
     if result.checkpoint_path:
@@ -120,14 +124,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = data.load_manifest(args.manifest)
     mdl = runner.build_model(manifest, cfg)
     if args.checkpoint:
         runner.restore_model(mdl, args.checkpoint)
     bank = manifest.prompt_bank("train") \
         if cfg.eval_split == "train" and args.losses else None
-    res = runner.evaluate(manifest, mdl, cfg, split=cfg.eval_split,
-                          compute_losses=args.losses, bank=bank)
+    res = runner.evaluate(manifest, mdl, cfg, compute_losses=args.losses,
+                          bank=bank)
     print(f"episodes: {res.episodes}  queries: {res.total_queries}")
     print(f"accuracy: {res.accuracy:.4f} +/- {res.half_width:.4f}")
     if res.parts_mean:
@@ -140,7 +144,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = build_run_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = data.load_manifest(args.manifest)
     report = runner.gradcheck(manifest, cfg,
                               coords_per_param=args.coords,
                               tol=args.tolerance,
@@ -151,7 +155,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_features(args) -> int:
-    manifest = _load_manifest(args.manifest)
+    manifest = data.load_manifest(args.manifest)
     index = runner.dump_features(manifest, args.out, split=args.split)
     print(f"wrote {index}")
     return EXIT_OK
@@ -165,14 +169,7 @@ def _cmd_make_synth(args) -> int:
                           f"got {args.fractions!r}") from None
     if len(fractions) != 3:
         raise ConfigError(f"fractions needs 3 entries, got {len(fractions)}")
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("CPM2C_SEED")
-        try:
-            seed = int(env) if env is not None else 0
-        except ValueError:
-            raise ConfigError(f"CPM2C_SEED must be an integer, "
-                              f"got {env!r}") from None
+    seed = args.seed if args.seed is not None else _env_seed() or 0
     cfg = data.SyntheticConfig(num_classes=args.classes, dim=args.dim,
                                frames=args.frames, scale=args.scale,
                                sigma=args.sigma, mode=args.mode,

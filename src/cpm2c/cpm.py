@@ -24,14 +24,16 @@ import numpy as np
 from . import tensor as T
 from .data import FAKE_TAG, keyed_rng
 from .errors import ShapeError
-from .nn import PositionalEmbedding, TransformerBlock, _join
+from .nn import Module, PositionalEmbedding, TransformerBlock
 from .tensor import Tensor
 
 BRANCH_CODES = {"normal": 0, "motion": 1}
 
 
-class CpmBranch:
+class CpmBranch(Module):
     """Transformer plus positional table for one fixed sequence length."""
+
+    _state = ("transformer", "pos")
 
     def __init__(self, seq_len: int, dim: int, num_heads: int = 8,
                  ffn_hidden: Optional[int] = None,
@@ -41,12 +43,6 @@ class CpmBranch:
         self.dim = dim
         self.transformer = TransformerBlock(dim, num_heads, ffn_hidden, rng)
         self.pos = PositionalEmbedding(seq_len, dim, rng)
-
-    def named_parameters(self, prefix: str = ""):
-        return (self.transformer.named_parameters(_join(prefix, "transformer"))
-                + self.pos.named_parameters(_join(prefix, "pos")))
-
-    named_state = named_parameters
 
 
 def stack_token_frames_batch(tokens: Tensor, frames: Tensor,

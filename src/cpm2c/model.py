@@ -48,7 +48,7 @@ from . import cpm, metric, objective, tensor as T
 from .data import EpisodeBatch, keyed_rng
 from .errors import ConfigError, ProtocolError
 from .motion import motion_features
-from .nn import PhiStack, _join
+from .nn import Module, PhiStack
 from .objective import LossWeights
 from .tensor import Tensor
 
@@ -85,7 +85,7 @@ class Ablation:
             raise ConfigError("at least one branch must stay enabled")
 
 
-class Model:
+class Model(Module):
     """Both branches, the motion transform, and the learned temperature.
 
     The normal branch runs on sequences of length ``frames`` plus the
@@ -96,6 +96,8 @@ class Model:
     positive under unconstrained updates; it starts at
     ``_INIT_TEMPERATURE``.
     """
+
+    _state = ("normal", "motion", "phi", "log_temperature")
 
     def __init__(self, dim: int, frames: int, seed: int = 0):
         if frames < 2:
@@ -112,20 +114,6 @@ class Model:
 
     def temperature(self) -> Tensor:
         return T.exp(self.log_temperature)
-
-    def named_parameters(self, prefix: str = ""):
-        out = self.normal.named_parameters(_join(prefix, "normal"))
-        out += self.motion.named_parameters(_join(prefix, "motion"))
-        out += self.phi.named_parameters(_join(prefix, "phi"))
-        out.append((_join(prefix, "log_temperature"), self.log_temperature))
-        return out
-
-    def named_state(self, prefix: str = ""):
-        out = self.normal.named_state(_join(prefix, "normal"))
-        out += self.motion.named_state(_join(prefix, "motion"))
-        out += self.phi.named_state(_join(prefix, "phi"))
-        out.append((_join(prefix, "log_temperature"), self.log_temperature))
-        return out
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Neural layers and the Adam optimizer, built on the tensor module.
 
-Layers hold their parameters as ``Tensor`` leaves and expose
-``named_parameters`` (trainable) plus ``named_state`` (trainable and
-persistent buffers such as batch-norm running statistics). Checkpoints
-serialize ``named_state`` into a flat binary format.
+Every layer is a ``Module`` and names its state once, in checkpoint
+order, in its ``_state`` tuple: ``Tensor`` leaves are the trainable
+parameters, plain arrays are persistent buffers (batch-norm running
+statistics), and sub-modules nest under their attribute names.
+``Module.named_state`` walks that tuple and ``named_parameters`` keeps
+its ``Tensor`` entries. Checkpoints serialize ``named_state`` into a
+flat binary format.
 
 Each layer's forward is one tape op (see ``tensor._record``): plain
 numpy forward, one node, and a hand-written backward. The forwards run
@@ -27,6 +30,30 @@ from .tensor import Tensor
 
 def _join(prefix: str, name: str) -> str:
     return name if not prefix else f"{prefix}.{name}"
+
+
+class Module:
+    """A layer whose parameters, buffers and sub-modules are the
+    attributes its ``_state`` names, in checkpoint order."""
+
+    _state: tuple = ()
+
+    def named_state(self, prefix: str = ""):
+        """(name, value) for every parameter and buffer, depth first."""
+        out = []
+        for attr in self._state:
+            value = getattr(self, attr)
+            name = _join(prefix, attr)
+            if isinstance(value, (Tensor, np.ndarray)):
+                out.append((name, value))
+            else:
+                out.extend(value.named_state(name))
+        return out
+
+    def named_parameters(self, prefix: str = ""):
+        """The ``Tensor`` entries of ``named_state``, in its order."""
+        return [(name, value) for name, value in self.named_state(prefix)
+                if isinstance(value, Tensor)]
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
@@ -67,8 +94,10 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     return T._record(out, (x, gamma, beta), bwd), mean, var
 
 
-class Linear:
+class Linear(Module):
     """Affine map y = x W^T + b over the last axis."""
+
+    _state = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(in_dim)
@@ -109,15 +138,11 @@ class Linear:
         return T._record(out.reshape(shape[:-1] + (wd.shape[0],)),
                          (x, self.weight, self.bias), bwd)
 
-    def named_parameters(self, prefix: str = ""):
-        return [(_join(prefix, "weight"), self.weight),
-                (_join(prefix, "bias"), self.bias)]
 
-    named_state = named_parameters
-
-
-class LayerNorm:
+class LayerNorm(Module):
     """Normalization over the last axis with learnable scale and shift."""
+
+    _state = ("gamma", "beta")
 
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gamma = T.ones(dim, requires_grad=True)
@@ -126,12 +151,6 @@ class LayerNorm:
 
     def forward(self, x: Tensor) -> Tensor:
         return _normalize(x, self.gamma, self.beta, -1, self.eps)[0]
-
-    def named_parameters(self, prefix: str = ""):
-        return [(_join(prefix, "gamma"), self.gamma),
-                (_join(prefix, "beta"), self.beta)]
-
-    named_state = named_parameters
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
@@ -185,12 +204,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     return out, (weights if q.ndim == 3 else weights[0])
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention over an L x D sequence.
 
     The output projection starts at zero so the enclosing residual block
     is the identity at initialization.
     """
+
+    _state = ("query", "key", "value", "out")
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator):
         if dim % num_heads != 0:
@@ -218,23 +239,16 @@ class MultiHeadAttention:
             return out, Tensor(weights)
         return out
 
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for name, layer in (("query", self.query), ("key", self.key),
-                            ("value", self.value), ("out", self.out)):
-            out.extend(layer.named_parameters(_join(prefix, name)))
-        return out
 
-    named_state = named_parameters
-
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm residual block: attention then a two-layer ReLU FFN.
 
     Zero-initialized output projections make the whole block the identity
     map at initialization, so early training is dominated by the token
     and positional signal rather than attention noise.
     """
+
+    _state = ("ln1", "attn", "ln2", "ffn1", "ffn2")
 
     def __init__(self, dim: int, num_heads: int = 8,
                  ffn_hidden: Optional[int] = None,
@@ -251,24 +265,16 @@ class TransformerBlock:
         h = T.add(x, self.attn.forward(self.ln1.forward(x)))
         return T.add(h, self.ffn2.forward(T.relu(self.ffn1.forward(self.ln2.forward(h)))))
 
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for name, mod in (("ln1", self.ln1), ("attn", self.attn),
-                          ("ln2", self.ln2), ("ffn1", self.ffn1),
-                          ("ffn2", self.ffn2)):
-            out.extend(mod.named_parameters(_join(prefix, name)))
-        return out
 
-    named_state = named_parameters
-
-
-class BatchNorm:
+class BatchNorm(Module):
     """Batch normalization over the frame axis of a T x D stack.
 
     Batched (B, T, D) input is normalized per sequence, matching a loop
     over the individual (T, D) stacks; running statistics then track the
     average of the per-sequence moments.
     """
+
+    _state = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         self.gamma = T.ones(dim, requires_grad=True)
@@ -297,22 +303,14 @@ class BatchNorm:
             self.running_var.dtype)
         return out
 
-    def named_parameters(self, prefix: str = ""):
-        return [(_join(prefix, "gamma"), self.gamma),
-                (_join(prefix, "beta"), self.beta)]
 
-    def named_state(self, prefix: str = ""):
-        return self.named_parameters(prefix) + [
-            (_join(prefix, "running_mean"), self.running_mean),
-            (_join(prefix, "running_var"), self.running_var)]
-
-
-class PhiStack:
+class PhiStack(Module):
     """Per-frame pointwise transform: (linear, batch-norm, ReLU) blocks.
 
     Operates on a T x D stack frame-wise; batch statistics are taken over
     the T axis. With zero blocks the stack is the exact identity, in train
-    and in eval mode.
+    and in eval mode. Block i's entries are named ``block{i}.linear`` and
+    ``block{i}.bn``, so the stack lists its state itself.
     """
 
     def __init__(self, dim: int, blocks: int = 2,
@@ -326,13 +324,6 @@ class PhiStack:
             x = T.relu(bn.forward(lin.forward(x), train=train))
         return x
 
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for i, (lin, bn) in enumerate(zip(self.linears, self.norms)):
-            out.extend(lin.named_parameters(_join(prefix, f"block{i}.linear")))
-            out.extend(bn.named_parameters(_join(prefix, f"block{i}.bn")))
-        return out
-
     def named_state(self, prefix: str = ""):
         out = []
         for i, (lin, bn) in enumerate(zip(self.linears, self.norms)):
@@ -341,18 +332,14 @@ class PhiStack:
         return out
 
 
-class PositionalEmbedding:
+class PositionalEmbedding(Module):
     """Learnable position table added before the transformer."""
+
+    _state = ("table",)
 
     def __init__(self, length: int, dim: int, rng: np.random.Generator):
         self.table = Tensor(rng.normal(0.0, 0.02, (length, dim)),
                             requires_grad=True)
-
-    def named_parameters(self, prefix: str = ""):
-        return [(_join(prefix, "table"), self.table)]
-
-    named_state = named_parameters
-
 
 _ADAM_BLOCK = 1 << 16     # elements; a float32 block is 256 KiB
 

@@ -54,12 +54,6 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def _known_split(split: str) -> None:
-    if split not in SPLITS:
-        raise ConfigError(f"unknown split {split!r}; choose from "
-                          f"{list(SPLITS)}")
-
-
 @dataclass
 class RunConfig:
     """Every knob of a training or evaluation run."""
@@ -98,7 +92,9 @@ class RunConfig:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
                               f"{sorted(PRESETS)}")
-        _known_split(self.eval_split)
+        if self.eval_split not in SPLITS:
+            raise ConfigError(f"unknown split {self.eval_split!r}; choose "
+                              f"from {list(SPLITS)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, "
                               f"got {self.lr}")
@@ -323,13 +319,14 @@ class EvalResult:
 
 
 def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
-             episodes: Optional[int] = None, split: Optional[str] = None,
+             episodes: Optional[int] = None,
              start_index: Optional[int] = None, compute_losses: bool = False,
-             workers: Optional[int] = None, bank=None,
-             way: Optional[int] = None, shot: Optional[int] = None,
-             queries: Optional[int] = None) -> EvalResult:
+             workers: Optional[int] = None, bank=None) -> EvalResult:
     """Score the model over a run of evaluation episodes.
 
+    Episodes are ``cfg.way``-way ``cfg.shot``-shot with ``cfg.queries``
+    queries per class, drawn from ``cfg.eval_split``; pass
+    ``dataclasses.replace(cfg, ...)`` to score another shape or split.
     Episode i draws from the stream keyed by (seed, start_index + i), so
     the run is reproducible and disjoint from training. All episodes are
     sampled first. Without losses they are scored by ``score_episodes``,
@@ -340,27 +337,21 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     video. Either way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
-    are never mutated. The ``episodes``/``way``/``shot``/``queries``
-    overrides must be at least 1, and ``split`` must name a split, as in
-    ``RunConfig``; a ConfigError says so before any episode is sampled.
+    are never mutated. The ``episodes`` and ``workers`` overrides must
+    be at least 1, as in ``RunConfig``; a ConfigError says so before any
+    episode is sampled.
     """
     episodes = cfg.eval_episodes if episodes is None else episodes
-    split = cfg.eval_split if split is None else split
     start = cfg.eval_start if start_index is None else start_index
     workers = cfg.workers if workers is None else workers
-    way = cfg.way if way is None else way
-    shot = cfg.shot if shot is None else shot
-    queries = cfg.queries if queries is None else queries
-    for name, value in (("episodes", episodes), ("way", way),
-                        ("shot", shot), ("queries", queries)):
-        _at_least(name, value, 1)
-    _known_split(split)
+    _at_least("episodes", episodes, 1)
+    _at_least("workers", workers, 1)
     kwargs = _episode_kwargs(cfg)
 
     t0 = time.perf_counter()
     indices = [start + i for i in range(episodes)]
     sampled = [sample_episode(manifest, episode_rng(cfg.seed, index),
-                              way, shot, queries, split)
+                              cfg.way, cfg.shot, cfg.queries, cfg.eval_split)
                for index in indices]
 
     def with_losses(lo: int, hi: int):

@@ -56,17 +56,13 @@ def default_dtype():
     return _state.dtype
 
 
-def set_default_dtype(name: str) -> None:
-    if name not in _FLOAT_DTYPES:
-        raise ValueError(f"unknown float dtype {name!r}")
-    _state.dtype = _FLOAT_DTYPES[name]
-
-
 @contextlib.contextmanager
 def precision(name: str):
     """Temporarily switch the default float dtype ('float32' or 'float64')."""
+    if name not in _FLOAT_DTYPES:
+        raise ValueError(f"unknown float dtype {name!r}")
     old = _state.dtype
-    set_default_dtype(name)
+    _state.dtype = _FLOAT_DTYPES[name]
     try:
         yield
     finally:
@@ -111,38 +107,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalars become constant tensors.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:

@@ -6,6 +6,7 @@ measured numbers, then asserts the stated bound. Slow shared artifacts
 gate fits a desk budget end to end.
 """
 
+import dataclasses
 import io
 import math
 import time
@@ -46,10 +47,10 @@ def trained_static(static_manifest):
     bank = static_manifest.prompt_bank("val")
     fresh = runner.build_model(static_manifest, cfg)
     before = runner.evaluate(static_manifest, fresh, cfg, episodes=200,
-                             split="val", compute_losses=True, bank=bank)
+                             compute_losses=True, bank=bank)
     result = runner.train(static_manifest, cfg, log=io.StringIO())
     after = runner.evaluate(static_manifest, result.model, cfg, episodes=200,
-                            split="val", compute_losses=True, bank=bank)
+                            compute_losses=True, bank=bank)
     return SimpleNamespace(cfg=cfg, result=result, before=before, after=after)
 
 
@@ -179,19 +180,18 @@ def symmetric_baseline():
     man = data.build_synthetic_manifest(cfg_data, videos_per_class=100,
                                         fractions=(0.3, 0.2, 0.5))
     cfg = runner.RunConfig(way=5, shot=5, queries=1, seed=0,
-                           log_every=10 ** 9)
+                           eval_split="test", log_every=10 ** 9)
     mdl = runner.build_model(man, cfg)
-    return runner.evaluate(man, mdl, cfg, episodes=1000, split="test",
-                           workers=4)
+    return runner.evaluate(man, mdl, cfg, episodes=1000, workers=4)
 
 
 def test_separable_accuracy_high_and_baseline_at_chance(trained_static,
                                                         static_manifest,
                                                         symmetric_baseline,
                                                         capsys):
-    cfg = trained_static.cfg
+    cfg = dataclasses.replace(trained_static.cfg, eval_split="test", shot=5)
     res = runner.evaluate(static_manifest, trained_static.result.model, cfg,
-                          episodes=1000, split="test", workers=4, shot=5)
+                          episodes=1000, workers=4)
     base = symmetric_baseline
     half = 2.576 * math.sqrt(0.2 * 0.8 / base.total_queries)  # 99% band
     in_band = abs(base.accuracy - 0.2) <= half
@@ -217,8 +217,10 @@ def motion_ablation():
                                consistency_reduction="mean",
                                log_every=10 ** 9)
         tr = runner.train(man, cfg, log=io.StringIO())
-        res = runner.evaluate(man, tr.model, cfg, episodes=1000,
-                              split="test", workers=4, shot=5)
+        res = runner.evaluate(man, tr.model,
+                              dataclasses.replace(cfg, eval_split="test",
+                                                  shot=5),
+                              episodes=1000, workers=4)
         accs[preset] = res.accuracy
     return accs
 
@@ -259,14 +261,14 @@ def test_identity_phi_motion_nullity_and_offset_invariance(capsys):
 def determinism_runs(static_manifest, tmp_path_factory):
     cfg = runner.RunConfig(way=5, shot=1, queries=1, steps=60, window=2,
                            lr=1e-3, seed=9, consistency_reduction="mean",
-                           log_every=10 ** 9)
+                           eval_split="test", log_every=10 ** 9)
     runs = []
     for name in ("det_a", "det_b"):
         out = tmp_path_factory.mktemp(name)
         tr = runner.train(static_manifest, cfg, out_dir=str(out),
                           log=io.StringIO())
         ev = runner.evaluate(static_manifest, tr.model, cfg, episodes=200,
-                             split="test", workers=1)
+                             workers=1)
         runs.append((tr, ev))
     return cfg, runs
 
@@ -279,7 +281,7 @@ def test_same_seed_is_bit_identical_and_worker_invariant(static_manifest,
                  == Path(tr2.checkpoint_path).read_bytes())
     same_acc = ev1.accuracy == ev2.accuracy
     w4 = runner.evaluate(static_manifest, tr1.model, cfg, episodes=200,
-                         split="test", workers=4)
+                         workers=4)
     numerator_diff = abs(float(ev1.correct) - float(w4.correct))
     ok = same_ckpt and same_acc and numerator_diff <= 1e-9
     _emit(capsys, 8, ok,

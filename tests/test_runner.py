@@ -1,5 +1,6 @@
 """Training loop, parallel evaluation, gradient audit, feature dumps."""
 
+import dataclasses
 import io
 import json
 import os
@@ -124,7 +125,7 @@ def test_initial_temperature_changes_nothing_but_itself():
     # the adaptation loss reaches only log_temperature, and nothing else
     # reads it, so its starting value cannot move a prediction
     manifest = tiny_manifest()
-    cfg = tiny_config(steps=10, window=2)
+    cfg = tiny_config(steps=10, window=2, eval_split="train")
     runs = []
     for temperature in (None, 0.5):
         mdl = runner.build_model(manifest, cfg)
@@ -132,8 +133,7 @@ def test_initial_temperature_changes_nothing_but_itself():
             mdl.log_temperature.data = np.asarray(
                 np.log(temperature), mdl.log_temperature.data.dtype)
         tr = runner.train(manifest, cfg, mdl=mdl, log=io.StringIO())
-        ev = runner.evaluate(manifest, tr.model, cfg, episodes=20,
-                             split="train")
+        ev = runner.evaluate(manifest, tr.model, cfg, episodes=20)
         runs.append((tr, ev))
     (a, ev_a), (b, ev_b) = runs
     others = lambda mdl: [(name, value) for name, value in state_arrays(mdl)
@@ -194,9 +194,9 @@ def test_malloc_thresholds_are_pinned_once_by_training(monkeypatch):
     mallopt = _FakeMallopt()
     _fake_libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     runner.evaluate(manifest, runner.build_model(manifest, cfg), cfg,
-                    episodes=2, split="train")
+                    episodes=2)
     assert mallopt.calls == []           # evaluation leaves malloc alone
     runner.train(manifest, cfg, log=io.StringIO())
     pinned = [(-3, 32 << 20), (-1, 64 << 20)]   # M_MMAP_, M_TRIM_THRESHOLD
@@ -312,9 +312,9 @@ def test_training_reduces_loss_on_easy_data():
 
 def test_evaluate_counts_and_interval():
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     mdl = runner.build_model(manifest, cfg)
-    res = runner.evaluate(manifest, mdl, cfg, episodes=8, split="train")
+    res = runner.evaluate(manifest, mdl, cfg, episodes=8)
     assert res.episodes == 8
     assert res.total_queries == 8 * 2 * 1
     assert 0.0 <= res.accuracy <= 1.0
@@ -326,21 +326,20 @@ def test_evaluate_counts_and_interval():
 
 def test_evaluate_single_class_probabilities_are_certain():
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(way=1, shot=1, queries=2, eval_split="val")
     mdl = runner.build_model(manifest, cfg)
-    res = runner.evaluate(manifest, mdl, cfg, episodes=4, split="val",
-                          way=1, shot=1, queries=2)
+    res = runner.evaluate(manifest, mdl, cfg, episodes=4)
     assert res.accuracy == 1.0 and res.half_width == 0.0
 
 
 def test_worker_count_does_not_change_results():
     # 20 episodes span two full blocks and a ragged third
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     with T.precision("float64"):
         mdl = runner.build_model(manifest, cfg)
         runs = {(losses, workers): runner.evaluate(
-                    manifest, mdl, cfg, episodes=20, split="train",
+                    manifest, mdl, cfg, episodes=20,
                     compute_losses=losses, workers=workers)
                 for losses in (True, False) for workers in (1, 2, 4)}
     one = runs[True, 1]
@@ -358,21 +357,26 @@ def test_worker_count_does_not_change_results():
 
 @pytest.mark.parametrize("override", [dict(way=0), dict(shot=0),
                                       dict(queries=0), dict(shot=-1),
-                                      dict(episodes=0)])
+                                      dict(episodes=0), dict(workers=0)])
 @pytest.mark.parametrize("compute_losses", [False, True])
 def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
                                               compute_losses):
+    # an episode shape other than the config's is a replaced RunConfig,
+    # which checks it; the episode and worker counts are arguments
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     mdl = runner.build_model(manifest, cfg)
     sampled = []
     monkeypatch.setattr(runner, "sample_episode",
                         lambda *a, **k: sampled.append(a))
-    name = next(iter(override))
-    kwargs = dict(episodes=2, split="train", compute_losses=compute_losses)
-    kwargs.update(override)
+    shape = dict(override)
+    name = next(iter(shape))
+    kwargs = dict(episodes=2, compute_losses=compute_losses)
+    kwargs.update((k, shape.pop(k)) for k in ("episodes", "workers")
+                  if k in shape)
     with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
-        runner.evaluate(manifest, mdl, cfg, **kwargs)
+        runner.evaluate(manifest, mdl, dataclasses.replace(cfg, **shape),
+                        **kwargs)
     assert not sampled
 
 
@@ -385,31 +389,32 @@ def test_evaluate_rejects_an_unknown_split(monkeypatch, compute_losses):
     monkeypatch.setattr(runner, "sample_episode",
                         lambda *a, **k: sampled.append(a))
     with pytest.raises(ConfigError, match="unknown split 'bogus'"):
-        runner.evaluate(manifest, mdl, cfg, episodes=2, split="bogus",
-                        compute_losses=compute_losses)
+        runner.evaluate(manifest, mdl,
+                        dataclasses.replace(cfg, eval_split="bogus"),
+                        episodes=2, compute_losses=compute_losses)
     assert not sampled
 
 
 def test_evaluate_never_mutates_the_model():
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     mdl = runner.build_model(manifest, cfg)
     before = state_arrays(mdl)
     assert any(name.endswith("running_var") for name, _ in before)
-    runner.evaluate(manifest, mdl, cfg, episodes=4, split="train",
-                    compute_losses=True, workers=2)
+    runner.evaluate(manifest, mdl, cfg, episodes=4, compute_losses=True,
+                    workers=2)
     assert_states_equal(before, state_arrays(mdl))
-    runner.evaluate(manifest, mdl, cfg, episodes=4, split="train",
-                    compute_losses=False, workers=2)
+    runner.evaluate(manifest, mdl, cfg, episodes=4, compute_losses=False,
+                    workers=2)
     assert_states_equal(before, state_arrays(mdl))
 
 
 def test_evaluate_is_reproducible_across_calls():
     manifest = tiny_manifest()
-    cfg = tiny_config()
+    cfg = tiny_config(eval_split="train")
     mdl = runner.build_model(manifest, cfg)
-    a = runner.evaluate(manifest, mdl, cfg, episodes=6, split="train")
-    b = runner.evaluate(manifest, mdl, cfg, episodes=6, split="train")
+    a = runner.evaluate(manifest, mdl, cfg, episodes=6)
+    b = runner.evaluate(manifest, mdl, cfg, episodes=6)
     assert a.per_episode_correct == b.per_episode_correct
 
 

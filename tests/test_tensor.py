@@ -520,17 +520,6 @@ def test_untaped_ops_do_not_record():
         T.backward(out)
 
 
-def test_operator_sugar_matches_functions():
-    a = T.tensor([1.0, 2.0])
-    b = T.tensor([3.0, 4.0])
-    assert np.array_equal((a + b).data, [4.0, 6.0])
-    assert np.array_equal((a - b).data, [-2.0, -2.0])
-    assert np.array_equal((a * b).data, [3.0, 8.0])
-    assert np.array_equal((a / b).data, [1.0 / 3.0, 0.5])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
-    assert np.array_equal((2.0 * a).data, [2.0, 4.0])
-
-
 def test_precision_context_switches_and_restores():
     with T.precision("float32"):
         assert T.tensor([1.0]).data.dtype == np.float32
@@ -538,6 +527,13 @@ def test_precision_context_switches_and_restores():
             assert T.tensor([1.0]).data.dtype == np.float64
         assert T.tensor([1.0]).data.dtype == np.float32
     assert T.tensor([1.0]).data.dtype == np.float64  # fixture-installed mode
+
+
+def test_precision_rejects_an_unknown_dtype_and_keeps_the_current_one():
+    with pytest.raises(ValueError, match="unknown float dtype 'float16'"):
+        with T.precision("float16"):
+            pass
+    assert T.default_dtype() is np.float64
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])

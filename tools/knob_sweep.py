@@ -24,6 +24,7 @@ its 95% interval and the median wall time of a training step.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -87,8 +88,9 @@ def run_one(manifest, overrides: dict, seed: int, steps: int,
     walls = [0.0] + [row["wall"] for row in result.history]
     step_ms = statistics.median(b - a for a, b in zip(walls, walls[1:])) \
         * 1e3
-    res = runner.evaluate(manifest, result.model, cfg, episodes=episodes,
-                          split="test", shot=EVAL_SHOT, workers=1)
+    scoring = dataclasses.replace(cfg, eval_split="test", shot=EVAL_SHOT)
+    res = runner.evaluate(manifest, result.model, scoring, episodes=episodes,
+                          workers=1)
     return {"seed": seed, "accuracy": round(res.accuracy, 4),
             "ci95": [round(res.accuracy - res.half_width, 4),
                      round(res.accuracy + res.half_width, 4)],
