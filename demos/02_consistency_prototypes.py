@@ -25,7 +25,7 @@ print(f"branch parameters   {len(params)} tensors, "
 videos = Tensor(rng.standard_normal((SHOT, FRAMES, DIM)).astype(np.float32))
 prompt = rng.standard_normal(DIM).astype(np.float32)
 prompts = Tensor(np.tile(prompt, (SHOT, 1)))
-fakes = Tensor(cpm.fake_token(DIM, 0, 0, SHOT, "normal"))
+fakes = Tensor(cpm.fake_token(DIM, 0, [0], SHOT, "normal")[0])
 print("fake tokens keyed by (run 0, episode 0, branch 'normal'), "
       "one row per video")
 

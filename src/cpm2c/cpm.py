@@ -7,10 +7,11 @@ transformer. This module holds the branch, the batched token stack and
 enhancement, and the keyed fake tokens: in training one stream per
 episode and branch, one row per video; in evaluation one stream per
 video and branch (``video_key``), so a test video has one stand-in
-wherever it is drawn. ``model`` builds the class
-prototypes (means of real-token enhanced supports) and the consistency
-loss (pulling fake-token enhancements toward real-token ones, so the
-fake path becomes a valid query representation) from whole batches.
+wherever it is drawn; one call draws the tokens of many keys. ``model``
+builds the class prototypes (means of real-token enhanced supports) and
+the consistency loss (pulling fake-token enhancements toward real-token
+ones, so the fake path becomes a valid query representation) from whole
+batches.
 The per-video forms of these steps live in ``tests/oracles.py``, as the
 references that the batched code is tested against.
 """
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import FAKE_TAG, keyed_rng
+from .data import FAKE_TAG, key_digests, keyed_normals
 from .errors import ShapeError
 from .nn import Module, PositionalEmbedding, TransformerBlock
 from .tensor import Tensor
@@ -92,17 +93,20 @@ def video_key(video_id: str) -> int:
     return 2 ** 64 + int.from_bytes(b"\x01" + video_id.encode(), "big")
 
 
-def fake_token(dim: int, run_seed: int, key: int, videos: int,
+def fake_token(dim: int, run_seed: int, keys, rows: int,
                branch: str) -> np.ndarray:
-    """The (videos, dim) standard-normal float32 tokens of one stream,
-    keyed by (run, key, branch).
+    """The (len(keys), rows, dim) standard-normal float32 stand-in tokens
+    of each key's stream, keyed by (run, key, branch).
 
-    In training ``key`` is the episode index and row i is video i of the
-    stream's order, which puts an episode's queries before its supports
-    (``model._fake_tokens``). In evaluation it is a ``video_key`` and one
-    row is drawn. Draws are sequential, so fewer rows are a prefix of
-    more rows bit for bit. The same key always regenerates the same rows,
-    which makes evaluation worker-count-invariant and runs replayable.
+    In training a key is an episode index, and row i of its stream is
+    video i of the stream's order, which puts an episode's queries before
+    its supports (``model._fake_tokens``). In evaluation the keys are
+    ``video_key``s and one row is drawn from each. The draws are
+    counter-based (``data.keyed_normals``): a key's rows are the same
+    alone or in any batch, fewer rows are a prefix of more rows bit for
+    bit, and the same key always regenerates them, which makes
+    evaluation worker-count-invariant and runs replayable.
     """
-    rng = keyed_rng(run_seed, FAKE_TAG, key, BRANCH_CODES[branch])
-    return rng.standard_normal((videos, dim), dtype=np.float32)
+    digests = key_digests(keys, run_seed, FAKE_TAG, BRANCH_CODES[branch])
+    return keyed_normals(digests, rows * dim).reshape(len(digests), rows,
+                                                      dim)

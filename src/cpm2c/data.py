@@ -16,7 +16,9 @@ File formats:
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,18 +41,129 @@ FAKE_TAG = 7
 
 
 def keyed_rng(*key) -> np.random.Generator:
-    """Counter-based generator for an integer key tuple.
+    """Philox generator seeded by ``SeedSequence`` from an integer key tuple.
 
     Same key, same stream, bit for bit; distinct keys give statistically
-    independent streams. This is the only RNG construction used anywhere,
-    so every random draw in the system is reproducible from (seed, key).
+    independent streams. Setup-time draws use it: synthetic data,
+    prompts, initial weights and gradcheck coordinates. Its construction
+    costs about 12 us, so the per-episode draws (episodes and stand-in
+    tokens) use ``KeyedStream`` and ``keyed_normals`` instead; every
+    random draw in the system is still reproducible from (seed, key).
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def episode_rng(run_seed: int, episode_index: int) -> np.random.Generator:
-    """The sampling stream for one episode of one run."""
-    return keyed_rng(run_seed, _EPISODE_TAG, episode_index)
+# SplitMix64 (Steele et al. 2014): the Weyl increment of the counter and
+# the two multipliers of the output finalizer
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# elements per slab of ``keyed_normals``: a slab's uint64 words take
+# 32 KiB, so no temporary reaches glibc's 128 KiB mmap threshold
+_SLAB = 4096
+
+
+def _encode(part) -> bytes:
+    """Self-delimiting bytes of one nonnegative integer key part: its
+    minimal little-endian bytes after their 4-byte count."""
+    part = operator.index(part)
+    if part < 0:
+        raise ValueError(f"key parts must be >= 0, got {part}")
+    raw = part.to_bytes((part.bit_length() + 7) // 8, "little")
+    return len(raw).to_bytes(4, "little") + raw
+
+
+def key_digests(keys, *prefix) -> np.ndarray:
+    """The uint64 digests of the key tuples (*prefix, key), one per key.
+
+    A digest is BLAKE2b, cut to 64 bits, of the parts' self-delimiting
+    encodings, so distinct tuples (integers of any size, such as
+    ``cpm.video_key``'s) collide only with hash-collision odds.
+    """
+    head = b"".join(_encode(part) for part in prefix)
+    blob = b"".join(hashlib.blake2b(head + _encode(key),
+                                    digest_size=8).digest() for key in keys)
+    return np.frombuffer(blob, dtype="<u8")
+
+
+def _words(digests: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """(len(digests), stop - start) uint64 words: element (i, j) is output
+    start + j of the SplitMix64 stream seeded with ``digests[i]``, a pure
+    function of that digest and its counter."""
+    x = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    x *= _GOLDEN
+    x = x + digests[:, None]
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
+    """Standard normals into the float32 array ``out``, one per word: its
+    top 24 bits give the radius and its low 24 bits the angle of a
+    Box-Muller pair, whose cosine half is kept."""
+    radius = (words >> np.uint64(40)).astype(np.float32)
+    radius += np.float32(0.5)                # in (0, 1) after the scale
+    radius *= np.float32(2.0 ** -24)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    angle = (words & np.uint64(0xFFFFFF)).astype(np.float32)
+    angle *= np.float32(2.0 * np.pi * 2.0 ** -24)
+    np.cos(angle, out=angle)
+    np.multiply(radius, angle, out=out)
+
+
+def keyed_normals(digests: np.ndarray, count: int) -> np.ndarray:
+    """(len(digests), count) float32 standard normals, row i from the
+    stream seeded with ``digests[i]``.
+
+    Element j of a row is a pure function of (digest, j), so a key's row
+    is the same whether drawn alone or in a batch, and fewer elements
+    are a prefix of more. The work goes in slabs of about ``_SLAB``
+    elements (whole rows where they fit), so temporaries stay small.
+    """
+    out = np.empty((len(digests), count), np.float32)
+    rows = max(1, _SLAB // max(count, 1))
+    width = max(1, min(count, _SLAB))
+    for lo in range(0, len(digests), rows):
+        slab = digests[lo:lo + rows]
+        for start in range(0, count, width):
+            stop = min(start + width, count)
+            _box_muller(_words(slab, start, stop),
+                        out[lo:lo + rows, start:stop])
+    return out
+
+
+class KeyedStream:
+    """Uniform draws from one integer key tuple, counter-based.
+
+    The j-th uniform a stream hands out is a pure function of (key, j),
+    so a stream costs one digest to make and its draws vectorize. Same
+    key, same draws, bit for bit.
+    """
+
+    __slots__ = ("_digest", "_drawn")
+
+    def __init__(self, *key):
+        self._digest = key_digests(key[-1:], *key[:-1])
+        self._drawn = 0
+
+    def uniform(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` float64 uniforms in [0, 1), each
+        with 53 random bits."""
+        words = _words(self._digest, self._drawn, self._drawn + count)[0]
+        self._drawn += count
+        return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def episode_rng(run_seed: int, episode_index: int) -> KeyedStream:
+    """The sampling stream of one episode of one run, keyed by (run,
+    episode); ``sample_episode`` draws the whole episode from it."""
+    return KeyedStream(run_seed, _EPISODE_TAG, episode_index)
 
 
 @dataclass
@@ -114,6 +227,10 @@ class DatasetManifest:
         for groups in self._by_split.values():
             for vids in groups.values():
                 vids.sort(key=lambda r: r.video_id)
+        # the most videos of any class, per split: the row width of
+        # ``sample_episode``'s draw
+        self._widest = {split: max(map(len, groups.values()), default=0)
+                        for split, groups in self._by_split.items()}
 
     def classes_in(self, split: str) -> list:
         return sorted(self._by_split[split])
@@ -486,25 +603,41 @@ class EpisodeBatch:
     prompts: list
 
 
-def sample_episode(manifest: DatasetManifest, rng: np.random.Generator,
+def sample_episode(manifest: DatasetManifest, rng: KeyedStream,
                    way: int, shot: int, queries_per_class: int,
                    split: str) -> EpisodeBatch:
     """Uniform episode draw: classes without replacement, then K+P videos
-    without replacement per class (first K support, rest query)."""
+    without replacement per class (first K support, rest query).
+
+    One draw of iid uniforms from ``rng`` decides the episode, each pick
+    being the first positions of a stable argsort: the first C uniforms
+    rank the split's C classes, and row c of the next ``way`` rows of W
+    (W the most videos of any class in the split) ranks the videos of
+    picked class c, a class with fewer videos using the start of its
+    row. A split with fewer than ``way`` classes, or a picked class with
+    fewer than K+P videos, raises ProtocolError.
+    """
     classes = manifest.classes_in(split)
     if len(classes) < way:
         raise ProtocolError(f"need {way} classes in split {split!r}, "
                             f"have {len(classes)}")
-    picked = [classes[i] for i in rng.choice(len(classes), way, replace=False)]
+    width = manifest._widest[split]
+    draws = rng.uniform(len(classes) + way * width)
+    order = np.argsort(draws[:len(classes)], kind="stable")
+    picked = [classes[i] for i in order[:way].tolist()]
     need = shot + queries_per_class
-    support, query, prompts = [], [], []
-    for cid in picked:
-        vids = manifest.videos_of(split, cid)
+    pools = [manifest.videos_of(split, cid) for cid in picked]
+    rows = draws[len(classes):].reshape(way, width)
+    for c, (cid, vids) in enumerate(zip(picked, pools)):
         if len(vids) < need:
             raise ProtocolError(f"class {cid} has {len(vids)} videos in "
                                 f"{split!r}, need {need}")
-        idx = rng.choice(len(vids), need, replace=False)
-        chosen = [vids[i] for i in idx]
+        if len(vids) < width:
+            rows[c, len(vids):] = 2.0        # past every uniform
+    ranks = np.argsort(rows, axis=1, kind="stable")[:, :need].tolist()
+    support, query, prompts = [], [], []
+    for cid, vids, rank in zip(picked, pools, ranks):
+        chosen = [vids[i] for i in rank]
         support.append(chosen[:shot])
         query.append(chosen[shot:])
         prompts.append(manifest.prompts[cid])

@@ -22,7 +22,8 @@ one keyed stream per episode and branch, one row per video
 (``_fake_tokens``). In eval mode each video's token comes from its own
 stream, keyed by the video and the branch (``cpm.video_key``), so a test
 video has one token, and one representation per branch, in every
-episode that draws it.
+episode that draws it. The streams are counter-based, so one
+``cpm.fake_token`` call draws the tokens of many videos.
 
 ``score_episodes`` is the only path that scores without losses, and it
 never updates the model. In eval mode a video's enhanced features depend
@@ -152,15 +153,16 @@ def _fake_tokens(dim, run_seed, episode_index, support, queries, branch):
     """The (support + queries, dim) training fake tokens of one episode
     and branch in canonical video order. The keyed stream holds the
     queries' rows first."""
-    rows = cpm.fake_token(dim, run_seed, episode_index, support + queries,
-                          branch)
+    rows = cpm.fake_token(dim, run_seed, [episode_index], support + queries,
+                          branch)[0]
     return np.concatenate([rows[queries:], rows[:queries]])
 
 
-def _video_token(dim, run_seed, video_id, branch) -> np.ndarray:
-    """The (dim,) eval-mode fake token of one video and branch."""
-    return cpm.fake_token(dim, run_seed, cpm.video_key(video_id), 1,
-                          branch)[0]
+def _video_tokens(dim, run_seed, videos, branch) -> np.ndarray:
+    """The (V, dim) eval-mode fake tokens of distinct ``videos`` in one
+    branch, each from its own video's stream, in one draw."""
+    keys = [cpm.video_key(rec.video_id) for rec in videos]
+    return cpm.fake_token(dim, run_seed, keys, 1, branch)[:, 0]
 
 
 def _branches(model: Model, ablation: Ablation):
@@ -292,9 +294,8 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
             fakes = _fake_tokens(model.dim, run_seed, episode_index, n * k,
                                  n * p, name)
         else:
-            fakes = np.stack([_video_token(model.dim, run_seed,
-                                           rec.video_id, name)
-                              for rec in _episode_videos(episode)])
+            fakes = _video_tokens(model.dim, run_seed,
+                                  _episode_videos(episode), name)
         protos, queries, con, numel = _branch_pass(
             branch, branch_frames, np.concatenate([prompts_np, fakes]), n,
             k, train)
@@ -397,20 +398,20 @@ def _distinct_videos(episodes):
 
 def _video_features(model: Model, name: str, branch, videos, run_seed: int):
     """The (V, L-1, D) eval-mode features of ``videos`` in one branch:
-    supports under their class prompts, queries under their fake tokens.
-    The videos are split into near-equal chunks of at most
-    ``_SUPPORT_CHUNK``, so no pass is much smaller than the others."""
+    supports under their class prompts, queries under their fake tokens,
+    which are drawn for every query of the branch in one call. The videos
+    are split into near-equal chunks of at most ``_SUPPORT_CHUNK``, so no
+    pass is much smaller than the others."""
+    queries = [rec for rec, prompt in videos if prompt is None]
+    fakes = iter(_video_tokens(model.dim, run_seed, queries, name))
+    tokens = [prompt if prompt is not None else next(fakes)
+              for _, prompt in videos]
     count = len(videos)
     out = None
     for chunk in np.array_split(np.arange(count), -(-count // _SUPPORT_CHUNK)):
         lo, hi = chunk[0], chunk[-1] + 1
-        part = videos[lo:hi]
-        tokens = [prompt if prompt is not None else
-                  _video_token(model.dim, run_seed, rec.video_id, name)
-                  for rec, prompt in part]
-        feats = _enhance(model, name, branch,
-                         np.stack([rec.features() for rec, _ in part]),
-                         np.stack(tokens))
+        frames = np.stack([rec.features() for rec, _ in videos[lo:hi]])
+        feats = _enhance(model, name, branch, frames, np.stack(tokens[lo:hi]))
         if out is None:
             out = np.empty((count,) + feats.shape[1:], feats.dtype)
         out[lo:hi] = feats

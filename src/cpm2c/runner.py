@@ -327,14 +327,16 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     Episodes are ``cfg.way``-way ``cfg.shot``-shot with ``cfg.queries``
     queries per class, drawn from ``cfg.eval_split``; pass
     ``dataclasses.replace(cfg, ...)`` to score another shape or split.
-    Episode i draws from the stream keyed by (seed, start_index + i), so
-    the run is reproducible and disjoint from training. All episodes are
-    sampled first. Without losses they are scored by ``score_episodes``,
-    which enhances each distinct video once per role and branch for this
-    call only; with losses each runs through ``episode_forward`` in eval
-    mode. In eval mode a video's fake token is keyed by the run, the video
-    and the branch, so it is the same in every episode that draws the
-    video. Either way ``workers`` threads map over the same fixed blocks
+    Episode i draws from the counter-based stream keyed by (seed,
+    start_index + i), so the run is reproducible and disjoint from
+    training. All episodes are sampled first. Without losses they are
+    scored by ``score_episodes``, which enhances each distinct video once
+    per role and branch for this call only and draws all of a branch's
+    query tokens in one call; with losses each runs through
+    ``episode_forward`` in eval mode. In eval mode a video's fake token is
+    keyed by the run, the video and the branch, so it is the same in every
+    episode that draws the video, whichever batch it was drawn in. Either
+    way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
     are never mutated. The ``episodes`` and ``workers`` overrides must

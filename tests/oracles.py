@@ -45,7 +45,8 @@ enhanced again for every episode, and each episode gets its own
 transformer, cost-matrix and DP calls. ``model.score_episodes`` must
 reproduce its probabilities bit for bit. ``eval_fake_tokens`` draws an
 episode's eval-mode fake tokens one video at a time, each from its own
-keyed stream; ``training_fake_tokens`` draws the training tokens from
+keyed stream in a call of its own, where the package draws a batch of
+videos in one call; ``training_fake_tokens`` draws the training tokens from
 the episode's stream and puts them in canonical video order.
 
 ``per_episode_losses`` is the loss path as it stood before every episode
@@ -525,8 +526,8 @@ def eval_fake_tokens(mdl: model.Model, run_seed: int, videos, branch: str):
     """The (V, D) eval-mode fake tokens of ``videos``: one keyed stream
     per video and branch, one row drawn from each."""
     return np.stack([cpm.fake_token(mdl.dim, run_seed,
-                                    cpm.video_key(rec.video_id), 1,
-                                    branch)[0] for rec in videos])
+                                    [cpm.video_key(rec.video_id)], 1,
+                                    branch)[0, 0] for rec in videos])
 
 
 def training_fake_tokens(mdl: model.Model, run_seed: int,
@@ -535,8 +536,8 @@ def training_fake_tokens(mdl: model.Model, run_seed: int,
     order: the episode's stream holds the queries' rows first."""
     support = episode.way * episode.shot
     queries = episode.way * episode.queries_per_class
-    rows = cpm.fake_token(mdl.dim, run_seed, episode_index,
-                          support + queries, branch)
+    rows = cpm.fake_token(mdl.dim, run_seed, [episode_index],
+                          support + queries, branch)[0]
     return np.concatenate([rows[queries:], rows[:queries]])
 
 

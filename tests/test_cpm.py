@@ -172,44 +172,74 @@ def test_prototype_linearity():
 
 
 def test_fake_token_provenance_regenerates_bitwise():
-    a = cpm.fake_token(16, 3, 14, 5, "normal")
-    b = cpm.fake_token(16, 3, 14, 5, "normal")
-    assert a.dtype == np.float32 and a.shape == (5, 16)
+    a = cpm.fake_token(16, 3, [14], 5, "normal")
+    b = cpm.fake_token(16, 3, [14], 5, "normal")
+    assert a.dtype == np.float32 and a.shape == (1, 5, 16)
     assert np.array_equal(a, b)
 
 
 def test_fake_token_varies_with_every_key_part():
-    base = cpm.fake_token(8, 0, 0, 4, "normal")
-    for other in [cpm.fake_token(8, 1, 0, 4, "normal"),
-                  cpm.fake_token(8, 0, 1, 4, "normal"),
-                  cpm.fake_token(8, 0, 0, 4, "motion")]:
+    base = cpm.fake_token(8, 0, [0], 4, "normal")[0]
+    for other in [cpm.fake_token(8, 1, [0], 4, "normal")[0],
+                  cpm.fake_token(8, 0, [1], 4, "normal")[0],
+                  cpm.fake_token(8, 0, [0], 4, "motion")[0]]:
         assert not (base == other).any(axis=1).any()
     # each video of an episode gets its own row
     assert len({row.tobytes() for row in base}) == 4
 
 
+def test_fake_token_tells_ids_apart_by_leading_nul_bytes():
+    ids = ["a", "\0a", "\0\0a", "\0", "", "a\0"]
+    keys = [cpm.video_key(video) for video in ids]
+    assert len(set(keys)) == len(ids)
+    rows = cpm.fake_token(8, 0, keys, 1, "normal")[:, 0]
+    assert len({row.tobytes() for row in rows}) == len(ids)
+    # and a video key never meets an episode index of the same run
+    assert min(keys) >= 2 ** 64
+
+
+@pytest.mark.parametrize("dim", [7, 64])
+def test_fake_token_rows_of_a_key_do_not_depend_on_the_batch(dim):
+    # 150 keys fill several slabs; an odd dim puts a key's elements at
+    # other offsets of every vector loop
+    keys = [cpm.video_key(f"c{i:03d}_v000") for i in range(150)] + [3, 0]
+    batch = cpm.fake_token(dim, 5, keys, 2, "motion")
+    assert batch.shape == (len(keys), 2, dim)
+    for i in (0, 1, 63, 64, 65, 149, 150, 151):
+        alone = cpm.fake_token(dim, 5, [keys[i]], 2, "motion")[0]
+        assert np.array_equal(batch[i], alone)
+    assert np.array_equal(cpm.fake_token(dim, 5, keys[::-1], 2, "motion"),
+                          batch[::-1])
+
+
 @pytest.mark.parametrize("dim", [8, 64, 512])
 def test_fake_token_prefix_equals_full_draw(dim):
     # scoring draws only the queries' leading rows of the stream
-    full = cpm.fake_token(dim, 7, 3, 35, "motion")
+    full = cpm.fake_token(dim, 7, [3], 35, "motion")[0]
     for videos in (1, 5, 10, 34):
-        assert np.array_equal(cpm.fake_token(dim, 7, 3, videos, "motion"),
+        assert np.array_equal(cpm.fake_token(dim, 7, [3], videos,
+                                             "motion")[0],
                               full[:videos])
 
 
 def test_fake_token_distribution_is_standard_normal():
-    vecs = np.concatenate([cpm.fake_token(64, 0, i, 10, "normal")
-                           for i in range(20)])
-    assert vecs.shape == (200, 64)
-    assert abs(vecs.mean()) < 0.02
-    assert abs(vecs.std() - 1.0) < 0.02
+    vecs = cpm.fake_token(64, 0, list(range(5000)), 1, "normal")[:, 0]
+    assert vecs.shape == (5000, 64)
+    z = vecs.astype(np.float64).ravel()
+    # sampling sd of the moments over 320000 draws: mean 0.0018, variance
+    # 0.0025, third moment 0.0068, fourth 0.0173; the bounds are 5 sd
+    assert abs(z.mean()) < 0.009
+    assert abs(z.var() - 1.0) < 0.0125
+    assert abs((z ** 3).mean()) < 0.034
+    assert abs((z ** 4).mean() - 3.0) < 0.087
+    assert np.abs(z).max() < 6.0
     # rows are not correlated with each other
-    corr = np.corrcoef(vecs)[np.triu_indices(200, 1)]
+    corr = np.corrcoef(vecs[:200])[np.triu_indices(200, 1)]
     assert abs(corr.mean()) < 0.01
 
 
 def test_fake_tokens_put_queries_first_in_the_stream():
-    rows = cpm.fake_token(6, 5, 2, 7, "normal")
+    rows = cpm.fake_token(6, 5, [2], 7, "normal")[0]
     canonical = model._fake_tokens(6, 5, 2, 4, 3, "normal")
     assert np.array_equal(canonical[4:], rows[:3])
     assert np.array_equal(canonical[:4], rows[3:])

@@ -26,6 +26,33 @@ def test_keyed_rng_reproducible_and_disjoint():
     assert not np.array_equal(a, c)
 
 
+def test_keyed_stream_draws_are_a_function_of_key_and_counter():
+    whole = data.KeyedStream(1, 2, 3).uniform(40)
+    stream = data.KeyedStream(1, 2, 3)
+    parts = [stream.uniform(n) for n in (1, 0, 7, 32)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert whole.dtype == np.float64
+    assert ((whole >= 0) & (whole < 1)).all()
+    for other in [(0, 2, 3), (1, 0, 3), (1, 2, 4), (1, 2, 3 + 2 ** 64),
+                  (1, 2, 3, 0), (1, 23)]:
+        assert not np.isin(data.KeyedStream(*other).uniform(40), whole).any()
+
+
+def test_key_digests_refuse_negative_parts():
+    with pytest.raises(ValueError, match=">= 0"):
+        data.key_digests([-1], 0)
+    with pytest.raises(ValueError, match=">= 0"):
+        data.KeyedStream(-3, 1)
+
+
+def test_keyed_uniforms_are_uniform():
+    u = data.KeyedStream(0, 1).uniform(100_000)
+    counts = np.bincount((u * 10).astype(int), minlength=10)
+    # 5 sd of a bin count of 10000
+    assert np.abs(counts - 10_000).max() < 5 * 94.9
+    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 0.016
+
+
 # ---------------------------------------------------------------------------
 # synthetic encoder
 
@@ -310,3 +337,44 @@ def test_class_frequency_matches_uniform_sampling():
     sigma = (n * p * (1 - p)) ** 0.5
     for cid, cnt in counts.items():
         assert abs(cnt - n * p) <= 3 * sigma, (cid, cnt)
+
+
+def test_video_frequency_within_a_class_is_uniform():
+    full = data.build_synthetic_manifest(small_cfg(num_classes=4),
+                                         videos_per_class=6)
+    # one training class keeps 4 of its 6 videos: it ranks them with the
+    # start of a row as wide as the other class's 6
+    dropped = {"c000_v004", "c000_v005"}
+    man = data.DatasetManifest(
+        [rec for rec in full.records if rec.video_id not in dropped],
+        full.prompts)
+    counts = {}
+    n = 6000
+    for i in range(n):
+        ep = data.sample_episode(man, data.episode_rng(2, i), 1, 2, 1,
+                                 "train")
+        for role, recs in (("support", ep.support[0]), ("query", ep.query[0])):
+            for rec in recs:
+                key = (ep.class_ids[0], role, rec.video_id)
+                counts[key] = counts.get(key, 0) + 1
+    classes = man.classes_in("train")
+    for cid in classes:
+        share = n / len(classes)
+        videos = len(man.videos_of("train", cid))
+        for role, picks in (("support", 2), ("query", 1)):
+            p = picks / videos
+            sigma = (share * p * (1 - p)) ** 0.5
+            for rec in man.videos_of("train", cid):
+                cnt = counts.get((cid, role, rec.video_id), 0)
+                assert abs(cnt - share * p) <= 4 * sigma, (cid, role, cnt)
+
+
+def test_episode_draws_classes_and_videos_without_replacement():
+    man = data.build_synthetic_manifest(small_cfg(num_classes=12),
+                                        videos_per_class=5)
+    for i in range(2000):
+        ep = data.sample_episode(man, data.episode_rng(6, i), 6, 2, 3,
+                                 "train")
+        assert len(set(ep.class_ids)) == 6
+        ids = [rec.video_id for recs in ep.support + ep.query for rec in recs]
+        assert len(set(ids)) == len(ids) == 6 * 5

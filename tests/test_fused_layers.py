@@ -26,6 +26,7 @@ CASES = [
     ("attention", (5, 6)), ("attention", (3, 4, 6)),
     ("batchnorm", (5, 6)), ("batchnorm", (3, 4, 6)),
     ("stack", (3, 4, 6)), ("stack_zero_table", (3, 4, 6)),
+    ("batchnorm_eval", (5, 6)), ("batchnorm_eval", (3, 4, 6)),
 ]
 
 
@@ -62,6 +63,14 @@ def build(name, shape, seed=0):
         layer.gamma, layer.beta = _param(rng, dim), _param(rng, dim)
         return (lambda x: layer.forward(x, train=True),
                 lambda x: taped_batchnorm_forward(layer, x, train=True),
+                inputs, [layer.gamma, layer.beta])
+    if name == "batchnorm_eval":
+        layer = nn.BatchNorm(dim)
+        layer.gamma, layer.beta = _param(rng, dim), _param(rng, dim)
+        layer.running_mean = rng.normal(size=dim).astype(np.float32)
+        layer.running_var = rng.uniform(0.5, 2.0, dim).astype(np.float32)
+        return (lambda x: layer.forward(x),
+                lambda x: taped_batchnorm_forward(layer, x),
                 inputs, [layer.gamma, layer.beta])
     batch, rows = shape[0], shape[1]
     inputs = [_param(rng, batch, dim), _param(rng, batch, rows, dim)]
@@ -124,6 +133,20 @@ def test_fused_layer_records_one_node(name, shape):
         fused(*inputs)
     ops = 5 if name == "attention" else 1
     assert len(tape) == len(inputs) + len(params) + ops
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])
+def test_eval_batchnorm_gradients_equal_oracle_bitwise(shape, dtype):
+    # the fused node runs the composition's own backward ops
+    with T.precision(dtype):
+        fused, oracle, inputs, params = build("batchnorm_eval", shape)
+        leaves = inputs + params
+        _, g_fused = _value_and_grads(fused, inputs, leaves)
+        _, g_taped = _value_and_grads(oracle, inputs, leaves)
+    for a, b in zip(g_fused, g_taped):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

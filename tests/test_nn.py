@@ -178,6 +178,19 @@ def test_mha_rows_sum_to_one_per_head():
     assert np.allclose(sums, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", range(2, 18))
+def test_attention_row_sum_equals_numpy_sum_bitwise(length, dtype):
+    # softmax denominators and the backward's row sums, at the (B, H, L, L)
+    # layout attention feeds them in, positive and mixed-sign
+    rng = np.random.default_rng(length)
+    scores = rng.normal(scale=4.0, size=(3, 2, length, length))
+    for a in (np.exp(scores).astype(dtype), scores.astype(dtype)):
+        got = nn._row_sum(a)
+        assert got.dtype == dtype
+        assert np.array_equal(got, a.sum(axis=-1, keepdims=True))
+
+
 def test_mha_rejects_indivisible_heads():
     with pytest.raises(ShapeError):
         nn.MultiHeadAttention(10, 4, np.random.default_rng(0))
