@@ -24,12 +24,14 @@ queries reach the DP without a reshape on the tape. The DP's forward
 runs the soft-min recursion
 R[i, j] = C[i, j] + softmin(R[i, j-1], R[i-1, j], R[i-1, j-1])
 in plain numpy, vectorized over a batch of equally sized cost matrices
-and over anti-diagonals within each matrix: the table is kept
-diagonal-major, so anti-diagonal k is one contiguous (B, m) slab and its
-three predecessors are slices of the two slabs before it. Cells off the
-matrix hold a large finite sentinel instead of infinity, which keeps
-every subtraction well defined and gives those candidates an exactly
-zero soft-min weight.
+and over anti-diagonals within each matrix, with the batch innermost:
+anti-diagonal k is an (m, B) slab whose rows are its live cells
+(i, k - i), each a contiguous run of B values. Only live cells are
+computed, each anti-diagonal's costs are read straight from the input,
+and the forward keeps only the last two anti-diagonals of R. Rows a
+diagonal does not reach, and a virtual row -1, hold a large finite
+sentinel instead of infinity, which keeps every subtraction well defined
+and gives those candidates an exactly zero soft-min weight.
 
 While it runs, the forward stores each cell's three normalized soft-min
 weights W (left, up, diagonal), which are the partial derivatives of
@@ -45,6 +47,7 @@ nearly equal path costs, which loses float32 gradient accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,61 +110,91 @@ def cost_matrix(a: Tensor, b: Tensor) -> Tensor:
     return T._record(cost, (a, b), bwd)
 
 
+@functools.lru_cache(maxsize=64)
+def _diagonals(m: int, n: int) -> tuple:
+    """Index plan of an (m, n) table's anti-diagonals, one entry each.
+
+    Anti-diagonal k holds the live cells (i, k - i) for rows i in
+    lo:hi. An entry is (lo, hi, cells, at, left, up, diag): ``cells``
+    slices those cells out of the row-major (m * n) table, and the other
+    four slices pick them, and their left, up and diagonal predecessors,
+    out of the (m + 1) * (n + 1) table with a leading pad row and column.
+    """
+    step = max(n - 1, 1)              # one column: one cell per diagonal
+    plan = []
+    for k in range(m + n - 1):
+        lo, hi = max(0, k - n + 1), min(k, m - 1) + 1
+        first = k + lo * (n - 1)
+        at = (lo + 1) * (n + 1) + k - lo + 1
+        plan.append((lo, hi,
+                     slice(first, first + (hi - lo - 1) * step + 1, step),
+                     *(slice(at - d, at - d + (hi - lo - 1) * n + 1, n)
+                       for d in (0, 1, n + 1, n + 2))))
+    return tuple(plan)
+
+
 def _soft_dp(X: np.ndarray, gamma: float, keep_weights: bool):
     """Fixed-corner soft-min path cost of a (B, m, n) batch.
 
     Returns the (B,) costs and, when ``keep_weights``, the per-cell
-    soft-min weights in the table's diagonal-major layout, (K, 3, B, m)
-    with K = m + n - 1 anti-diagonals.
+    soft-min weights with the batch innermost, (K, 3, m, B) with
+    K = m + n - 1 anti-diagonals: W[k, :, i] belongs to cell (i, k - i).
+    Only live cells' weights are written; the rest are left unset.
     """
     batch, m, n = X.shape
     diagonals = m + n - 1
-    rows, cols = np.indices((m, n))
-    # skewed[k, :, i] is cell (i, k - i) of anti-diagonal k
-    skewed = np.full((diagonals, batch, m), BIG, X.dtype)
-    skewed[rows + cols, :, rows] = X.transpose(1, 2, 0)
-    # R[k + 1, :, i + 1] is the path cost of cell (i, k - i); R[0] (a
-    # virtual diagonal -1) and column 0 (a virtual row -1) stay sentinels
-    R = np.full((diagonals + 1, batch, m + 1), BIG, X.dtype)
-    R[1, :, 1:] = skewed[0]
-    W = (np.empty((diagonals, 3, batch, m), X.dtype) if keep_weights
+    plan = _diagonals(m, n)
+    flat = X.reshape(batch, m * n)
+    # the last two anti-diagonals of R: row i + 1 holds the path cost of
+    # live cell (i, k - i); row 0 (a virtual row -1), and every row a
+    # diagonal has not reached yet, hold the sentinel
+    prev2 = np.full((m + 1, batch), BIG, X.dtype)
+    prev1 = np.full((m + 1, batch), BIG, X.dtype)
+    prev1[1] = flat[:, 0]
+    W = (np.empty((diagonals, 3, m, batch), X.dtype) if keep_weights
          else None)
     inv = 1.0 / gamma
     # one anti-diagonal's left, up and diagonal candidates, stacked so
     # that each elementwise step is one call over all three
-    cand = np.empty((3, batch, m), X.dtype)
+    cand = np.empty((3, m, batch), X.dtype)
     for k in range(1, diagonals):
-        cand[0] = R[k, :, 1:]
-        cand[1] = R[k, :, :-1]
-        cand[2] = R[k - 1, :, :-1]
+        lo, hi, cells = plan[k][:3]
+        c = cand[:, :hi - lo]
+        c[0] = prev1[lo + 1:hi + 1]
+        c[1] = prev1[lo:hi]
+        c[2] = prev2[lo:hi]
         # the subtracted minimum is exact to shift by and keeps sentinel
         # candidates underflowing cleanly to zero weight
-        z = np.minimum(np.minimum(cand[0], cand[1]), cand[2])
-        e = np.exp((z - cand) * inv)
+        z = np.minimum(np.minimum(c[0], c[1]), c[2])
+        e = np.exp((z - c) * inv)
         total = e[0] + e[1] + e[2]
-        R[k + 1, :, 1:] = skewed[k] + (z - np.log(total) * gamma)
+        # diagonal k - 2 is spent: its buffer takes diagonal k
+        prev2[lo + 1:hi + 1] = flat[:, cells].T + (z - np.log(total) * gamma)
+        prev1, prev2 = prev2, prev1
         if W is not None:
-            np.divide(e, total, out=W[k])
-    return R[diagonals, :, m].copy(), W
+            np.divide(e, total, out=W[k, :, lo:hi])
+    return prev1[m].copy(), W
 
 
 def _soft_dp_backward(W: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
     """Gradient of ``_soft_dp`` costs with respect to its (B, m, n) input.
 
-    E, laid out like R, accumulates dL/dR: each cell, once complete,
-    passes E * W to its three predecessors, and dL/dC equals E.
+    E, an (m + 1) * (n + 1) table of (B,) rows with a leading pad row and
+    column, accumulates dL/dR: each live cell, once complete, passes
+    E * W to its three predecessors, and dL/dC equals E. The pad cells
+    take the edge cells' zero-weight passes and are never read.
     """
     batch, m, n = shape
-    diagonals = m + n - 1
-    E = np.zeros((diagonals + 1, batch, m + 1), W.dtype)
-    E[diagonals, :, m] = g
-    for k in range(diagonals - 1, 0, -1):
-        e = E[k + 1, :, 1:]
-        E[k, :, 1:] += e * W[k, 0]
-        E[k, :, :-1] += e * W[k, 1]
-        E[k - 1, :, :-1] += e * W[k, 2]
-    rows, cols = np.indices((m, n))
-    return E[rows + cols + 1, :, rows + 1].transpose(2, 0, 1)
+    E = np.zeros(((m + 1) * (n + 1), batch), W.dtype)
+    E[-1] = g
+    plan = _diagonals(m, n)
+    for k in range(m + n - 2, 0, -1):
+        lo, hi, _, at, left, up, diag = plan[k]
+        passed = E[at] * W[k, :, lo:hi]
+        E[left] += passed[0]
+        E[up] += passed[1]
+        E[diag] += passed[2]
+    return E.reshape(m + 1, n + 1, batch)[1:, 1:].transpose(2, 0, 1)
 
 
 def otam_distance(C: Tensor, gamma: float = 0.1) -> Tensor:

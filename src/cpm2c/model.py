@@ -63,14 +63,16 @@ _INIT_TEMPERATURE = 0.1
 HEADS = 8
 
 # Episodes per ``map_blocks`` block, and the most videos that
-# ``score_episodes`` enhances in one pass. On 5-way 5-shot evaluation at
-# dim 64, blocks of 8 to 32 episodes and chunks of 32 to 256 videos all
-# ran at about the same speed, and a single block of 200 episodes ran
-# slower. The smallest sizes hold the transient memory of a call lowest:
-# a call keeps one branch's features of its distinct videos (about 1.4
-# MiB for 200 episodes), and blocks of 25 or 50 episodes raised the
-# benchmark's peak RSS by 2 to 6 MiB.
-_BLOCK_EPISODES = 8
+# ``score_episodes`` enhances in one pass. The block size is the largest
+# at which scoring the blocks allocates no more than enhancing the
+# call's videos, so the enhancement phase sets a call's peak memory. On
+# 5-way 5-shot evaluation at dim 64 (200-episode calls, seed 7), the
+# traced peak of the block phase was 2.24 MiB at blocks of 16 and 2.59
+# MiB at blocks of 24, against 2.46 MiB for enhancement; 200-episode
+# calls took 27.0 ms at 16 against 29.1 ms at 8 (2-core VM).
+# ``tests/test_scoring.py`` holds the block phase under the enhancement
+# phase. Chunks of 32 to 256 videos all ran at about the same speed.
+_BLOCK_EPISODES = 16
 _SUPPORT_CHUNK = 32
 
 
@@ -211,6 +213,19 @@ def _outcomes(dists, names, alpha: float, way: int, queries_per_class: int):
     return probs, results
 
 
+def _shot_mean(shot, k: int) -> np.ndarray:
+    """The mean of K equally shaped shot arrays, ``shot(s)`` giving shot
+    s: added one shot at a time in shot order, then divided by K. numpy's
+    ``mean`` over a leading axis adds in the same order, so the result
+    has the bits of ``.mean(axis=1)`` over the shots stacked on axis 1,
+    without the stacked copy."""
+    total = shot(0) + shot(1) if k > 1 else shot(0).copy()
+    for s in range(2, k):
+        total += shot(s)
+    total /= k
+    return total
+
+
 def _branch_pass(branch, frames, tokens, n, k, train):
     """Enhance one branch's V videos under both tokens in one call.
 
@@ -237,9 +252,9 @@ def _branch_pass(branch, frames, tokens, n, k, train):
         return (full,)
 
     # the same mean over the K supports as score_episodes takes
-    protos = bd[:support].reshape(n, k, length, dim).mean(axis=1)
-    protos = T._record(protos[:, 1:].reshape((1, 1, n) + rows), (both,),
-                       protos_bwd)
+    shots = bd[:support].reshape(n, k, length, dim)[:, :, 1:]
+    protos = _shot_mean(lambda s: shots[:, s], k)
+    protos = T._record(protos.reshape((1, 1, n) + rows), (both,), protos_bwd)
 
     def queries_bwd(g):
         full = np.zeros(bd.shape, g.dtype)
@@ -338,7 +353,8 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
 
 def map_blocks(fn, count: int, workers: int = 1) -> list:
     """The lists ``fn(lo, hi)`` returns for the fixed blocks of
-    ``_BLOCK_EPISODES`` covering ``range(count)``, joined in block order.
+    ``_BLOCK_EPISODES`` (16) episodes covering ``range(count)``, joined in
+    block order.
     ``workers`` threads map over the blocks under the caller's precision;
     the result does not depend on ``workers``."""
     dtype = T.default_dtype().__name__
@@ -424,9 +440,10 @@ def _block_costs(features, support_rows, query_rows, n: int, k: int,
     rows of its support and query videos in ``features``."""
     count, q = query_rows.shape
     length, dim = features.shape[1:]
-    # the same mean over the K supports as the loss path takes
-    protos = features[support_rows].reshape(count * n, k, length,
-                                            dim).mean(axis=1)
+    # the same mean over the K supports as the loss path takes, gathered
+    # one shot at a time
+    shots = support_rows.reshape(count, n, k)
+    protos = _shot_mean(lambda s: features[shots[:, :, s]], k)
     queries = features[query_rows]
     costs = _branch_costs(Tensor(protos.reshape(count, 1, n, length, dim)),
                           Tensor(queries.reshape(count, q, 1, length, dim)),
@@ -445,8 +462,9 @@ def score_episodes(model: Model, episodes, *, run_seed: int,
     supports under their class prompts, queries under their eval-mode
     fake tokens, which are keyed by (run, video, branch) exactly as
     ``episode_forward`` keys them in eval mode. ``map_blocks`` then
-    computes the episodes' costs in fixed blocks on ``workers`` threads,
-    and the branch's features are freed before the next branch. Each
+    computes the episodes' costs in fixed blocks of 16 on ``workers``
+    threads, one cost-matrix and one DP call per block and branch, and
+    the branch's features are freed before the next branch. Each
     episode's probabilities equal ``episode_forward``'s in eval mode, and
     scoring the episode alone, bit for bit, except where BLAS picks
     another kernel for larger batches, which moves only the last bits.

@@ -30,6 +30,11 @@ to rounding. ``_frame_rows`` drops the token row of enhanced stacks.
 the autodiff tape: every soft-min is built from tape ops, so its gradient
 comes from replaying them. ``metric.otam_distance`` must reproduce its
 forward bit for bit and its gradient to rounding.
+``diagonal_major_dp`` and ``diagonal_major_dp_backward`` are the fused
+DP kernel as it stood with the batch on the short axis of each
+anti-diagonal, every row of a diagonal computed, and a sentinel-padded
+copy of the input. ``metric._soft_dp`` and ``metric._soft_dp_backward``
+must reproduce their costs, live-cell weights and gradients bit for bit.
 
 The ``taped_*_forward`` functions are the layers as compositions of
 primitive tape ops, with the signatures of the methods they stand in
@@ -143,6 +148,56 @@ def taped_otam_distance(C: Tensor, gamma: float = 0.1) -> Tensor:
         C = T.reshape(C, (1,) + C.shape)
     dist = _soft_dp(C, gamma)
     return T.reshape(dist, ()) if single else dist
+
+
+def diagonal_major_dp(X: np.ndarray, gamma: float, keep_weights: bool):
+    """``metric._soft_dp`` with the table kept diagonal-major: anti-diagonal
+    k is a (B, m) slab, every row of it computed, and costs are read from
+    a sentinel-padded skewed copy of X. Weights, when kept, are
+    (K, 3, B, m); the weights of cells off the matrix are computed too."""
+    batch, m, n = X.shape
+    diagonals = m + n - 1
+    rows, cols = np.indices((m, n))
+    # skewed[k, :, i] is cell (i, k - i) of anti-diagonal k
+    skewed = np.full((diagonals, batch, m), BIG, X.dtype)
+    skewed[rows + cols, :, rows] = X.transpose(1, 2, 0)
+    # R[k + 1, :, i + 1] is the path cost of cell (i, k - i); R[0] (a
+    # virtual diagonal -1) and column 0 (a virtual row -1) stay sentinels
+    R = np.full((diagonals + 1, batch, m + 1), BIG, X.dtype)
+    R[1, :, 1:] = skewed[0]
+    W = (np.empty((diagonals, 3, batch, m), X.dtype) if keep_weights
+         else None)
+    inv = 1.0 / gamma
+    cand = np.empty((3, batch, m), X.dtype)
+    for k in range(1, diagonals):
+        cand[0] = R[k, :, 1:]
+        cand[1] = R[k, :, :-1]
+        cand[2] = R[k - 1, :, :-1]
+        z = np.minimum(np.minimum(cand[0], cand[1]), cand[2])
+        e = np.exp((z - cand) * inv)
+        total = e[0] + e[1] + e[2]
+        R[k + 1, :, 1:] = skewed[k] + (z - np.log(total) * gamma)
+        if W is not None:
+            np.divide(e, total, out=W[k])
+    return R[diagonals, :, m].copy(), W
+
+
+def diagonal_major_dp_backward(W: np.ndarray, g: np.ndarray,
+                               shape) -> np.ndarray:
+    """``metric._soft_dp_backward`` over ``diagonal_major_dp``'s weights:
+    E, laid out like its R, passes E * W from every cell, on the matrix
+    or off it, to its three predecessors."""
+    batch, m, n = shape
+    diagonals = m + n - 1
+    E = np.zeros((diagonals + 1, batch, m + 1), W.dtype)
+    E[diagonals, :, m] = g
+    for k in range(diagonals - 1, 0, -1):
+        e = E[k + 1, :, 1:]
+        E[k, :, 1:] += e * W[k, 0]
+        E[k, :, :-1] += e * W[k, 1]
+        E[k - 1, :, :-1] += e * W[k, 2]
+    rows, cols = np.indices((m, n))
+    return E[rows + cols + 1, :, rows + 1].transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,8 @@ from cpm2c import cpm, metric, model, tensor as T
 from cpm2c.errors import ConfigError, DomainError, ShapeError
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
-from oracles import taped_otam_distance
+from oracles import diagonal_major_dp, diagonal_major_dp_backward, \
+    taped_otam_distance
 
 
 @pytest.fixture(autouse=True)
@@ -232,6 +234,53 @@ def test_one_dp_run_over_the_batch_per_call(monkeypatch):
     T.backward(loss)
     assert calls == [(6, 3, 5)]
     assert d.shape == (2, 3) and C.grad.shape == C.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0])
+def test_dp_kernel_is_bit_identical_to_diagonal_major_oracle(dtype, gamma):
+    # costs with and without weights, every live cell's three weights,
+    # and gradients, with upstream gradients of both signs; the shapes
+    # take in single rows, single columns and single cells
+    rng = np.random.default_rng(22)
+    for shape in [(5, 8, 8), (3, 8, 6), (4, 2, 7), (1, 1, 5), (2, 1, 1),
+                  (3, 6, 1), (7, 5, 9)]:
+        batch, m, n = shape
+        X = rng.uniform(0.0, 2.0, size=shape).astype(dtype)
+        want, want_w = diagonal_major_dp(X, gamma, True)
+        got, got_w = metric._soft_dp(X, gamma, True)
+        bare, no_w = metric._soft_dp(X, gamma, False)
+        assert no_w is None
+        assert got_w.shape == (m + n - 1, 3, m, batch)
+        for cost in (got, bare):
+            assert cost.dtype == want.dtype and np.array_equal(cost, want)
+        for k in range(1, m + n - 1):
+            live = slice(max(0, k - n + 1), min(k, m - 1) + 1)
+            assert np.array_equal(got_w[k, :, live],
+                                  want_w[k, :, :, live].swapaxes(1, 2)), (
+                shape, k)
+        g = rng.normal(size=batch).astype(dtype)
+        grad = metric._soft_dp_backward(got_w, g, shape)
+        ref = diagonal_major_dp_backward(want_w, g, shape)
+        assert grad.shape == ref.shape and grad.dtype == ref.dtype
+        assert np.array_equal(grad, ref), shape
+        assert np.array_equal(np.signbit(grad), np.signbit(ref)), shape
+
+
+def test_dp_forward_memory_stays_near_its_input():
+    # the forward keeps two anti-diagonals of R and one diagonal's
+    # temporaries; the diagonal-major table and its padded, skewed copy
+    # of X took 5.9 times X at this batch
+    X = np.random.default_rng(23).uniform(0.0, 2.0, size=(600, 8, 8)).astype(
+        np.float32)
+    metric._soft_dp(X, 0.1, keep_weights=False)      # warm the index plan
+    tracemalloc.start()
+    try:
+        metric._soft_dp(X, 0.1, keep_weights=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * X.nbytes, (peak, X.nbytes)
 
 
 def test_empty_matrix_rejected():

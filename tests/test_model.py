@@ -75,6 +75,19 @@ def reference_probs(mdl, episode, run_seed, alpha, use_normal=True,
     return np.stack(rows)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_shot_mean_has_the_bits_of_numpy_mean(dtype, k):
+    # prototypes add their K shots one at a time instead of stacking them;
+    # magnitudes spread over six decades make every rounding visible
+    rng = np.random.default_rng(40 + k)
+    x = (rng.normal(size=(3, k, 9, 64))
+         * 10.0 ** rng.uniform(-3, 3, size=(3, k, 9, 64))).astype(dtype)
+    got = model._shot_mean(lambda s: x[:, s], k)
+    want = x.mean(axis=1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_probability_rows_sum_to_one():
     manifest, mdl, episode = tiny_setup()
     res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,

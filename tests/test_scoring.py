@@ -10,6 +10,7 @@ take the same kernel whatever the batch size.
 """
 
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,44 @@ def test_an_episode_scores_the_same_alone_and_in_a_full_call(manifest):
         assert_same_result(got, ref)
     res = runner.evaluate(manifest, mdl, cfg, episodes=count)
     assert res.per_episode_correct == [r.correct for r in alone]
+
+
+def test_block_phase_allocates_no_more_than_enhancement(monkeypatch):
+    # at the evaluation benchmark's shapes and call size, the traced peak
+    # while a call scores its blocks stays under the peak while it
+    # enhances its videos, so the block size does not set a call's peak
+    # memory; blocks of 24 episodes would break this
+    synth = data.SyntheticConfig(num_classes=20, dim=DIM, frames=8,
+                                 scale=1.0, sigma=0.3, mode="permuted",
+                                 common_ratio=12.0, seed=7)
+    bench = data.build_synthetic_manifest(synth, videos_per_class=30,
+                                          fractions=(0.3, 0.2, 0.5))
+    cfg = runner.RunConfig(seed=7, way=5, shot=5, queries=1,
+                           eval_split="test")
+    mdl = runner.build_model(bench, cfg)
+    peaks = {}
+
+    def traced(name):
+        original = getattr(model, name)
+
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks.get(name, 0),
+                                  tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(model, name, run)
+
+    traced("_video_features")
+    traced("_block_costs")
+    tracemalloc.start()
+    try:
+        runner.evaluate(bench, mdl, cfg, episodes=200)
+    finally:
+        tracemalloc.stop()
+    assert peaks["_block_costs"] <= peaks["_video_features"], peaks
 
 
 def test_a_shared_video_gets_one_eval_stand_in_and_two_training_ones(

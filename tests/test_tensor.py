@@ -177,6 +177,22 @@ def test_relu_matches_where_form_on_non_nan_input(dtype):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(), (13,), (2, 13), (3, 5, 13)])
+def test_relu_is_bit_identical_to_scalar_zero_maximum(dtype, shape):
+    # NaNs of both signs, signed zeros, infinities and subnormals, at
+    # every position of the last axis and in every leading slot
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                        1e-310, -1e-310, 1e-45, -1e-45, 1.5, -1.5, 3e38],
+                       dtype)
+    x = np.resize(np.roll(special, sum(shape)), shape)
+    with T.precision(dtype):
+        got = T.relu(T.tensor(x)).data
+    want = np.maximum(x, 0)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_relu_propagates_nan_and_its_gradient_there_is_zero():
     a = T.tensor([np.nan, -1.0, 2.0, np.nan], requires_grad=True)
     with T.Tape():
