@@ -180,8 +180,8 @@ def test_relu_matches_where_form_on_non_nan_input(dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", [(), (13,), (2, 13), (3, 5, 13)])
 def test_relu_is_bit_identical_to_scalar_zero_maximum(dtype, shape):
-    # NaNs of both signs, signed zeros, infinities and subnormals, at
-    # every position of the last axis and in every leading slot
+    # NaNs of both signs, signed zeros, infinities and subnormals, from a
+    # 0-d value to the 3-d activations the layers pass
     special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
                         1e-310, -1e-310, 1e-45, -1e-45, 1.5, -1.5, 3e38],
                        dtype)
