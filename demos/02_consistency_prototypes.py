@@ -32,9 +32,8 @@ print("fake tokens keyed by (run 0, episode 0, branch 'normal'), "
 opt = Adam(params, lr=1e-3)
 for step in range(41):
     with Tape():
-        reals = cpm.feature_enhance_batch(branch, videos, prompts, train=True)
-        stand_ins = cpm.feature_enhance_batch(branch, videos, fakes,
-                                              train=True)
+        reals = cpm.feature_enhance_batch(branch, videos, prompts)
+        stand_ins = cpm.feature_enhance_batch(branch, videos, fakes)
         diff = T.sub(stand_ins, reals)
         loss = T.reduce_mean(T.mul(diff, diff))
     backward(loss)

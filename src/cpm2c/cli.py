@@ -4,8 +4,9 @@ make-synth.
 Run settings merge in precedence order: command line flag, then
 ``--config`` file (flat ``key = value`` lines), then the ``CPM2C_SEED``
 environment variable (seed only), then built-in defaults. Exit codes:
-0 success, 1 usage or configuration problem, 2 data problem,
-3 numerical problem.
+0 success, 1 usage or configuration problem, 2 data problem (including
+an input or output path that cannot be read or written), 3 numerical
+problem.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def parse_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -254,6 +258,9 @@ def main(argv=None) -> int:
     except (NumericalError, GraphError, DomainError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -73,15 +73,15 @@ def stack_token_frames_batch(tokens: Tensor, frames: Tensor,
     return T._record(stacked, (tokens, frames, table), bwd)
 
 
-def feature_enhance_batch(branch: CpmBranch, frames: Tensor, tokens: Tensor,
-                          train: bool = False) -> Tensor:
+def feature_enhance_batch(branch: CpmBranch, frames: Tensor,
+                          tokens: Tensor) -> Tensor:
     """One transformer pass over a whole batch of token-conditioned stacks.
 
     Equivalent to enhancing each video on its own (the per-video loop is
     the test oracle), but every video of the batch shares a single pass.
     """
     stacked = stack_token_frames_batch(tokens, frames, branch.pos.table)
-    return branch.transformer.forward(stacked, train=train)
+    return branch.transformer.forward(stacked)
 
 
 def video_key(video_id: str) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
 import struct
@@ -548,6 +549,9 @@ def synth_encode(cfg: SyntheticConfig, class_id: int,
 def split_classes(num_classes: int, fractions=(0.5, 0.25, 0.25)) -> dict:
     """Partition class ids into train/val/test by fraction (train gets the
     rounding remainder)."""
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ConfigError(f"split fractions must be finite and >= 0, "
+                          f"got {fractions}")
     n_val = round(num_classes * fractions[1])
     n_test = round(num_classes * fractions[2])
     n_train = num_classes - n_val - n_test

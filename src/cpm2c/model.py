@@ -6,7 +6,10 @@ alignment costs to the query-vs-prototype similarity. Every pass ends in
 the same two steps: per branch, ``_branch_costs`` makes one cost-matrix
 call on broadcast prototype/query operands and one DP call; then
 ``_outcomes`` takes the alpha-weighted sum, a softmax over classes and
-the ``EpisodeResult``s.
+the ``EpisodeResult``s. Both passes take the run's ``runner.RunConfig``
+and read the seed, gamma, alpha, the preset (``PRESETS`` names the
+branches each keeps) and the loss settings from it; the config checked
+them once, and nothing here defaults or checks them again.
 
 ``episode_forward`` computes the losses of one episode. Each branch
 enhances every video under the real and under the fake tokens in one
@@ -50,7 +53,6 @@ from .data import EpisodeBatch, keyed_rng
 from .errors import ConfigError, ProtocolError
 from .motion import motion_features
 from .nn import Module, PhiStack
-from .objective import LossWeights
 from .tensor import Tensor
 
 _INIT_TAG = 8
@@ -76,16 +78,12 @@ _BLOCK_EPISODES = 16
 _SUPPORT_CHUNK = 32
 
 
-@dataclass(frozen=True)
-class Ablation:
-    """Which distance branches an experiment keeps."""
-
-    use_normal: bool = True
-    use_motion: bool = True
-
-    def __post_init__(self):
-        if not (self.use_normal or self.use_motion):
-            raise ConfigError("at least one branch must stay enabled")
+# the branches each ablation preset keeps, normal first
+PRESETS = {
+    "full": ("normal", "motion"),
+    "no-motion": ("normal",),
+    "motion-only": ("motion",),
+}
 
 
 class Model(Module):
@@ -167,11 +165,9 @@ def _video_tokens(dim, run_seed, videos, branch) -> np.ndarray:
     return cpm.fake_token(dim, run_seed, keys, 1, branch)[:, 0]
 
 
-def _branches(model: Model, ablation: Ablation):
-    """(name, branch) of every branch the ablation keeps, normal first."""
-    return [(name, branch) for name, branch, used in (
-        ("normal", model.normal, ablation.use_normal),
-        ("motion", model.motion, ablation.use_motion)) if used]
+def _branches(model: Model, preset: str):
+    """(name, branch) of every branch the preset keeps, normal first."""
+    return [(name, getattr(model, name)) for name in PRESETS[preset]]
 
 
 def _similarity(dists, names, alpha: float) -> Tensor:
@@ -226,7 +222,7 @@ def _shot_mean(shot, k: int) -> np.ndarray:
     return total
 
 
-def _branch_pass(branch, frames, tokens, n, k, train):
+def _branch_pass(branch, frames, tokens, n, k):
     """Enhance one branch's V videos under both tokens in one call.
 
     The transformer runs over 2V stacks: the frames under the real
@@ -240,7 +236,7 @@ def _branch_pass(branch, frames, tokens, n, k, train):
     total = frames.shape[0]
     support = n * k
     both = cpm.feature_enhance_batch(branch, T.concat([frames, frames]),
-                                     Tensor(tokens), train=train)
+                                     Tensor(tokens))
     bd = both.data
     length, dim = bd.shape[1], bd.shape[2]
     rows = (length - 1, dim)
@@ -276,62 +272,58 @@ def _branch_pass(branch, frames, tokens, n, k, train):
     return protos, queries, con, diff.size
 
 
-def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
-                    episode_index: int, weights: LossWeights = LossWeights(),
-                    gamma: float = 0.1, alpha: float = 1.0,
-                    ablation: Ablation = Ablation(), bank=None, train: bool = False,
-                    consistency_reduction: str = "sum") -> EpisodeResult:
+def episode_forward(model: Model, episode: EpisodeBatch, cfg, *,
+                    episode_index: int, bank=None,
+                    train: bool = False) -> EpisodeResult:
     """Run one episode through the full pipeline, losses included.
 
-    ``bank`` is the (class ids, prompt matrix) pair from the training
-    split; when given, the adaptation loss scores every episode video
-    against the whole bank. Queries classify through their fake-token
-    features; support prototypes come from real-token features. The fake
-    tokens come from the episode's stream (``episode_index``) in training
-    and from each video's own stream in eval mode. Scoring without
-    losses is ``score_episodes``.
+    ``cfg`` is the run's ``runner.RunConfig``, which checked every setting
+    read here: the run seed keys the fake tokens; ``gamma``, ``alpha`` and
+    ``preset`` set the alignment and the branches; the loss weights and
+    ``consistency_reduction`` set the losses. ``bank`` is the (class ids,
+    prompt matrix) pair from the training split; when given, the
+    adaptation loss scores every episode video against the whole bank.
+    Queries classify through their fake-token features; support
+    prototypes come from real-token features. The fake tokens come from
+    the episode's stream (``episode_index``) in training and from each
+    video's own stream in eval mode. Scoring without losses is
+    ``score_episodes``.
     """
-    if alpha < 0:
-        raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
-    if consistency_reduction not in ("sum", "mean"):
-        raise ConfigError(f"unknown reduction {consistency_reduction!r}")
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     frames_np, prompts_np, labels = _episode_frames(episode)
     frames = Tensor(frames_np)
 
-    branches = _branches(model, ablation)
+    branches = _branches(model, cfg.preset)
     dists = []
     con_sum, con_numel = None, 0
     for name, branch in branches:
         branch_frames = frames if name == "normal" else \
             motion_features(model.phi, frames, train=train)
         if train:
-            fakes = _fake_tokens(model.dim, run_seed, episode_index, n * k,
+            fakes = _fake_tokens(model.dim, cfg.seed, episode_index, n * k,
                                  n * p, name)
         else:
-            fakes = _video_tokens(model.dim, run_seed,
+            fakes = _video_tokens(model.dim, cfg.seed,
                                   _episode_videos(episode), name)
         protos, queries, con, numel = _branch_pass(
             branch, branch_frames, np.concatenate([prompts_np, fakes]), n,
-            k, train)
-        dists.append(_branch_costs(protos, queries, gamma))
+            k)
+        dists.append(_branch_costs(protos, queries, cfg.gamma))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
     probs, (result,) = _outcomes(dists, [name for name, _ in branches],
-                                 alpha, n, p)
+                                 cfg.alpha, n, p)
 
     task = objective.task_loss(T.reshape(probs, (n * p, n)), labels)
     consistency = con_sum
-    if consistency_reduction == "mean":
+    if cfg.consistency_reduction == "mean":
         consistency = T.scale(consistency, 1.0 / con_numel)
     if bank is not None:
         bank_ids, bank_matrix = bank
         positions = {cid: i for i, cid in enumerate(bank_ids)}
         try:
-            video_truth = [positions[episode.class_ids[c]]
-                           for c in range(n) for _ in range(k)]
-            video_truth += [positions[episode.class_ids[c]]
-                            for c in range(n) for _ in range(p)]
+            video_truth = [positions[rec.class_id]
+                           for rec in _episode_videos(episode)]
         except KeyError as exc:
             raise ProtocolError(f"episode class {exc.args[0]} missing from "
                                 f"the prompt bank") from None
@@ -339,7 +331,7 @@ def episode_forward(model: Model, episode: EpisodeBatch, *, run_seed: int,
                                    model.temperature())
     else:
         adapt = Tensor(0.0)
-    result.loss = objective.total_loss(adapt, task, consistency, weights)
+    result.loss = objective.total_loss(adapt, task, consistency, cfg)
     result.parts = {"adapt": float(adapt.data),
                     "task": float(task.data),
                     "consistency": float(consistency.data),
@@ -451,18 +443,17 @@ def _block_costs(features, support_rows, query_rows, n: int, k: int,
     return list(costs.data)
 
 
-def score_episodes(model: Model, episodes, *, run_seed: int,
-                   gamma: float = 0.1, alpha: float = 1.0,
-                   ablation: Ablation = Ablation(),
-                   workers: int = 1) -> list:
+def score_episodes(model: Model, episodes, cfg) -> list:
     """Class probabilities of every episode, in eval mode, without losses.
 
-    ``episodes`` share one way/shot/queries shape. For each branch in
-    turn, every distinct video of the call is enhanced once per role:
+    ``cfg`` is the run's ``runner.RunConfig``; its seed, ``gamma``,
+    ``alpha``, ``preset`` and ``workers`` are read. ``episodes`` share
+    one way/shot/queries shape. For each branch in turn, every distinct
+    video of the call is enhanced once per role:
     supports under their class prompts, queries under their eval-mode
     fake tokens, which are keyed by (run, video, branch) exactly as
     ``episode_forward`` keys them in eval mode. ``map_blocks`` then
-    computes the episodes' costs in fixed blocks of 16 on ``workers``
+    computes the episodes' costs in fixed blocks of 16 on ``cfg.workers``
     threads, one cost-matrix and one DP call per block and branch, and
     the branch's features are freed before the next branch. Each
     episode's probabilities equal ``episode_forward``'s in eval mode, and
@@ -471,8 +462,6 @@ def score_episodes(model: Model, episodes, *, run_seed: int,
     Returns one EpisodeResult per episode, in order. The model is never
     updated, and nothing is kept after the call.
     """
-    if alpha < 0:
-        raise ConfigError(f"motion weight alpha must be >= 0, got {alpha}")
     episodes = list(episodes)
     if not episodes:
         return []
@@ -482,14 +471,15 @@ def score_episodes(model: Model, episodes, *, run_seed: int,
                             "way/shot/queries shape")
     n, k, p = episodes[0].way, episodes[0].shot, episodes[0].queries_per_class
     videos, support_rows, query_rows = _distinct_videos(episodes)
-    branches = _branches(model, ablation)
+    branches = _branches(model, cfg.preset)
     dists = []
     for name, branch in branches:
-        features = _video_features(model, name, branch, videos, run_seed)
+        features = _video_features(model, name, branch, videos, cfg.seed)
         costs = map_blocks(
             lambda lo, hi: _block_costs(features, support_rows[lo:hi],
-                                        query_rows[lo:hi], n, k, gamma),
-            len(episodes), workers)
+                                        query_rows[lo:hi], n, k, cfg.gamma),
+            len(episodes), cfg.workers)
         dists.append(Tensor(np.stack(costs)))
         del features
-    return _outcomes(dists, [name for name, _ in branches], alpha, n, p)[1]
+    names = [name for name, _ in branches]
+    return _outcomes(dists, names, cfg.alpha, n, p)[1]

@@ -287,7 +287,7 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(dim, hidden, rng)
         self.ffn2 = Linear.zeros(hidden, dim)
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h = T.add(x, self.attn.forward(self.ln1.forward(x)))
         return T.add(h, self.ffn2.forward(T.relu(self.ffn1.forward(self.ln2.forward(h)))))
 

@@ -4,36 +4,21 @@ The adaptation loss matches mean-pooled video features against the
 prompt embeddings of every training class through a temperature softmax
 over cosine similarity. The task loss is cross-entropy over the
 alignment-based episode probabilities. The total is their weighted sum
-together with the consistency term. The task loss, the total and the
-cross-entropy step of the adaptation loss are one tape node each;
-``tests/oracles.py`` keeps their primitive-op compositions.
+together with the consistency term, under the three ``lam_*`` weights of
+the run's ``runner.RunConfig``, which checks them. The task loss, the
+total and the cross-entropy step of the adaptation loss are one tape
+node each; ``tests/oracles.py`` keeps their primitive-op compositions.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the three loss terms."""
-
-    lam_adapt: float = 1.0
-    lam_task: float = 1.0
-    lam_consistency: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lam_adapt", "lam_task", "lam_consistency"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {val}")
 
 
 def dam_probabilities(frames: Tensor, prompt_bank, temperature) -> Tensor:
@@ -167,11 +152,12 @@ def task_loss(probabilities: Tensor, true_indices,
 
 
 def total_loss(adapt: Tensor, task: Tensor, consistency: Tensor,
-               weights: LossWeights) -> Tensor:
-    """Weighted sum of the three terms, one tape node; gradient flows into
-    each."""
-    la, lt, lc = (float(weights.lam_adapt), float(weights.lam_task),
-                  float(weights.lam_consistency))
+               cfg) -> Tensor:
+    """Sum of the three terms weighted by ``cfg``'s ``lam_adapt``,
+    ``lam_task`` and ``lam_consistency``, one tape node; gradient flows
+    into each."""
+    la, lt, lc = (float(cfg.lam_adapt), float(cfg.lam_task),
+                  float(cfg.lam_consistency))
     total = (adapt.data * la + task.data * lt) + consistency.data * lc
 
     def bwd(g):

@@ -15,6 +15,8 @@ episode through ``episode_forward`` in eval mode. Either
 way worker threads map over the same fixed blocks of episodes through
 ``model.map_blocks``, and results are reduced in episode-index order,
 so the reported numbers do not depend on the worker count.
+``RunConfig`` holds, defaults and checks every run setting once; the
+model and the losses read them from the frozen config.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -34,17 +36,10 @@ from . import tensor as T
 from .data import SPLITS, DatasetManifest, episode_rng, keyed_rng, \
     sample_episode, write_manifest
 from .errors import ConfigError, DataError, NumericalError
-from .model import HEADS, Ablation, Model, episode_forward, map_blocks, \
+from .model import HEADS, PRESETS, Model, episode_forward, map_blocks, \
     score_episodes
 from .nn import Adam, apply_state, load_checkpoint, save_checkpoint
-from .objective import LossWeights
 from .tensor import Tensor
-
-PRESETS = {
-    "full": Ablation(),
-    "no-motion": Ablation(use_motion=False),
-    "motion-only": Ablation(use_normal=False),
-}
 
 _GRADCHECK_TAG = 9
 
@@ -54,9 +49,15 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a training or evaluation run."""
+    """Every knob of a training or evaluation run.
+
+    The one place that holds, defaults and checks the run settings: the
+    model and the losses read them from here and keep no defaults or
+    checks of their own. Frozen, so a setting cannot change after its
+    check; ``dataclasses.replace`` makes a new, checked config.
+    """
 
     way: int = 5
     shot: int = 1
@@ -98,20 +99,14 @@ class RunConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, "
                               f"got {self.lr}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be >= 0 and finite, "
-                              f"got {self.alpha}")
+        for name in ("alpha", "lam_adapt", "lam_task", "lam_consistency"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be >= 0 and finite, "
+                                  f"got {value}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be positive and finite, "
                               f"got {self.gamma}")
-        self.weights()                   # checks its own fields
-
-    def weights(self) -> LossWeights:
-        return LossWeights(self.lam_adapt, self.lam_task,
-                           self.lam_consistency)
-
-    def ablation(self) -> Ablation:
-        return PRESETS[self.preset]
 
 
 def manifest_shape(manifest: DatasetManifest):
@@ -132,12 +127,6 @@ def build_model(manifest: DatasetManifest, cfg: RunConfig) -> Model:
 
 def restore_model(mdl: Model, path) -> None:
     apply_state(mdl.named_state(), load_checkpoint(path))
-
-
-def _episode_kwargs(cfg: RunConfig):
-    return dict(weights=cfg.weights(), gamma=cfg.gamma, alpha=cfg.alpha,
-                ablation=cfg.ablation(),
-                consistency_reduction=cfg.consistency_reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,6 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
     log = log if log is not None else sys.stdout
     optimizer = Adam(mdl.named_parameters(), lr=cfg.lr)
     bank = manifest.prompt_bank("train")
-    kwargs = _episode_kwargs(cfg)
     history = []
     metrics_fh = None
     checkpoint_path = metrics_path = None
@@ -255,9 +243,9 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
                                          cfg.way, cfg.shot, cfg.queries,
                                          "train")
                 with T.Tape() as tape:
-                    res = episode_forward(mdl, episode, run_seed=cfg.seed,
+                    res = episode_forward(mdl, episode, cfg,
                                           episode_index=index, bank=bank,
-                                          train=True, **kwargs)
+                                          train=True)
                 T.backward(res.loss)
                 nodes += len(tape)
                 for key in sums:
@@ -339,35 +327,31 @@ def evaluate(manifest: DatasetManifest, mdl: Model, cfg: RunConfig,
     way ``workers`` threads map over the same fixed blocks
     of episodes. Results are reduced in index order with float64
     accumulators; any worker count gives the same numbers. Parameters
-    are never mutated. The ``episodes`` and ``workers`` overrides must
-    be at least 1, as in ``RunConfig``; a ConfigError says so before any
-    episode is sampled.
+    are never mutated. The ``episodes``, ``start_index`` and ``workers``
+    overrides replace ``cfg.eval_episodes``, ``cfg.eval_start`` and
+    ``cfg.workers``, so ``RunConfig`` checks them: a ConfigError names a
+    bad one before any episode is sampled.
     """
-    episodes = cfg.eval_episodes if episodes is None else episodes
-    start = cfg.eval_start if start_index is None else start_index
-    workers = cfg.workers if workers is None else workers
-    _at_least("episodes", episodes, 1)
-    _at_least("workers", workers, 1)
-    kwargs = _episode_kwargs(cfg)
+    cfg = replace(cfg, **{name: value for name, value in (
+        ("eval_episodes", episodes), ("eval_start", start_index),
+        ("workers", workers)) if value is not None})
+    episodes = cfg.eval_episodes
 
     t0 = time.perf_counter()
-    indices = [start + i for i in range(episodes)]
+    indices = [cfg.eval_start + i for i in range(episodes)]
     sampled = [sample_episode(manifest, episode_rng(cfg.seed, index),
                               cfg.way, cfg.shot, cfg.queries, cfg.eval_split)
                for index in indices]
 
     def with_losses(lo: int, hi: int):
-        return [episode_forward(mdl, episode, run_seed=cfg.seed,
-                                episode_index=index, bank=bank, train=False,
-                                **kwargs)
+        return [episode_forward(mdl, episode, cfg, episode_index=index,
+                                bank=bank)
                 for episode, index in zip(sampled[lo:hi], indices[lo:hi])]
 
     if compute_losses:
-        results = map_blocks(with_losses, episodes, workers)
+        results = map_blocks(with_losses, episodes, cfg.workers)
     else:
-        results = score_episodes(mdl, sampled, run_seed=cfg.seed,
-                                 gamma=cfg.gamma, alpha=cfg.alpha,
-                                 ablation=cfg.ablation(), workers=workers)
+        results = score_episodes(mdl, sampled, cfg)
 
     correct = 0
     total = 0
@@ -446,20 +430,19 @@ def gradcheck(manifest: DatasetManifest, cfg: RunConfig,
         episode = sample_episode(manifest,
                                  episode_rng(cfg.seed, episode_index),
                                  cfg.way, cfg.shot, cfg.queries, "train")
-        kwargs = _episode_kwargs(cfg)
 
         def loss_value() -> float:
-            res = episode_forward(mdl, episode, run_seed=cfg.seed,
+            res = episode_forward(mdl, episode, cfg,
                                   episode_index=episode_index, bank=bank,
-                                  train=True, **kwargs)
+                                  train=True)
             return float(res.loss.data)
 
         for _, p in mdl.named_parameters():
             p.grad = None
         with T.Tape():
-            res = episode_forward(mdl, episode, run_seed=cfg.seed,
+            res = episode_forward(mdl, episode, cfg,
                                   episode_index=episode_index, bank=bank,
-                                  train=True, **kwargs)
+                                  train=True)
         T.backward(res.loss)
 
         entries = []

@@ -395,14 +395,14 @@ def taped_motion_features(phi: nn.PhiStack, frames: Tensor,
                    0.5)
 
 
-def taped_branch_pass(branch, frames, tokens, n, k, train):
+def taped_branch_pass(branch, frames, tokens, n, k):
     """Same contract as ``model._branch_pass``: the real/fake split, the
     consistency sum, the prototype mean and the token-row drops as
     primitive ops on the one enhancement call."""
     support = n * k
     total = frames.shape[0]
     both = cpm.feature_enhance_batch(branch, T.concat([frames, frames]),
-                                     Tensor(tokens), train=train)
+                                     Tensor(tokens))
     real = T.slice_axis(both, 0, 0, total)
     fake = T.slice_axis(both, 0, total, 2 * total)
     diff = T.sub(fake, real)
@@ -436,11 +436,11 @@ def taped_task_loss(probabilities: Tensor, true_indices,
 
 
 def taped_total_loss(adapt: Tensor, task: Tensor, consistency: Tensor,
-                     weights: objective.LossWeights) -> Tensor:
+                     cfg) -> Tensor:
     """Same contract as ``objective.total_loss``, from scale and add."""
-    return T.add(T.add(T.scale(adapt, weights.lam_adapt),
-                       T.scale(task, weights.lam_task)),
-                 T.scale(consistency, weights.lam_consistency))
+    return T.add(T.add(T.scale(adapt, cfg.lam_adapt),
+                       T.scale(task, cfg.lam_task)),
+                 T.scale(consistency, cfg.lam_consistency))
 
 
 def taped_similarity(dists, names, alpha: float) -> Tensor:
@@ -489,18 +489,18 @@ def stack_token_frames(token: Tensor, frames: Tensor) -> Tensor:
                     axis=0)
 
 
-def feature_enhance(branch: cpm.CpmBranch, frames: Tensor, token: Tensor,
-                    train: bool = False) -> Tensor:
+def feature_enhance(branch: cpm.CpmBranch, frames: Tensor,
+                    token: Tensor) -> Tensor:
     """One video's enhanced features: the transformer over its token stack
     plus positions."""
     stacked = T.add(stack_token_frames(token, frames), branch.pos.table)
-    return branch.transformer.forward(stacked, train=train)
+    return branch.transformer.forward(stacked)
 
 
-def query_feature(branch: cpm.CpmBranch, frames: Tensor, fake: np.ndarray,
-                  train: bool = False) -> Tensor:
+def query_feature(branch: cpm.CpmBranch, frames: Tensor,
+                  fake: np.ndarray) -> Tensor:
     """Enhancement under a fake token: the query path."""
-    return feature_enhance(branch, frames, Tensor(fake), train=train)
+    return feature_enhance(branch, frames, Tensor(fake))
 
 
 def consistency_loss(reals, fakes) -> Tensor:
@@ -596,13 +596,12 @@ def training_fake_tokens(mdl: model.Model, run_seed: int,
     return np.concatenate([rows[queries:], rows[:queries]])
 
 
-def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
-                       gamma: float = 0.1, alpha: float = 1.0,
-                       ablation: model.Ablation = model.Ablation()):
-    """Same contract as ``score_episodes(mdl, [episode])[0]``, one
+def per_episode_scores(mdl: model.Model, episode, cfg):
+    """Same contract as ``score_episodes(mdl, [episode], cfg)[0]``, one
     episode at a time: the supports under their real tokens and the
     queries under their fake tokens, one pass each per branch."""
     n, k = episode.way, episode.shot
+    used = model.PRESETS[cfg.preset]
     frames_np, prompts_np, labels = model._episode_frames(episode)
     total = frames_np.shape[0]
     support = n * k
@@ -610,7 +609,7 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
     query_videos = [rec for recs in episode.query for rec in recs]
 
     def branch_cost(branch, branch_frames, name):
-        fakes = eval_fake_tokens(mdl, run_seed, query_videos, name)
+        fakes = eval_fake_tokens(mdl, cfg.seed, query_videos, name)
         real = cpm.feature_enhance_batch(
             branch, T.slice_axis(branch_frames, 0, 0, support),
             Tensor(prompts_np[:support]))
@@ -620,15 +619,15 @@ def per_episode_scores(mdl: model.Model, episode, *, run_seed: int,
         seq, dim = real.shape[1], real.shape[2]
         protos = T.reduce_mean(T.reshape(real, (n, k, seq, dim)), axis=1)
         return pair_distances(_frame_rows(protos), _frame_rows(queries),
-                              gamma)
+                              cfg.gamma)
 
     total_cost = None
-    if ablation.use_normal:
+    if "normal" in used:
         total_cost = branch_cost(mdl.normal, frames, "normal")
-    if ablation.use_motion:
+    if "motion" in used:
         dists = T.scale(branch_cost(mdl.motion,
                                     taped_motion_features(mdl.phi, frames),
-                                    "motion"), alpha)
+                                    "motion"), cfg.alpha)
         total_cost = dists if total_cost is None else T.add(total_cost, dists)
     probs = np.asarray(T.softmax(T.neg(total_cost), axis=-1).data).copy()
     predictions = probs.argmax(axis=1)
@@ -663,16 +662,14 @@ def list_task_loss(probabilities, true_indices,
     return T.neg(T.scale(T.reshape(total, ()), 1.0 / len(probs)))
 
 
-def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
+def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k):
     """One branch's videos under both tokens: (N, L, D) prototypes and
     (Q, L, D) fake-token queries, token rows kept, and the consistency
     sum and element count."""
     support = n * k
     total = frames.shape[0]
-    real = cpm.feature_enhance_batch(branch, frames, Tensor(real_tokens),
-                                     train=train)
-    fake = cpm.feature_enhance_batch(branch, frames, Tensor(fake_tokens),
-                                     train=train)
+    real = cpm.feature_enhance_batch(branch, frames, Tensor(real_tokens))
+    fake = cpm.feature_enhance_batch(branch, frames, Tensor(fake_tokens))
     diff = T.sub(fake, real)
     con = T.reduce_sum(T.mul(diff, diff))
     real_support = T.slice_axis(real, 0, 0, support)
@@ -682,18 +679,13 @@ def _branch_pass(branch, frames, real_tokens, fake_tokens, n, k, train):
     return protos, fake_query, con, real.size
 
 
-def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
-                       episode_index: int,
-                       weights: objective.LossWeights =
-                       objective.LossWeights(),
-                       gamma: float = 0.1, alpha: float = 1.0,
-                       ablation: model.Ablation = model.Ablation(),
-                       bank=None, train: bool = False,
-                       consistency_reduction: str = "sum"):
+def per_episode_losses(mdl: model.Model, episode, cfg, *,
+                       episode_index: int, bank=None, train: bool = False):
     """Same contract as ``model.episode_forward``, on the earlier loss
     path: per-pair copies, a row slice per query and the per-query task
     loss."""
     n, k, p = episode.way, episode.shot, episode.queries_per_class
+    used = model.PRESETS[cfg.preset]
     frames_np, prompts_np, labels = model._episode_frames(episode)
     frames = Tensor(frames_np)
     videos = [rec for recs in episode.support + episode.query
@@ -701,25 +693,26 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
 
     def fake_tokens(branch):
         if train:
-            return training_fake_tokens(mdl, run_seed, episode_index,
+            return training_fake_tokens(mdl, cfg.seed, episode_index,
                                         episode, branch)
-        return eval_fake_tokens(mdl, run_seed, videos, branch)
+        return eval_fake_tokens(mdl, cfg.seed, videos, branch)
 
     total_cost = None
     con_sum, con_numel = None, 0
-    if ablation.use_normal:
+    if "normal" in used:
         fakes = fake_tokens("normal")
         protos, queries, con_sum, con_numel = _branch_pass(
-            mdl.normal, frames, prompts_np, fakes, n, k, train)
+            mdl.normal, frames, prompts_np, fakes, n, k)
         total_cost = pair_distances(_frame_rows(protos),
-                                    _frame_rows(queries), gamma)
-    if ablation.use_motion:
+                                    _frame_rows(queries), cfg.gamma)
+    if "motion" in used:
         motion_frames = taped_motion_features(mdl.phi, frames, train=train)
         fakes = fake_tokens("motion")
         protos, queries, con, numel = _branch_pass(
-            mdl.motion, motion_frames, prompts_np, fakes, n, k, train)
+            mdl.motion, motion_frames, prompts_np, fakes, n, k)
         dists = T.scale(pair_distances(_frame_rows(protos),
-                                       _frame_rows(queries), gamma), alpha)
+                                       _frame_rows(queries), cfg.gamma),
+                        cfg.alpha)
         total_cost = dists if total_cost is None else T.add(total_cost, dists)
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
@@ -734,7 +727,7 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
             for i in range(probs.shape[0])]
     task = list_task_loss(rows, labels)
     consistency = con_sum
-    if consistency_reduction == "mean":
+    if cfg.consistency_reduction == "mean":
         consistency = T.scale(consistency, 1.0 / con_numel)
     if bank is not None:
         bank_ids, bank_matrix = bank
@@ -751,7 +744,7 @@ def per_episode_losses(mdl: model.Model, episode, *, run_seed: int,
                               video_truth, mdl.temperature())
     else:
         adapt = Tensor(0.0)
-    result.loss = taped_total_loss(adapt, task, consistency, weights)
+    result.loss = taped_total_loss(adapt, task, consistency, cfg)
     result.parts = {"adapt": float(adapt.data),
                     "task": float(task.data),
                     "consistency": float(consistency.data),

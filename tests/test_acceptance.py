@@ -117,14 +117,12 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
     cfg = runner.RunConfig(way=5, shot=1, queries=1, seed=0)
     mdl = runner.build_model(static_manifest, cfg)
     _, bank_mat = static_manifest.prompt_bank("train")
-    kwargs = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
-                  ablation=cfg.ablation())
     worst_cls = 0.0
     worst_dam = 0.0
     for i in range(1000):
         rng = data.episode_rng(cfg.seed, i)
         ep = data.sample_episode(static_manifest, rng, 5, 1, 1, "test")
-        res = score_episodes(mdl, [ep], **kwargs)[0]
+        res = score_episodes(mdl, [ep], cfg)[0]
         worst_cls = max(worst_cls, float(
             np.abs(res.probabilities.sum(axis=1) - 1.0).max()))
         videos = [rec.features() for group in ep.support for rec in group]
@@ -145,7 +143,7 @@ def test_probability_rows_normalize_and_ties_break_low(static_manifest,
     prompts = {c: prompt_vec for c in range(5)}
     tie_man = data.DatasetManifest(records, prompts)
     ep = data.sample_episode(tie_man, data.episode_rng(0, 0), 5, 1, 1, "test")
-    tie = score_episodes(mdl, [ep], **kwargs)[0]
+    tie = score_episodes(mdl, [ep], cfg)[0]
     ties_low = bool((tie.predictions == 0).all())
     uniform = float(np.abs(tie.probabilities - 0.2).max())
 

@@ -393,3 +393,43 @@ def test_out_of_range_setting_exits_one(tiny_index, tmp_path, monkeypatch,
 def test_bad_fractions_exit_one(tmp_path):
     assert cli.main(["make-synth", "--out", str(tmp_path / "x"),
                      "--fractions", "0.5,0.5"]) == 1
+
+
+@pytest.mark.parametrize("fractions", ["0.5,nan,0.25", "0.5,-0.5,0.25",
+                                       "0.5,0.25,inf"])
+def test_non_finite_or_negative_fractions_exit_one(tmp_path, capsys,
+                                                   fractions):
+    out = tmp_path / "x"
+    assert cli.main(["make-synth", "--out", str(out),
+                     "--fractions", fractions]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "fractions" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_file_exits_one(tmp_path, capsys):
+    cfile = tmp_path / "latin1.cfg"
+    cfile.write_bytes(b"steps = 1  # caf\xe9\n")
+    code = cli.main(["train", "--manifest", "x", "--config", str(cfile)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(cfile) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "make-synth", "dump-features"])
+def test_unwritable_output_path_exits_two(tiny_index, tmp_path, capsys,
+                                          command):
+    # --out names a file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x" if command == "dump-features" else blocker
+    argv = {"train": ["--manifest", tiny_index, "--way", "2", "--steps", "1"],
+            "make-synth": ["--classes", "4", "--dim", "8", "--frames", "4"],
+            "dump-features": ["--manifest", tiny_index]}[command]
+    assert cli.main([command, "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(out) in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -82,7 +82,7 @@ def test_enhance_gradcheck_token_and_frames():
     w = rng.normal(size=(2, 4, 6))
 
     def f():
-        out = cpm.feature_enhance_batch(branch, frames, tokens, train=True)
+        out = cpm.feature_enhance_batch(branch, frames, tokens)
         return T.reduce_sum(T.mul(out, Tensor(w)))
 
     check_grads(f, tokens, tol=1e-6)

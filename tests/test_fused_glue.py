@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from cpm2c import cpm, data, metric, model, motion, nn, objective, \
-    tensor as T
-from cpm2c.objective import LossWeights
+    runner, tensor as T
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
 from oracles import (list_dam_loss, taped_branch_pass, taped_cost_matrix,
@@ -67,7 +66,7 @@ def build(name, seed=0):
         params = [p for _, p in branch.named_parameters()]
 
         def run(fn):
-            return lambda: fn(branch, frames, tokens, n, k, True)[:3]
+            return lambda: fn(branch, frames, tokens, n, k)[:3]
         return run(model._branch_pass), run(taped_branch_pass), \
             [frames] + params, None
     if name.startswith("similarity"):
@@ -86,7 +85,8 @@ def build(name, seed=0):
                 lambda: (taped_task_loss(probs, labels),), [probs], 1)
     if name == "total":
         parts = [_leaf(rng) for _ in range(3)]
-        w = LossWeights(0.5, 2.0, 0.25)
+        w = runner.RunConfig(lam_adapt=0.5, lam_task=2.0,
+                             lam_consistency=0.25)
         return (lambda: (objective.total_loss(*parts, w),),
                 lambda: (taped_total_loss(*parts, w),), parts, 1)
     if name == "dam":
@@ -179,7 +179,8 @@ def test_training_episode_tape_is_freed_without_garbage_collection():
     gc.disable()
     try:
         with T.Tape() as tape:
-            res = model.episode_forward(mdl, episode, run_seed=5,
+            res = model.episode_forward(mdl, episode,
+                                        runner.RunConfig(seed=5),
                                         episode_index=0, train=True,
                                         bank=manifest.prompt_bank())
         T.backward(res.loss)

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cpm2c import cpm, data, model, nn, tensor as T
+from cpm2c import cpm, data, model, nn, runner, tensor as T
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
 from oracles import (count_layer_calls, patch_layer_oracles,
@@ -188,7 +188,7 @@ def test_fused_layer_tapes_are_freed_without_garbage_collection():
     try:
         with T.Tape() as tape:
             out = cpm.feature_enhance_batch(branch, phi.forward(frames, True),
-                                            tokens, train=True)
+                                            tokens)
             loss = T.reduce_sum(T.mul(out, out))
         T.backward(loss)
         freed = weakref.ref(tape)
@@ -216,15 +216,14 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
                 block = branch.transformer
                 block.attn.out = nn.Linear(16, 16, rng)
                 block.ffn2 = nn.Linear(64, 16, rng)
-            kw = dict(run_seed=5, episode_index=0)
+            cfg = runner.RunConfig(seed=5, consistency_reduction="mean")
             with T.Tape() as tape:
                 train = model.episode_forward(
-                    mdl, episode, bank=manifest.prompt_bank(), train=True,
-                    consistency_reduction="mean", **kw)
+                    mdl, episode, cfg, episode_index=0,
+                    bank=manifest.prompt_bank(), train=True)
             T.backward(train.loss)
             grads = {n: p.grad for n, p in mdl.named_parameters()}
-            evaluated = model.score_episodes(mdl, [episode],
-                                             run_seed=5)[0]
+            evaluated = model.score_episodes(mdl, [episode], cfg)[0]
             return train, evaluated, grads, len(tape)
 
         fused_calls = count_layer_calls(monkeypatch)

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cpm2c import cpm, metric, model, tensor as T
+from cpm2c import cpm, metric, model, runner, tensor as T
 from cpm2c.errors import ConfigError, DomainError, ShapeError
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
@@ -468,11 +468,15 @@ def test_combined_recomposition_oracle():
 
 
 def test_combined_rejects_negative_alpha_and_empty():
+    # the run config checks alpha and the preset once; every preset
+    # keeps at least one branch
+    with pytest.raises(ConfigError, match="alpha"):
+        runner.RunConfig(alpha=-1.0)
+    assert all(model.PRESETS.values())
+    with pytest.raises(ConfigError, match="preset"):
+        runner.RunConfig(preset="none")
     mdl = model.Model(dim=8, frames=4, seed=11)
-    with pytest.raises(ConfigError):
-        model.score_episodes(mdl, [], run_seed=5, alpha=-1.0)
-    with pytest.raises(ConfigError):
-        model.Ablation(use_normal=False, use_motion=False)
+    assert model.score_episodes(mdl, [], runner.RunConfig(seed=5)) == []
 
 
 def test_token_row_excluded_from_alignment():
@@ -487,8 +491,7 @@ def test_token_row_excluded_from_alignment():
     scored = model._enhance(mdl, "normal", mdl.normal, frames, tokens)
     assert np.array_equal(scored, full[:, 1:])
     protos, queries, _, _ = model._branch_pass(
-        mdl.normal, Tensor(frames), np.concatenate([tokens, tokens]), 1, 1,
-        False)
+        mdl.normal, Tensor(frames), np.concatenate([tokens, tokens]), 1, 1)
     assert np.allclose(protos.data[0, 0, 0], full[0, 1:], atol=1e-12)
     assert np.allclose(queries.data[0, 0, 0], full[1, 1:], atol=1e-12)
 

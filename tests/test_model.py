@@ -9,7 +9,6 @@ import pytest
 from cpm2c import cpm, data, model, motion, nn, objective, \
     runner, tensor as T
 from cpm2c.errors import ConfigError, ProtocolError
-from cpm2c.objective import LossWeights
 from cpm2c.tensor import Tensor
 from oracles import (build_prototype, classify, consistency_loss,
                      eval_fake_tokens, feature_enhance, per_episode_losses,
@@ -23,6 +22,12 @@ def float64_mode():
 
 
 GAMMA = 0.1
+
+
+def run_cfg(**over):
+    """The run settings of these tests: seed 5, gamma GAMMA, and the
+    RunConfig defaults (alpha 1, every branch, summed consistency)."""
+    return runner.RunConfig(**{"seed": 5, "gamma": GAMMA, **over})
 
 
 def tiny_setup(way=2, shot=2, queries=1, seed=3):
@@ -90,8 +95,8 @@ def test_shot_mean_has_the_bits_of_numpy_mean(dtype, k):
 
 def test_probability_rows_sum_to_one():
     manifest, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                gamma=GAMMA, bank=manifest.prompt_bank())
+    res = model.episode_forward(mdl, episode, run_cfg(), episode_index=0,
+                                bank=manifest.prompt_bank())
     assert res.probabilities.shape == (2, 2)
     assert np.allclose(res.probabilities.sum(axis=1), 1.0, atol=1e-6)
     assert res.loss is not None
@@ -100,52 +105,47 @@ def test_probability_rows_sum_to_one():
 
 def test_batched_probabilities_match_per_pair_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
-                               alpha=0.7)[0]
+    res = model.score_episodes(mdl, [episode], run_cfg(alpha=0.7))[0]
     ref = reference_probs(mdl, episode, 5, 0.7)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_normal_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
-                               alpha=1.0,
-                               ablation=model.Ablation(use_motion=False))[0]
+    res = model.score_episodes(mdl, [episode],
+                               run_cfg(preset="no-motion"))[0]
     ref = reference_probs(mdl, episode, 5, 1.0, use_motion=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_motion_only_matches_reference():
     _, mdl, episode = tiny_setup()
-    res = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
-                               alpha=1.0,
-                               ablation=model.Ablation(use_normal=False))[0]
+    res = model.score_episodes(mdl, [episode],
+                               run_cfg(preset="motion-only"))[0]
     ref = reference_probs(mdl, episode, 5, 1.0, use_normal=False)
     assert np.allclose(res.probabilities, ref, atol=1e-8)
 
 
 def test_alpha_zero_ignores_motion_distances():
     _, mdl, episode = tiny_setup()
-    both = model.score_episodes(mdl, [episode], run_seed=5, gamma=GAMMA,
-                                alpha=0.0)[0]
+    both = model.score_episodes(mdl, [episode], run_cfg(alpha=0.0))[0]
     ref = reference_probs(mdl, episode, 5, 1.0, use_motion=False)
     assert np.allclose(both.probabilities, ref, atol=1e-8)
 
 
 def test_losses_flag_does_not_change_probabilities():
     manifest, mdl, episode = tiny_setup()
-    with_l = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                   gamma=GAMMA, bank=manifest.prompt_bank())
-    without = model.score_episodes(mdl, [episode], run_seed=5,
-                                   gamma=GAMMA)[0]
+    with_l = model.episode_forward(mdl, episode, run_cfg(), episode_index=0,
+                                   bank=manifest.prompt_bank())
+    without = model.score_episodes(mdl, [episode], run_cfg())[0]
     assert np.allclose(with_l.probabilities, without.probabilities, atol=1e-10)
     assert without.loss is None and without.parts == {}
 
 
 def test_consistency_part_matches_single_pair_loss():
     manifest, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                gamma=GAMMA, bank=manifest.prompt_bank())
+    res = model.episode_forward(mdl, episode, run_cfg(), episode_index=0,
+                                bank=manifest.prompt_bank())
     n = episode.way
     reals, fakes = [], []
     order = [(c, rec) for c in range(n) for rec in episode.support[c]]
@@ -165,8 +165,8 @@ def test_consistency_part_matches_single_pair_loss():
 
 def test_task_part_is_cross_entropy_of_probabilities():
     manifest, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                gamma=GAMMA, bank=manifest.prompt_bank())
+    res = model.episode_forward(mdl, episode, run_cfg(), episode_index=0,
+                                bank=manifest.prompt_bank())
     picked = res.probabilities[np.arange(len(res.true_labels)),
                                res.true_labels]
     assert np.allclose(res.parts["task"], -np.log(picked).mean(), atol=1e-10)
@@ -174,8 +174,8 @@ def test_task_part_is_cross_entropy_of_probabilities():
 
 def test_adapt_part_matches_direct_dam_loss():
     manifest, mdl, episode = tiny_setup()
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                gamma=GAMMA, bank=manifest.prompt_bank())
+    res = model.episode_forward(mdl, episode, run_cfg(), episode_index=0,
+                                bank=manifest.prompt_bank())
     ids, bank = manifest.prompt_bank()
     frames, truth = [], []
     for c in range(episode.way):
@@ -193,9 +193,8 @@ def test_adapt_part_matches_direct_dam_loss():
 
 def test_total_combines_parts_with_weights():
     manifest, mdl, episode = tiny_setup()
-    w = LossWeights(lam_adapt=0.5, lam_task=2.0, lam_consistency=0.25)
-    res = model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                                gamma=GAMMA, weights=w,
+    cfg = run_cfg(lam_adapt=0.5, lam_task=2.0, lam_consistency=0.25)
+    res = model.episode_forward(mdl, episode, cfg, episode_index=0,
                                 bank=manifest.prompt_bank())
     expect = (0.5 * res.parts["adapt"] + 2.0 * res.parts["task"]
               + 0.25 * res.parts["consistency"])
@@ -204,11 +203,10 @@ def test_total_combines_parts_with_weights():
 
 def test_mean_consistency_reduction_rescales():
     manifest, mdl, episode = tiny_setup()
-    kw = dict(run_seed=5, episode_index=0, gamma=GAMMA,
-              bank=manifest.prompt_bank())
-    by_sum = model.episode_forward(mdl, episode, **kw)
-    by_mean = model.episode_forward(mdl, episode,
-                                    consistency_reduction="mean", **kw)
+    kw = dict(episode_index=0, bank=manifest.prompt_bank())
+    by_sum = model.episode_forward(mdl, episode, run_cfg(), **kw)
+    by_mean = model.episode_forward(
+        mdl, episode, run_cfg(consistency_reduction="mean"), **kw)
     videos = episode.way * (episode.shot + episode.queries_per_class)
     numel = videos * (5 * 8 + 4 * 8)  # both branches' enhanced elements
     assert np.allclose(by_mean.parts["consistency"],
@@ -218,8 +216,8 @@ def test_mean_consistency_reduction_rescales():
 def test_gradients_reach_every_parameter():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
-        res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, gamma=GAMMA,
+        res = model.episode_forward(mdl, episode, run_cfg(),
+                                    episode_index=0,
                                     bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     for name, p in mdl.named_parameters():
@@ -230,10 +228,9 @@ def test_gradients_reach_every_parameter():
 def test_disabled_motion_leaves_phi_untouched():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
-        res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, gamma=GAMMA,
-                                    bank=manifest.prompt_bank(), train=True,
-                                    ablation=model.Ablation(use_motion=False))
+        res = model.episode_forward(mdl, episode, run_cfg(preset="no-motion"),
+                                    episode_index=0,
+                                    bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     for name, p in mdl.named_parameters():
         if name.startswith(("phi.", "motion.")):
@@ -253,9 +250,10 @@ def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
         manifest = data.build_synthetic_manifest(synth, videos_per_class=10)
         episode = data.sample_episode(manifest, data.episode_rng(7, 0), way,
                                       shot, queries, "train")
-        kw = dict(run_seed=7, episode_index=0, gamma=GAMMA, alpha=0.7,
-                  bank=manifest.prompt_bank("train"), train=train,
-                  consistency_reduction="mean")
+        cfg = runner.RunConfig(seed=7, gamma=GAMMA, alpha=0.7,
+                               consistency_reduction="mean")
+        kw = dict(episode_index=0, bank=manifest.prompt_bank("train"),
+                  train=train)
 
         def run(forward):
             mdl = model.Model(dim=dim, frames=8, seed=11)
@@ -264,7 +262,7 @@ def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
                 branch.transformer.attn.out = nn.Linear(dim, dim, rng)
                 branch.transformer.ffn2 = nn.Linear(4 * dim, dim, rng)
             with T.Tape():
-                res = forward(mdl, episode, **kw)
+                res = forward(mdl, episode, cfg, **kw)
             T.backward(res.loss)
             return res, {n: p.grad for n, p in mdl.named_parameters()}
 
@@ -299,8 +297,8 @@ def test_training_episode_tape_stays_small():
     episode = data.sample_episode(manifest, data.episode_rng(5, 0), 5, 1, 1,
                                   "train")
     with T.Tape() as tape:
-        res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, gamma=GAMMA,
+        res = model.episode_forward(mdl, episode, run_cfg(),
+                                    episode_index=0,
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
     assert len(tape) < 100, len(tape)
@@ -321,9 +319,9 @@ def test_backward_frees_the_episode_while_its_result_lives():
 
     def forward():
         with T.Tape():
-            return model.episode_forward(mdl, episode, run_seed=5,
-                                         episode_index=0, gamma=GAMMA,
-                                         bank=bank, train=True)
+            return model.episode_forward(mdl, episode, run_cfg(),
+                                         episode_index=0, bank=bank,
+                                         train=True)
 
     T.backward(forward().loss)           # warm every cache first
     for p in params:
@@ -347,33 +345,29 @@ def test_backward_frees_the_episode_while_its_result_lives():
 def test_training_episode_enhances_once_per_branch(monkeypatch, preset):
     # every video under its real and then its fake token, in one call
     manifest, mdl, episode = tiny_setup(way=2, shot=2, queries=1)
-    ablation = runner.PRESETS[preset]
     enhance = cpm.feature_enhance_batch
     calls = []
 
-    def counted(branch, frames, tokens, train=False):
+    def counted(branch, frames, tokens):
         calls.append((branch, frames.shape[0], tokens.shape[0]))
-        return enhance(branch, frames, tokens, train=train)
+        return enhance(branch, frames, tokens)
 
     monkeypatch.setattr(cpm, "feature_enhance_batch", counted)
     with T.Tape():
-        res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, gamma=GAMMA,
-                                    bank=manifest.prompt_bank(), train=True,
-                                    ablation=ablation)
+        res = model.episode_forward(mdl, episode, run_cfg(preset=preset),
+                                    episode_index=0,
+                                    bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     stacks = 2 * (2 * 2 + 2 * 1)
-    used = [branch for branch, keep in ((mdl.normal, ablation.use_normal),
-                                        (mdl.motion, ablation.use_motion))
-            if keep]
+    used = [getattr(mdl, name) for name in model.PRESETS[preset]]
     assert calls == [(branch, stacks, stacks) for branch in used]
 
 
 def test_training_gradients_are_owned_and_distinct():
     manifest, mdl, episode = tiny_setup()
     with T.Tape():
-        res = model.episode_forward(mdl, episode, run_seed=5,
-                                    episode_index=0, gamma=GAMMA,
+        res = model.episode_forward(mdl, episode, run_cfg(),
+                                    episode_index=0,
                                     bank=manifest.prompt_bank(), train=True)
     T.backward(res.loss)
     grads = [p.grad for _, p in mdl.named_parameters()]
@@ -386,27 +380,23 @@ def test_training_gradients_are_owned_and_distinct():
 
 def test_same_inputs_reproduce_bitwise():
     manifest, mdl, episode = tiny_setup()
-    kw = dict(run_seed=5, episode_index=0, gamma=GAMMA,
-              bank=manifest.prompt_bank())
-    a = model.episode_forward(mdl, episode, **kw)
-    b = model.episode_forward(mdl, episode, **kw)
+    kw = dict(episode_index=0, bank=manifest.prompt_bank())
+    a = model.episode_forward(mdl, episode, run_cfg(), **kw)
+    b = model.episode_forward(mdl, episode, run_cfg(), **kw)
     assert np.array_equal(a.probabilities, b.probabilities)
     assert a.parts == b.parts
 
 
 def test_run_seed_changes_fake_tokens_and_probabilities():
     _, mdl, episode = tiny_setup()
-    a = model.score_episodes(mdl, [episode], run_seed=5,
-                             gamma=GAMMA)[0]
-    b = model.score_episodes(mdl, [episode], run_seed=6,
-                             gamma=GAMMA)[0]
+    a = model.score_episodes(mdl, [episode], run_cfg())[0]
+    b = model.score_episodes(mdl, [episode], run_cfg(seed=6))[0]
     assert not np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_predictions_and_correct_count_agree():
     manifest, mdl, episode = tiny_setup(way=2, shot=1, queries=2)
-    res = model.score_episodes(mdl, [episode], run_seed=5,
-                               gamma=GAMMA)[0]
+    res = model.score_episodes(mdl, [episode], run_cfg())[0]
     assert np.array_equal(res.predictions, res.probabilities.argmax(axis=1))
     assert res.correct == int((res.predictions == res.true_labels).sum())
 
@@ -433,15 +423,12 @@ def test_temperature_is_exp_of_log():
 def test_config_validation():
     with pytest.raises(ConfigError):
         model.Model(dim=8, frames=1)
-    with pytest.raises(ConfigError):
-        model.Ablation(use_normal=False, use_motion=False)
-    _, mdl, episode = tiny_setup()
-    with pytest.raises(ConfigError):
-        model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                              alpha=-1.0)
-    with pytest.raises(ConfigError):
-        model.episode_forward(mdl, episode, run_seed=5, episode_index=0,
-                              consistency_reduction="median")
+    # the settings episode_forward reads are checked once, in RunConfig
+    assert all(model.PRESETS.values())
+    for bad in (dict(alpha=-1.0), dict(consistency_reduction="median"),
+                dict(preset="none")):
+        with pytest.raises(ConfigError):
+            run_cfg(**bad)
 
 
 def test_episode_class_missing_from_bank():
@@ -449,5 +436,5 @@ def test_episode_class_missing_from_bank():
     episode = data.sample_episode(manifest, data.episode_rng(5, 1), 1, 1, 1,
                                   "test")
     with pytest.raises(ProtocolError):
-        model.episode_forward(mdl, episode, run_seed=5, episode_index=1,
+        model.episode_forward(mdl, episode, run_cfg(), episode_index=1,
                               bank=manifest.prompt_bank("train"))

@@ -7,7 +7,7 @@ import pytest
 
 from cpm2c import objective, tensor as T
 from cpm2c.errors import ConfigError, DomainError, ShapeError
-from cpm2c.objective import LossWeights
+from cpm2c.runner import RunConfig
 from cpm2c.tensor import Tensor
 from fdcheck import check_grads
 from oracles import list_task_loss
@@ -19,10 +19,18 @@ def float64_mode():
         yield
 
 
+def weights(lam_adapt, lam_task, lam_consistency):
+    return RunConfig(lam_adapt=lam_adapt, lam_task=lam_task,
+                     lam_consistency=lam_consistency)
+
+
 def test_weights_validation():
-    LossWeights(0.0, 0.0, 0.0)
-    with pytest.raises(ConfigError):
-        LossWeights(lam_adapt=-1.0)
+    # the run config checks the weights that total_loss reads
+    weights(0.0, 0.0, 0.0)
+    for name in ("lam_adapt", "lam_task", "lam_consistency"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +203,10 @@ def test_task_loss_matches_per_query_oracle(dtype):
 
 
 def test_total_loss_weighted_sum():
-    w = LossWeights(1.0, 1.0, 1.0)
+    w = weights(1.0, 1.0, 1.0)
     total = objective.total_loss(Tensor(0.5), Tensor(1.0), Tensor(0.25), w)
     assert abs(total.item() - 1.75) < 1e-12
-    z = LossWeights(0.0, 0.0, 0.0)
+    z = weights(0.0, 0.0, 0.0)
     assert objective.total_loss(Tensor(0.5), Tensor(1.0), Tensor(0.25),
                                 z).item() == 0.0
 
@@ -208,7 +216,7 @@ def test_total_loss_gradient_superposition():
     # term's separate gradient
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    w = LossWeights(0.5, 2.0, 1.5)
+    w = weights(0.5, 2.0, 1.5)
 
     def terms():
         a = T.reduce_sum(T.mul(x, x))

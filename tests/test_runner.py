@@ -60,7 +60,21 @@ def test_no_consistency_is_an_unknown_preset():
     # --lam-consistency 0 is how a run drops the consistency term
     with pytest.raises(ConfigError, match="unknown preset 'no-consistency'"):
         tiny_config(preset="no-consistency")
-    assert tiny_config(lam_consistency=0.0).weights().lam_consistency == 0.0
+    assert tiny_config(lam_consistency=0.0).lam_consistency == 0.0
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    # every run setting is checked once, in RunConfig, and cannot change
+    # after the check
+    cfg = tiny_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = -1.0
+    for bad, name in ((dict(alpha=-1.0), "alpha"),
+                      (dict(lam_task=float("nan")), "lam_task"),
+                      (dict(preset="x"), "preset")):
+        with pytest.raises(ConfigError, match=name):
+            dataclasses.replace(cfg, **bad)
+    assert cfg == tiny_config()
 
 
 def test_manifest_shape_rejects_mixed_dims():
@@ -100,10 +114,9 @@ def test_window_accumulation_matches_manual_mean_of_gradients():
         episode = data.sample_episode(manifest, data.episode_rng(0, index),
                                       2, 1, 1, "train")
         with T.Tape():
-            res = runner.episode_forward(
-                mdl, episode, run_seed=0, episode_index=index, bank=bank,
-                train=True, weights=cfg.weights(), gamma=cfg.gamma,
-                alpha=cfg.alpha, ablation=cfg.ablation())
+            res = runner.episode_forward(mdl, episode, cfg,
+                                         episode_index=index, bank=bank,
+                                         train=True)
         T.backward(res.loss)
     for _, p in mdl.named_parameters():
         p.grad = p.grad / 3
@@ -377,6 +390,22 @@ def test_evaluate_rejects_overrides_below_one(monkeypatch, override,
     with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
         runner.evaluate(manifest, mdl, dataclasses.replace(cfg, **shape),
                         **kwargs)
+    assert not sampled
+
+
+@pytest.mark.parametrize("compute_losses", [False, True])
+def test_evaluate_rejects_a_negative_start_index(monkeypatch,
+                                                 compute_losses):
+    # the override replaces cfg.eval_start, which RunConfig checks
+    manifest = tiny_manifest()
+    cfg = tiny_config(eval_split="train")
+    mdl = runner.build_model(manifest, cfg)
+    sampled = []
+    monkeypatch.setattr(runner, "sample_episode",
+                        lambda *a, **k: sampled.append(a))
+    with pytest.raises(ConfigError, match="eval_start must be >= 0"):
+        runner.evaluate(manifest, mdl, cfg, episodes=2, start_index=-1,
+                        compute_losses=compute_losses)
     assert not sampled
 
 

@@ -83,20 +83,17 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
         cfg = eval_config(preset=preset, queries=2 if two_queries else 1)
         mdl = (scrambled_model(manifest, cfg) if scrambled
                else runner.build_model(manifest, cfg))
-        kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
-                  ablation=cfg.ablation())
         episodes = sample(manifest, cfg, BLOCK + 3)
-        ref = [per_episode_scores(mdl, ep, **kw) for ep in episodes]
+        ref = [per_episode_scores(mdl, ep, cfg) for ep in episodes]
         # the loss path shares the scorer's tail: same probabilities
-        with_losses = model.episode_forward(mdl, episodes[0],
-                                            episode_index=cfg.eval_start,
-                                            **kw)
+        with_losses = model.episode_forward(mdl, episodes[0], cfg,
+                                            episode_index=cfg.eval_start)
         assert np.array_equal(with_losses.probabilities,
                               ref[0].probabilities)
         for count in (0, 1, BLOCK - 1, BLOCK + 3):   # the last is ragged
             for workers in (1, 2, 4):
                 got = model.score_episodes(mdl, episodes[:count],
-                                           workers=workers, **kw)
+                                           replace(cfg, workers=workers))
                 assert len(got) == count
                 for g, r in zip(got, ref):
                     assert_same_result(g, r)
@@ -115,16 +112,15 @@ def test_blocks_are_bit_identical_to_per_episode_scoring(
 def test_more_threads_than_cores_with_fast_switching_match_serial(manifest):
     cfg = eval_config()
     mdl = scrambled_model(manifest, cfg)
-    kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
-              ablation=cfg.ablation())
     episodes = sample(manifest, cfg, 4 * BLOCK + 1)
-    serial = model.score_episodes(mdl, episodes, **kw)
+    serial = model.score_episodes(mdl, episodes, cfg)
     serial_losses = runner.evaluate(manifest, mdl, cfg, episodes=2 * BLOCK + 1,
                                     compute_losses=True, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = model.score_episodes(mdl, episodes, workers=8, **kw)
+        threaded = model.score_episodes(mdl, episodes,
+                                        replace(cfg, workers=8))
         threaded_losses = runner.evaluate(manifest, mdl, cfg,
                                           episodes=2 * BLOCK + 1,
                                           compute_losses=True, workers=8)
@@ -149,12 +145,10 @@ def test_small_models_match_per_episode_scoring_to_rounding(dtype, tol):
     with T.precision(dtype):
         cfg = eval_config()
         mdl = runner.build_model(small, cfg)
-        kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
-                  ablation=cfg.ablation())
         episodes = sample(small, cfg, 2 * BLOCK + 3)
-        got = model.score_episodes(mdl, episodes, **kw)
+        got = model.score_episodes(mdl, episodes, cfg)
         for g, ep in zip(got, episodes):
-            ref = per_episode_scores(mdl, ep, **kw)
+            ref = per_episode_scores(mdl, ep, cfg)
             assert np.allclose(g.probabilities, ref.probabilities, rtol=0,
                                atol=tol)
             assert g.correct == ref.correct
@@ -168,9 +162,9 @@ def test_one_call_enhances_each_support_video_once_per_branch(manifest,
     calls = []
     original = cpm.feature_enhance_batch
 
-    def recording(branch, frames, tokens, train=False):
+    def recording(branch, frames, tokens):
         calls.append((branch, frames.data.copy(), tokens.data.copy()))
-        return original(branch, frames, tokens, train=train)
+        return original(branch, frames, tokens)
 
     monkeypatch.setattr(cpm, "feature_enhance_batch", recording)
     count = 2 * BLOCK + 3
@@ -219,12 +213,10 @@ def test_an_episode_scores_the_same_alone_and_in_a_full_call(manifest):
     # and enhanced features do not depend on the other episodes
     cfg = eval_config()
     mdl = scrambled_model(manifest, cfg)
-    kw = dict(run_seed=cfg.seed, gamma=cfg.gamma, alpha=cfg.alpha,
-              ablation=cfg.ablation())
     count = 200
     episodes = sample(manifest, cfg, count)
-    together = model.score_episodes(mdl, episodes, **kw)
-    alone = [model.score_episodes(mdl, [ep], **kw)[0] for ep in episodes]
+    together = model.score_episodes(mdl, episodes, cfg)
+    alone = [model.score_episodes(mdl, [ep], cfg)[0] for ep in episodes]
     for got, ref in zip(together, alone):
         assert_same_result(got, ref)
     res = runner.evaluate(manifest, mdl, cfg, episodes=count)
@@ -285,10 +277,10 @@ def test_a_shared_video_gets_one_eval_stand_in_and_two_training_ones(
     original = cpm.feature_enhance_batch
     calls = []
 
-    def recording(branch, frames, tokens, train=False):
+    def recording(branch, frames, tokens):
         if branch is mdl.normal:
             calls.append((frames.data, tokens.data))
-        return original(branch, frames, tokens, train=train)
+        return original(branch, frames, tokens)
 
     monkeypatch.setattr(cpm, "feature_enhance_batch", recording)
 
@@ -297,7 +289,7 @@ def test_a_shared_video_gets_one_eval_stand_in_and_two_training_ones(
         # then under its fake token: the fake half holds the stand-ins
         calls.clear()
         with T.Tape():
-            model.episode_forward(mdl, episodes[index], run_seed=cfg.seed,
+            model.episode_forward(mdl, episodes[index], cfg,
                                   episode_index=index, train=train)
         (frames, tokens), = calls
         fake = len(frames) // 2
@@ -316,4 +308,4 @@ def test_scoring_rejects_mismatched_inputs(manifest):
     other = data.sample_episode(manifest, data.episode_rng(cfg.seed, 0),
                                 4, 5, 1, "test")
     with pytest.raises(ProtocolError, match="shape"):
-        model.score_episodes(mdl, episodes + [other], run_seed=cfg.seed)
+        model.score_episodes(mdl, episodes + [other], cfg)
