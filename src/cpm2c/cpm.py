@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import FAKE_TAG, key_digests, keyed_normals
+from .data import FAKE_TAG, KeyedStream, key_digests, keyed_normals
 from .errors import ShapeError
 from .nn import Module, PositionalEmbedding, TransformerBlock
 from .tensor import Tensor
@@ -38,8 +38,8 @@ class CpmBranch(Module):
 
     def __init__(self, seq_len: int, dim: int, num_heads: int = 8,
                  ffn_hidden: Optional[int] = None,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 rng=None):
+        rng = rng if rng is not None else KeyedStream(0)
         self.seq_len = seq_len
         self.dim = dim
         self.transformer = TransformerBlock(dim, num_heads, ffn_hidden, rng)

@@ -41,26 +41,13 @@ _EPISODE_TAG = 6
 FAKE_TAG = 7
 
 
-def keyed_rng(*key) -> np.random.Generator:
-    """Philox generator seeded by ``SeedSequence`` from an integer key tuple.
-
-    Same key, same stream, bit for bit; distinct keys give statistically
-    independent streams. Setup-time draws use it: synthetic data,
-    prompts, initial weights and gradcheck coordinates. Its construction
-    costs about 12 us, so the per-episode draws (episodes and stand-in
-    tokens) use ``KeyedStream`` and ``keyed_normals`` instead; every
-    random draw in the system is still reproducible from (seed, key).
-    """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
 # SplitMix64 (Steele et al. 2014): the Weyl increment of the counter and
 # the two multipliers of the output finalizer
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-# elements per slab of ``keyed_normals``: a slab's uint64 words take
-# 32 KiB, so no temporary reaches glibc's 128 KiB mmap threshold
+# elements per slab of a keyed draw: a slab's uint64 words take 32 KiB,
+# so no temporary reaches glibc's 128 KiB mmap threshold
 _SLAB = 4096
 
 
@@ -103,7 +90,7 @@ def _words(digests: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
-    """Standard normals into the float32 array ``out``, one per word: its
+    """Standard normals into the float array ``out``, one per word: its
     top 24 bits give the radius and its low 24 bits the angle of a
     Box-Muller pair, whose cosine half is kept."""
     radius = (words >> np.uint64(40)).astype(np.float32)
@@ -118,32 +105,54 @@ def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
     np.multiply(radius, angle, out=out)
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Float64 uniforms in [0, 1), one per word: its top 53 bits."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _normals_into(digests: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Standard normals at counter positions start .. start + n of each
+    digest's stream into row i of the (len(digests), n) float array
+    ``out``, in slabs of about ``_SLAB`` elements (whole rows where they
+    fit), so temporaries stay small."""
+    count = out.shape[1]
+    rows = max(1, _SLAB // max(count, 1))
+    width = max(1, min(count, _SLAB))
+    for lo in range(0, len(digests), rows):
+        slab = digests[lo:lo + rows]
+        for first in range(0, count, width):
+            stop = min(first + width, count)
+            _box_muller(_words(slab, start + first, start + stop),
+                        out[lo:lo + rows, first:stop])
+
+
 def keyed_normals(digests: np.ndarray, count: int) -> np.ndarray:
     """(len(digests), count) float32 standard normals, row i from the
     stream seeded with ``digests[i]``.
 
     Element j of a row is a pure function of (digest, j), so a key's row
     is the same whether drawn alone or in a batch, and fewer elements
-    are a prefix of more. The work goes in slabs of about ``_SLAB``
-    elements (whole rows where they fit), so temporaries stay small.
+    are a prefix of more.
     """
     out = np.empty((len(digests), count), np.float32)
-    rows = max(1, _SLAB // max(count, 1))
-    width = max(1, min(count, _SLAB))
-    for lo in range(0, len(digests), rows):
-        slab = digests[lo:lo + rows]
-        for start in range(0, count, width):
-            stop = min(start + width, count)
-            _box_muller(_words(slab, start, stop),
-                        out[lo:lo + rows, start:stop])
+    _normals_into(digests, 0, out)
     return out
 
 
-class KeyedStream:
-    """Uniform draws from one integer key tuple, counter-based.
+def _flat(out: np.ndarray) -> np.ndarray:
+    if not out.flags.c_contiguous:
+        raise ValueError("keyed draws fill C-contiguous arrays only")
+    return out.reshape(-1)
 
-    The j-th uniform a stream hands out is a pure function of (key, j),
-    so a stream costs one digest to make and its draws vectorize. Same
+
+class KeyedStream:
+    """Uniform and normal draws from one integer key tuple, counter-based.
+
+    The stream hands out its counter positions in order, one per draw,
+    and the draw at position j is a pure function of (key, j). So a
+    stream costs one digest to make, its draws vectorize, and any split
+    of a run of draws into calls or slabs gives the same numbers. Its
+    normals are those of ``keyed_normals`` for the key's digest. Same
     key, same draws, bit for bit.
     """
 
@@ -153,12 +162,44 @@ class KeyedStream:
         self._digest = key_digests(key[-1:], *key[:-1])
         self._drawn = 0
 
+    def _take(self, count: int) -> int:
+        """Claim the next ``count`` counter positions; returns the first."""
+        start = self._drawn
+        self._drawn += count
+        return start
+
     def uniform(self, count: int) -> np.ndarray:
         """The stream's next ``count`` float64 uniforms in [0, 1), each
         with 53 random bits."""
-        words = _words(self._digest, self._drawn, self._drawn + count)[0]
-        self._drawn += count
-        return (words >> np.uint64(11)) * 2.0 ** -53
+        start = self._take(count)
+        return _uniforms(_words(self._digest, start, start + count)[0])
+
+    def normal(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` float32 standard normals."""
+        out = np.empty((1, count), np.float32)
+        _normals_into(self._digest, self._take(count), out)
+        return out[0]
+
+    def fill_uniform(self, out: np.ndarray, low: float, high: float) -> None:
+        """Fill the C-contiguous float array ``out`` with the stream's next
+        ``out.size`` uniforms on [low, high): low + (high - low) * u in
+        float64, rounded to ``out``'s dtype, a slab at a time."""
+        flat = _flat(out)
+        start = self._take(flat.size)
+        for lo in range(0, flat.size, _SLAB):
+            hi = min(lo + _SLAB, flat.size)
+            u = _uniforms(_words(self._digest, start + lo, start + hi)[0])
+            u *= high - low
+            np.add(u, low, out=flat[lo:hi])
+
+    def fill_normal(self, out: np.ndarray, scale: float) -> None:
+        """Fill the C-contiguous float array ``out`` with the stream's next
+        ``out.size`` normals of mean 0 and standard deviation ``scale``:
+        the float32 standard normals, written a slab at a time, then
+        multiplied by ``scale`` in ``out``'s dtype."""
+        flat = _flat(out)
+        _normals_into(self._digest, self._take(flat.size), flat[None, :])
+        flat *= scale
 
 
 def episode_rng(run_seed: int, episode_index: int) -> KeyedStream:
@@ -461,6 +502,10 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.mode not in ("static", "permuted"):
             raise ConfigError(f"unknown synthetic mode {self.mode!r}")
+        for name in ("scale", "sigma", "common_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ConfigError(f"negative noise sigma {self.sigma}")
         if self.num_classes < 1 or self.dim < 1 or self.frames < 1:
@@ -469,22 +514,26 @@ class SyntheticConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+def _prototypes(cfg: SyntheticConfig, class_ids) -> np.ndarray:
+    """(len(class_ids), D) float32 prototypes, row i drawn from the
+    stream keyed by (seed, prototype tag, ``class_ids[i]``)."""
+    protos = keyed_normals(key_digests(class_ids, cfg.seed, _PROTO_TAG),
+                           cfg.dim)
+    protos *= cfg.scale
+    return protos
+
+
 def class_prototype(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
-    rng = keyed_rng(cfg.seed, _PROTO_TAG, class_id)
-    return (cfg.scale * rng.standard_normal(cfg.dim)).astype(np.float32)
-
-
-@functools.lru_cache(maxsize=32)
-def _base_deltas(cfg: SyntheticConfig) -> np.ndarray:
-    return cfg.scale * keyed_rng(
-        cfg.seed, _BASE_TAG, 1).standard_normal((cfg.frames, cfg.dim))
+    return _prototypes(cfg, [class_id])[0]
 
 
 @functools.lru_cache(maxsize=32)
 def _base_frames(cfg: SyntheticConfig) -> np.ndarray:
-    common = cfg.common_ratio * cfg.scale * keyed_rng(
-        cfg.seed, _BASE_TAG, 0).standard_normal(cfg.dim)
-    return (common[None, :] + _base_deltas(cfg)).astype(np.float32)
+    frames = KeyedStream(cfg.seed, _BASE_TAG, 1).normal(cfg.frames * cfg.dim)
+    frames *= cfg.scale
+    common = KeyedStream(cfg.seed, _BASE_TAG, 0).normal(cfg.dim)
+    common *= cfg.common_ratio * cfg.scale
+    return frames.reshape(cfg.frames, cfg.dim) + common
 
 
 @functools.lru_cache(maxsize=32)
@@ -498,13 +547,14 @@ def _permutations(cfg: SyntheticConfig) -> list:
     if cfg.frames == 1 and cfg.num_classes > 1:
         raise ConfigError(f"cannot find {cfg.num_classes} distinct orders "
                           f"of 1 frame")
-    current = keyed_rng(cfg.seed, _PERM_TAG, 0).permutation(cfg.frames)
+    current = np.argsort(KeyedStream(cfg.seed, _PERM_TAG, 0).uniform(
+        cfg.frames), kind="stable")
     seen = {tuple(current)}
     orders = [current.copy()]
     for cid in range(1, cfg.num_classes):
-        rng = keyed_rng(cfg.seed, _PERM_TAG, cid)
+        stream = KeyedStream(cfg.seed, _PERM_TAG, cid)
         for attempt in range(10_000):
-            pos = int(rng.integers(cfg.frames - 1))
+            pos = int(stream.uniform(1)[0] * (cfg.frames - 1))
             current[[pos, pos + 1]] = current[[pos + 1, pos]]
             if tuple(current) not in seen:
                 break
@@ -516,25 +566,37 @@ def _permutations(cfg: SyntheticConfig) -> list:
     return orders
 
 
+def _prompts(cfg: SyntheticConfig, class_ids) -> np.ndarray:
+    """(len(class_ids), D) float32 class prompts: the prototypes in static
+    mode, else row i drawn from the stream keyed by (seed, prompt tag,
+    ``class_ids[i]``)."""
+    if cfg.mode == "static":
+        return _prototypes(cfg, class_ids)
+    return keyed_normals(key_digests(class_ids, cfg.seed, _PROMPT_TAG),
+                         cfg.dim)
+
+
 def class_prompt(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
+    return _prompts(cfg, [class_id])[0]
+
+
+def _class_videos(cfg: SyntheticConfig, class_id: int, instances,
+                  prompt: np.ndarray) -> np.ndarray:
+    """(len(instances), T, D) float32 features of a class's videos: sigma
+    times each video's noise, drawn from the stream keyed by (seed, frame
+    tag, class, ``instances[v]``), all in one ``keyed_normals`` call, plus
+    the clean frames every video of the class shares. Those are the
+    prompt, which is the prototype, in every frame in static mode, and
+    the base frames in the class's order in permuted mode."""
+    digests = key_digests(instances, cfg.seed, _FRAME_TAG, class_id)
+    feats = keyed_normals(digests, cfg.frames * cfg.dim).reshape(
+        len(digests), cfg.frames, cfg.dim)
+    feats *= cfg.sigma
     if cfg.mode == "static":
-        return class_prototype(cfg, class_id)
-    rng = keyed_rng(cfg.seed, _PROMPT_TAG, class_id)
-    return rng.standard_normal(cfg.dim).astype(np.float32)
-
-
-def _clean_frames(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
-    """The noise-free T x D frames every video of a class shares."""
-    if cfg.mode == "static":
-        return np.tile(class_prototype(cfg, class_id), (cfg.frames, 1))
-    return _base_frames(cfg)[_permutations(cfg)[class_id]]
-
-
-def _add_noise(cfg: SyntheticConfig, clean: np.ndarray, class_id: int,
-               instance_seed: int) -> np.ndarray:
-    noise_rng = keyed_rng(cfg.seed, _FRAME_TAG, class_id, instance_seed)
-    noise = cfg.sigma * noise_rng.standard_normal((cfg.frames, cfg.dim))
-    return (clean + noise).astype(np.float32)
+        feats += prompt
+    else:
+        feats += _base_frames(cfg)[_permutations(cfg)[class_id]]
+    return feats
 
 
 def synth_encode(cfg: SyntheticConfig, class_id: int,
@@ -542,8 +604,8 @@ def synth_encode(cfg: SyntheticConfig, class_id: int,
     """Features of one synthetic video, deterministic in all arguments."""
     if not 0 <= class_id < cfg.num_classes:
         raise DataError(f"class {class_id} outside 0..{cfg.num_classes - 1}")
-    return _add_noise(cfg, _clean_frames(cfg, class_id), class_id,
-                      instance_seed)
+    return _class_videos(cfg, class_id, [instance_seed],
+                         class_prompt(cfg, class_id))[0]
 
 
 def split_classes(num_classes: int, fractions=(0.5, 0.25, 0.25)) -> dict:
@@ -568,21 +630,21 @@ def build_synthetic_manifest(cfg: SyntheticConfig, videos_per_class: int,
                              fractions=(0.5, 0.25, 0.25)) -> DatasetManifest:
     """In-memory manifest over the synthetic encoder.
 
-    Features equal ``synth_encode``'s, but each class's clean frames are
-    built once, not once per video.
+    Video v of a class has instance seed v, and its features equal
+    ``synth_encode``'s; a class's videos are drawn together.
     """
     splits = split_classes(cfg.num_classes, fractions)
+    prompts = _prompts(cfg, range(cfg.num_classes))
     records = []
     for split, ids in splits.items():
         for cid in ids:
-            clean = _clean_frames(cfg, cid)
+            feats = _class_videos(cfg, cid, range(videos_per_class),
+                                  prompts[cid])
             for v in range(videos_per_class):
                 records.append(VideoRecord(
                     video_id=f"c{cid:03d}_v{v:03d}", class_id=cid, split=split,
-                    frames=cfg.frames, dim=cfg.dim,
-                    _features=_add_noise(cfg, clean, cid, v)))
-    prompts = {cid: class_prompt(cfg, cid) for cid in range(cfg.num_classes)}
-    return DatasetManifest(records, prompts)
+                    frames=cfg.frames, dim=cfg.dim, _features=feats[v]))
+    return DatasetManifest(records, dict(enumerate(prompts)))
 
 
 # ---------------------------------------------------------------------------

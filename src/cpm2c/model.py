@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import cpm, metric, objective, tensor as T
-from .data import EpisodeBatch, keyed_rng
+from .data import EpisodeBatch, KeyedStream
 from .errors import ConfigError, ProtocolError
 from .motion import motion_features
 from .nn import Module, PhiStack
@@ -106,10 +106,10 @@ class Model(Module):
         self.dim = dim
         self.frames = frames
         self.normal = cpm.CpmBranch(frames + 1, dim, HEADS,
-                                    rng=keyed_rng(seed, _INIT_TAG, 0))
+                                    rng=KeyedStream(seed, _INIT_TAG, 0))
         self.motion = cpm.CpmBranch(frames, dim, HEADS,
-                                    rng=keyed_rng(seed, _INIT_TAG, 1))
-        self.phi = PhiStack(dim, 2, rng=keyed_rng(seed, _INIT_TAG, 2))
+                                    rng=KeyedStream(seed, _INIT_TAG, 1))
+        self.phi = PhiStack(dim, 2, rng=KeyedStream(seed, _INIT_TAG, 2))
         self.log_temperature = Tensor(math.log(_INIT_TEMPERATURE),
                                       requires_grad=True)
 

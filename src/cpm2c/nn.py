@@ -13,6 +13,11 @@ numpy forward, one node, and a hand-written backward. The forwards run
 the numpy operations of the primitive-op compositions they replace in
 the same order, so their outputs are bit-identical to those
 compositions; ``tests/oracles.py`` keeps the compositions as references.
+
+A layer draws its initial weights, in the default dtype, from the
+``rng`` it is given: a ``data.KeyedStream``, which the model passes and
+which fills each array slab by slab in place, or a numpy ``Generator``,
+which tests may pass.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .data import KeyedStream
 from .errors import CheckpointError, DomainError, NumericalError, ShapeError
 from .tensor import Tensor
 
@@ -94,16 +100,36 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     return T._record(out, (x, gamma, beta), bwd), mean, var
 
 
+def _uniform_init(rng, bound: float, shape) -> np.ndarray:
+    """A default-dtype array uniform on [-bound, bound)."""
+    out = np.empty(shape, T.default_dtype())
+    if isinstance(rng, KeyedStream):
+        rng.fill_uniform(out, -bound, bound)
+    else:
+        out[...] = rng.uniform(-bound, bound, shape)
+    return out
+
+
+def _normal_init(rng, std: float, shape) -> np.ndarray:
+    """A default-dtype array of normals with mean 0 and deviation ``std``."""
+    out = np.empty(shape, T.default_dtype())
+    if isinstance(rng, KeyedStream):
+        rng.fill_normal(out, std)
+    else:
+        out[...] = rng.normal(0.0, std, shape)
+    return out
+
+
 class Linear(Module):
     """Affine map y = x W^T + b over the last axis."""
 
     _state = ("weight", "bias")
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, rng):
         bound = 1.0 / math.sqrt(in_dim)
-        self.weight = Tensor(rng.uniform(-bound, bound, (out_dim, in_dim)),
+        self.weight = Tensor(_uniform_init(rng, bound, (out_dim, in_dim)),
                              requires_grad=True)
-        self.bias = Tensor(rng.uniform(-bound, bound, out_dim),
+        self.bias = Tensor(_uniform_init(rng, bound, out_dim),
                            requires_grad=True)
 
     @classmethod
@@ -239,7 +265,7 @@ class MultiHeadAttention(Module):
 
     _state = ("query", "key", "value", "out")
 
-    def __init__(self, dim: int, num_heads: int, rng: np.random.Generator):
+    def __init__(self, dim: int, num_heads: int, rng):
         if dim % num_heads != 0:
             raise ShapeError(f"attention: dim {dim} not divisible by "
                              f"{num_heads} heads")
@@ -278,8 +304,8 @@ class TransformerBlock(Module):
 
     def __init__(self, dim: int, num_heads: int = 8,
                  ffn_hidden: Optional[int] = None,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 rng=None):
+        rng = rng if rng is not None else KeyedStream(0)
         hidden = ffn_hidden if ffn_hidden is not None else 4 * dim
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, num_heads, rng)
@@ -356,8 +382,8 @@ class PhiStack(Module):
     """
 
     def __init__(self, dim: int, blocks: int = 2,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 rng=None):
+        rng = rng if rng is not None else KeyedStream(0)
         self.linears = [Linear(dim, dim, rng) for _ in range(blocks)]
         self.norms = [BatchNorm(dim) for _ in range(blocks)]
 
@@ -379,8 +405,8 @@ class PositionalEmbedding(Module):
 
     _state = ("table",)
 
-    def __init__(self, length: int, dim: int, rng: np.random.Generator):
-        self.table = Tensor(rng.normal(0.0, 0.02, (length, dim)),
+    def __init__(self, length: int, dim: int, rng):
+        self.table = Tensor(_normal_init(rng, 0.02, (length, dim)),
                             requires_grad=True)
 
 _ADAM_BLOCK = 1 << 16     # elements; a float32 block is 256 KiB

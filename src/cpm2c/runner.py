@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import SPLITS, DatasetManifest, episode_rng, keyed_rng, \
+from .data import SPLITS, DatasetManifest, KeyedStream, episode_rng, \
     sample_episode, write_manifest
 from .errors import ConfigError, DataError, NumericalError
 from .model import HEADS, PRESETS, Model, episode_forward, map_blocks, \
@@ -446,14 +446,15 @@ def gradcheck(manifest: DatasetManifest, cfg: RunConfig,
         T.backward(res.loss)
 
         entries = []
-        rng = keyed_rng(cfg.seed, _GRADCHECK_TAG)
+        stream = KeyedStream(cfg.seed, _GRADCHECK_TAG)
         for name, p in mdl.named_parameters():
             analytic = p.grad if p.grad is not None \
                 else np.zeros_like(p.data)
             flat = p.data.reshape(-1)
             aflat = np.asarray(analytic).reshape(-1)
             count = min(coords_per_param, flat.size)
-            coords = rng.choice(flat.size, size=count, replace=False)
+            coords = np.argsort(stream.uniform(flat.size),
+                                kind="stable")[:count]
             max_err, worst = 0.0, -1
             for c in coords:
                 c = int(c)

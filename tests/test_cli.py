@@ -3,6 +3,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +409,59 @@ def test_non_finite_or_negative_fractions_exit_one(tmp_path, capsys,
     assert "configuration error" in err and "fractions" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--sigma", "nan"], "sigma"),
+    (["--scale", "inf"], "scale"),
+    (["--common-ratio", "nan", "--mode", "permuted"], "common_ratio"),
+])
+def test_non_finite_synthetic_setting_exits_one(tmp_path, capsys, flags,
+                                                name):
+    # these used to write an all-NaN or infinite manifest and exit 0
+    out = tmp_path / "x"
+    assert cli.main(["make-synth", "--out", str(out), "--classes", "4",
+                     "--dim", "8", "--frames", "4"] + flags) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{name} must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _cli_process(*argv):
+    """Run the command line in a fresh interpreter on this checkout."""
+    src = str(Path(data.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cpm2c import cli; sys.exit(cli.main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_two_processes_write_the_same_bytes(tmp_path):
+    # every draw is keyed by the seed, so nothing of one process's state
+    # reaches its outputs
+    synth = ["--classes", "6", "--dim", "16", "--frames", "4",
+             "--videos-per-class", "4", "--mode", "permuted", "--seed", "5"]
+    for side in "ab":
+        _cli_process("make-synth", "--out", str(tmp_path / f"synth-{side}"),
+                     *synth)
+    made = [_tree_bytes(tmp_path / f"synth-{side}") for side in "ab"]
+    assert len(made[0]) == 6 * 4 + 2 and made[0] == made[1]
+    index = str(tmp_path / "synth-a" / "index.jsonl")
+    for side in "ab":
+        _cli_process("train", "--manifest", index, "--way", "2", "--steps",
+                     "2", "--window", "2", "--seed", "5", "--out",
+                     str(tmp_path / f"run-{side}"))
+    checkpoints = [(tmp_path / f"run-{side}" / "checkpoint.bin").read_bytes()
+                   for side in "ab"]
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_non_utf8_config_file_exits_one(tmp_path, capsys):

@@ -18,12 +18,54 @@ def small_cfg(**kw):
 # rng streams
 
 
-def test_keyed_rng_reproducible_and_disjoint():
-    a = data.keyed_rng(1, 2, 3).standard_normal(8)
-    b = data.keyed_rng(1, 2, 3).standard_normal(8)
-    c = data.keyed_rng(1, 2, 4).standard_normal(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_keyed_stream_normals_are_keyed_normals_however_split():
+    # a run of draws across several slabs and a ragged tail, split into
+    # calls of every kind, is the key's keyed_normals row
+    slab = data._SLAB
+    n = 3 * slab + 5
+    whole = data.keyed_normals(data.key_digests([3], 1, 2), n)[0]
+    assert whole.dtype == np.float32
+    stream = data.KeyedStream(1, 2, 3)
+    parts = [stream.normal(k) for k in (1, 0, 7, slab, slab - 9)]
+    tail = np.empty(n - 2 * slab + 1, np.float32)
+    stream.fill_normal(tail, 1.0)
+    assert np.array_equal(np.concatenate(parts + [tail]), whole)
+    # fewer draws are a prefix of more
+    assert np.array_equal(data.KeyedStream(1, 2, 3).normal(10), whole[:10])
+    assert not np.array_equal(data.KeyedStream(1, 2, 4).normal(10),
+                              whole[:10])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_keyed_stream_fills_write_the_scaled_draws_in_any_shape(dtype):
+    # uniforms and normals share one counter; a fill writes the draws of
+    # its positions, scaled in float64 (uniform) or in the array's dtype
+    # (normal), into an array of any shape, a slab at a time
+    slab = data._SLAB
+    uniforms = data.KeyedStream(4, 9).uniform(5 * slab)
+    normals = data.keyed_normals(data.key_digests([9], 4), 5 * slab)[0]
+    stream = data.KeyedStream(4, 9)
+    assert np.array_equal(stream.uniform(5), uniforms[:5])
+    weights = np.empty((3, slab // 2 + 1), dtype)
+    stream.fill_uniform(weights, -0.25, 0.25)
+    stop = 5 + weights.size
+    want = (uniforms[5:stop] * 0.5 + -0.25).astype(dtype)
+    assert np.array_equal(weights.ravel(), want)
+    assert weights.min() >= -0.25 and weights.max() < 0.25
+    table = np.empty((7, slab // 3), dtype)
+    stream.fill_normal(table, 0.02)
+    want = normals[stop:stop + table.size].astype(dtype) * dtype(0.02)
+    assert np.array_equal(table.ravel(), want)
+    assert np.array_equal(stream.normal(3),
+                          normals[stop + table.size:stop + table.size + 3])
+
+
+def test_keyed_stream_fills_refuse_a_strided_array():
+    out = np.empty((4, 6))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        data.KeyedStream(1).fill_uniform(out, 0.0, 1.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        data.KeyedStream(1).fill_normal(out, 1.0)
 
 
 def test_keyed_stream_draws_are_a_function_of_key_and_counter():
@@ -123,6 +165,10 @@ def test_synthetic_config_validation():
         small_cfg(sigma=-0.1)
     with pytest.raises(ConfigError):
         small_cfg(num_classes=0)
+    for name in ("scale", "sigma", "common_ratio"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                small_cfg(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +197,18 @@ def test_build_synthetic_manifest_counts_and_prompts():
 
 @pytest.mark.parametrize("mode", ["static", "permuted"])
 def test_manifest_features_equal_per_video_synth_encode(mode):
-    cfg = small_cfg(mode=mode, num_classes=6)
-    manifest = data.build_synthetic_manifest(cfg, videos_per_class=3)
-    assert len(manifest.records) == 18
-    for rec in manifest.records:
-        instance = int(rec.video_id.split("_v")[1])
-        want = data.synth_encode(cfg, rec.class_id, instance)
-        assert rec.features().tobytes() == want.tobytes(), rec.video_id
-    for cid in range(cfg.num_classes):
-        assert manifest.prompts[cid].tobytes() == \
-            data.class_prompt(cfg, cid).tobytes()
+    # a class's videos are drawn in one call; at dim 512 it spans slabs
+    for dim, videos in ((6, 3), (512, 5)):
+        cfg = small_cfg(mode=mode, num_classes=6, dim=dim)
+        manifest = data.build_synthetic_manifest(cfg, videos_per_class=videos)
+        assert len(manifest.records) == 6 * videos
+        for rec in manifest.records:
+            instance = int(rec.video_id.split("_v")[1])
+            want = data.synth_encode(cfg, rec.class_id, instance)
+            assert rec.features().tobytes() == want.tobytes(), rec.video_id
+        for cid in range(cfg.num_classes):
+            assert manifest.prompts[cid].tobytes() == \
+                data.class_prompt(cfg, cid).tobytes()
 
 
 def test_manifest_round_trip_bit_exact(tmp_path):

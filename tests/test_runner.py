@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -328,6 +330,29 @@ def test_training_reduces_loss_on_easy_data():
     before = mean_total()
     runner.train(manifest, cfg, mdl=mdl, log=io.StringIO())
     assert mean_total() < before
+
+
+def test_a_run_never_loads_numpy_random():
+    # every draw is counter-based: a run that builds a manifest and a
+    # model, trains a step and evaluates a block has no use for it
+    code = """if True:
+        import io, sys
+        from cpm2c import data, runner
+        synth = data.SyntheticConfig(num_classes=10, dim=16, frames=4,
+                                     mode="permuted", seed=3)
+        manifest = data.build_synthetic_manifest(synth, videos_per_class=6)
+        cfg = runner.RunConfig(way=2, shot=2, queries=1, steps=1, seed=3,
+                               eval_split="test", eval_episodes=16)
+        mdl = runner.train(manifest, cfg, log=io.StringIO()).model
+        runner.evaluate(manifest, mdl, cfg)
+        print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
