@@ -527,19 +527,27 @@ def class_prototype(cfg: SyntheticConfig, class_id: int) -> np.ndarray:
     return _prototypes(cfg, [class_id])[0]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=32)
 def _base_frames(cfg: SyntheticConfig) -> np.ndarray:
+    """The (T, D) clean frames of permuted mode, read-only: the cache
+    hands the one array to every caller."""
     frames = KeyedStream(cfg.seed, _BASE_TAG, 1).normal(cfg.frames * cfg.dim)
     frames *= cfg.scale
     common = KeyedStream(cfg.seed, _BASE_TAG, 0).normal(cfg.dim)
     common *= cfg.common_ratio * cfg.scale
-    return frames.reshape(cfg.frames, cfg.dim) + common
+    return _read_only(frames.reshape(cfg.frames, cfg.dim) + common)
 
 
 @functools.lru_cache(maxsize=32)
-def _permutations(cfg: SyntheticConfig) -> list:
+def _permutations(cfg: SyntheticConfig) -> tuple:
     """Distinct frame orders per class, a deterministic walk of adjacent
-    transpositions from a random base order.
+    transpositions from a random base order, as a tuple of read-only
+    arrays: the cache hands them to every caller.
 
     Keeping class orders a few swaps apart makes raw-frame margins between
     classes narrow while the corresponding frame differences flip hard,
@@ -563,7 +571,7 @@ def _permutations(cfg: SyntheticConfig) -> list:
                               f"of {cfg.frames} frames")
         seen.add(tuple(current))
         orders.append(current.copy())
-    return orders
+    return tuple(_read_only(order) for order in orders)
 
 
 def _prompts(cfg: SyntheticConfig, class_ids) -> np.ndarray:

@@ -11,14 +11,17 @@ and read the seed, gamma, alpha, the preset (``PRESETS`` names the
 branches each keeps) and the loss settings from it; the config checked
 them once, and nothing here defaults or checks them again.
 
-``episode_forward`` computes the losses of one episode. Each branch
-enhances every video under the real and under the fake tokens in one
-transformer call over twice the videos, so each shared weight gets its
-gradient from one product. Each layer, the DP, the cost matrix, the
-motion arithmetic after Phi, each of a branch's three reads of its
-enhanced stacks (prototypes, queries, consistency), the branch-cost
-sum and each loss record one tape node, so a 5-way 1-shot episode
-records under 100.
+``episode_forward`` computes the losses of one episode, or of a block
+of training episodes (``EpisodeBlock``) in one pass. Each branch
+enhances every video of the pass under the real and under the fake
+tokens in one transformer call over twice the videos, so each shared
+weight gets its gradient from one product. Each layer (the transformer
+block as a whole), the DP, the cost matrix, the motion arithmetic
+after Phi, each of a branch's three reads of its enhanced stacks
+(prototypes, queries, consistency), the branch-cost sum and each loss
+record one tape node, whatever the number of episodes: a 5-way 1-shot
+episode records 76 nodes, 43 of them parameter leaves, and a training
+block 78.
 
 Fake (stand-in) tokens depend on the mode. In training they come from
 one keyed stream per episode and branch, one row per video
@@ -117,6 +120,37 @@ class Model(Module):
         return T.exp(self.log_temperature)
 
 
+@dataclass(frozen=True)
+class EpisodeBlock:
+    """Training episodes of one way/shot/queries shape that run through
+    one ``episode_forward`` call, and the index of each one's stream."""
+
+    episodes: tuple
+    indices: tuple
+
+    def __post_init__(self):
+        if not self.episodes or len(self.episodes) != len(self.indices):
+            raise ProtocolError(f"a block needs one stream index per "
+                                f"episode, got {len(self.episodes)} "
+                                f"episodes and {len(self.indices)} indices")
+        if len({(ep.way, ep.shot, ep.queries_per_class)
+                for ep in self.episodes}) > 1:
+            raise ProtocolError("episodes of a block must share one "
+                                "way/shot/queries shape")
+
+    @property
+    def way(self) -> int:
+        return self.episodes[0].way
+
+    @property
+    def shot(self) -> int:
+        return self.episodes[0].shot
+
+    @property
+    def queries_per_class(self) -> int:
+        return self.episodes[0].queries_per_class
+
+
 @dataclass
 class EpisodeResult:
     """Outcome of one episode pass."""
@@ -129,6 +163,15 @@ class EpisodeResult:
     parts: dict = field(default_factory=dict)  # float value per term
 
 
+@dataclass
+class BlockResult:
+    """Outcome of one block pass: the loss a training step backpropagates
+    for the block, and each episode's result, with its loss parts."""
+
+    loss: Tensor                     # sum of episode totals / cfg.window
+    results: list
+
+
 def _episode_videos(episode: EpisodeBatch) -> list:
     """The episode's video records in canonical order: support-first,
     class-major (all K supports of episode class 0, ..., then all P
@@ -137,25 +180,32 @@ def _episode_videos(episode: EpisodeBatch) -> list:
     return [rec for recs in episode.support + episode.query for rec in recs]
 
 
-def _episode_frames(episode: EpisodeBatch):
-    """Stacked frames, class prompts and labels in canonical video order."""
-    frames = np.stack([rec.features() for rec in _episode_videos(episode)])
+def _block_frames(episodes):
+    """Stacked frames and class prompts of every video of ``episodes``,
+    episode by episode in canonical video order, and the labels of one
+    episode's queries."""
+    frames = np.stack([rec.features() for episode in episodes
+                       for rec in _episode_videos(episode)])
     prompts = []
-    for c in range(episode.way):
-        prompts.extend([episode.prompts[c]] * episode.shot)
-    for c in range(episode.way):
-        prompts.extend([episode.prompts[c]] * episode.queries_per_class)
-    labels = np.repeat(np.arange(episode.way), episode.queries_per_class)
+    for episode in episodes:
+        for c in range(episode.way):
+            prompts.extend([episode.prompts[c]] * episode.shot)
+        for c in range(episode.way):
+            prompts.extend([episode.prompts[c]] * episode.queries_per_class)
+    first = episodes[0]
+    labels = np.repeat(np.arange(first.way), first.queries_per_class)
     return frames, np.stack(prompts), labels
 
 
-def _fake_tokens(dim, run_seed, episode_index, support, queries, branch):
-    """The (support + queries, dim) training fake tokens of one episode
-    and branch in canonical video order. The keyed stream holds the
-    queries' rows first."""
-    rows = cpm.fake_token(dim, run_seed, [episode_index], support + queries,
-                          branch)[0]
-    return np.concatenate([rows[queries:], rows[:queries]])
+def _fake_tokens(dim, run_seed, episode_indices, support, queries, branch):
+    """The training fake tokens of the episodes of ``episode_indices`` in
+    one branch: (E * (support + queries), dim), each episode's rows in
+    canonical video order, in one draw. Each episode's keyed stream holds
+    its queries' rows first."""
+    rows = cpm.fake_token(dim, run_seed, list(episode_indices),
+                          support + queries, branch)
+    return np.concatenate([rows[:, queries:], rows[:, :queries]],
+                          axis=1).reshape(-1, dim)
 
 
 def _video_tokens(dim, run_seed, videos, branch) -> np.ndarray:
@@ -223,75 +273,119 @@ def _shot_mean(shot, k: int) -> np.ndarray:
 
 
 def _branch_pass(branch, frames, tokens, n, k):
-    """Enhance one branch's V videos under both tokens in one call.
+    """Enhance one branch's videos under both tokens in one call.
 
-    The transformer runs over 2V stacks: the frames under the real
-    tokens, then the same frames under the fake tokens (``tokens`` holds
-    both, in that order). Three tape nodes read the result: the
-    (1, 1, N, L-1, D) prototypes, the mean of each class's real-token
-    supports; the (1, Q, 1, L-1, D) fake-token queries; and the sum of
-    squared real/fake differences. Token rows are dropped from the
-    first two. Returns those three and the consistency element count.
+    ``frames`` holds the videos of one episode, (V, T, D), or of a block
+    of E episodes, (E, V, T, D); ``lead`` below is its leading shape, ()
+    or (E,). The transformer runs over 2EV stacks: the frames under the
+    real tokens, then the same frames under the fake tokens (``tokens``
+    holds both, in that order). Three tape nodes read the result: the
+    (E, 1, N, L-1, D) prototypes, the mean of each class's real-token
+    supports; the (E, Q, 1, L-1, D) fake-token queries; and each
+    episode's sum of squared real/fake differences, shaped ``lead``.
+    Token rows are dropped from the first two. Returns those three and
+    one episode's consistency element count.
     """
+    lead = frames.shape[:-3]
+    if lead:
+        frames = T.reshape(frames, (math.prod(frames.shape[:-2]),)
+                           + frames.shape[-2:])
     total = frames.shape[0]
     support = n * k
     both = cpm.feature_enhance_batch(branch, T.concat([frames, frames]),
                                      Tensor(tokens))
     bd = both.data
-    length, dim = bd.shape[1], bd.shape[2]
+    shape = bd.shape
+    length, dim = shape[1], shape[2]
     rows = (length - 1, dim)
+    count = lead[0] if lead else 1
+    videos = total // count
+
+    def episode_rows(a):
+        # (E * V, L, D) -> (E, V, L, D)
+        return a.reshape(count, videos, length, dim)
+
+    def support_shots(a):
+        # one side's (E, N, K, L, D) support stacks, a view into ``a``
+        return episode_rows(a[:total])[:, :support].reshape(
+            count, n, k, length, dim)
 
     def protos_bwd(g):
-        full = np.zeros(bd.shape, g.dtype)
-        full[:support].reshape(n, k, length, dim)[:, :, 1:] = \
-            g.reshape((n, 1) + rows) / k
+        full = np.zeros(shape, g.dtype)
+        support_shots(full)[:, :, :, 1:] = g.reshape((count, n, 1) + rows) / k
         return (full,)
 
     # the same mean over the K supports as score_episodes takes
-    shots = bd[:support].reshape(n, k, length, dim)[:, :, 1:]
-    protos = _shot_mean(lambda s: shots[:, s], k)
-    protos = T._record(protos.reshape((1, 1, n) + rows), (both,), protos_bwd)
+    shots = support_shots(bd)[:, :, :, 1:]
+    protos = _shot_mean(lambda s: shots[:, :, s], k)
+    protos = T._record(protos.reshape((count, 1, n) + rows), (both,),
+                       protos_bwd)
 
     def queries_bwd(g):
-        full = np.zeros(bd.shape, g.dtype)
-        full[total + support:, 1:] = g.reshape((-1,) + rows)
+        full = np.zeros(shape, g.dtype)
+        episode_rows(full[total:])[:, support:, 1:] = g.reshape(
+            (count, videos - support) + rows)
         return (full,)
 
-    queries = bd[total + support:, 1:]
-    queries = T._record(queries.reshape((1, len(queries), 1) + rows),
+    # a copy, so the costs do not keep the whole enhanced batch alive
+    queries = episode_rows(bd[total:])[:, support:, 1:].copy()
+    queries = T._record(queries.reshape((count, videos - support, 1) + rows),
                         (both,), queries_bwd)
 
-    diff = bd[total:] - bd[:total]               # fake minus real
+    flat = (bd[total:] - bd[:total]).reshape(lead + (-1,))  # fake - real
 
     def con_bwd(g):
-        step = g * diff
-        step = step + step
+        step = g[..., None] * flat
+        step += step
+        step = step.reshape(total, length, dim)
         return (np.concatenate([-step, step]),)
 
-    con = T._record((diff * diff).sum(), (both,), con_bwd)
-    return protos, queries, con, diff.size
+    con = T._record((flat * flat).sum(axis=-1), (both,), con_bwd)
+    return protos, queries, con, flat.size // count
 
 
-def episode_forward(model: Model, episode: EpisodeBatch, cfg, *,
-                    episode_index: int, bank=None,
-                    train: bool = False) -> EpisodeResult:
-    """Run one episode through the full pipeline, losses included.
+def episode_forward(model: Model, episode, cfg, *,
+                    episode_index: Optional[int] = None, bank=None,
+                    train: bool = False):
+    """Run one episode, or a block of episodes, through the full
+    pipeline, losses included.
 
+    ``episode`` is an ``EpisodeBatch``, whose stream ``episode_index``
+    names, or an ``EpisodeBlock``, which names each episode's stream.
     ``cfg`` is the run's ``runner.RunConfig``, which checked every setting
     read here: the run seed keys the fake tokens; ``gamma``, ``alpha`` and
     ``preset`` set the alignment and the branches; the loss weights and
-    ``consistency_reduction`` set the losses. ``bank`` is the (class ids,
-    prompt matrix) pair from the training split; when given, the
-    adaptation loss scores every episode video against the whole bank.
-    Queries classify through their fake-token features; support
-    prototypes come from real-token features. The fake tokens come from
-    the episode's stream (``episode_index``) in training and from each
-    video's own stream in eval mode. Scoring without losses is
-    ``score_episodes``.
+    ``consistency_reduction`` set the losses; ``window`` scales a block's
+    loss. ``bank`` is the (class ids, prompt matrix) pair from the
+    training split; when given, the adaptation loss scores every episode
+    video against the whole bank. Queries classify through their
+    fake-token features; support prototypes come from real-token
+    features. The fake tokens come from the episode's stream in training
+    and from each video's own stream in eval mode. Scoring without
+    losses is ``score_episodes``.
+
+    A block runs as one pass: one fake-token draw and one transformer
+    call per branch over all of its videos, one cost-matrix and one DP
+    call over its (E, Q, N) costs, and each loss over all of its
+    episodes at once; in train mode Phi's batch norm folds each
+    episode's statistics in turn. One episode returns its
+    ``EpisodeResult``, whose loss is the episode's weighted total. A
+    block returns a ``BlockResult``: the episodes' totals summed and
+    divided by ``cfg.window``, which is the block's share of a training
+    step's loss, and each episode's result with its parts. A block of
+    one episode runs the numpy operations of the lone episode, so its
+    loss and gradients have the same bits at window 1.
     """
-    n, k, p = episode.way, episode.shot, episode.queries_per_class
-    frames_np, prompts_np, labels = _episode_frames(episode)
-    frames = Tensor(frames_np)
+    if isinstance(episode, EpisodeBlock):
+        block, lead = episode, (len(episode.episodes),)
+    else:
+        if episode_index is None:
+            raise ProtocolError("an episode needs its episode_index")
+        block, lead = EpisodeBlock((episode,), (episode_index,)), ()
+    n, k, p = block.way, block.shot, block.queries_per_class
+    videos = [_episode_videos(ep) for ep in block.episodes]
+    frames_np, prompts_np, labels = _block_frames(block.episodes)
+    frames = Tensor(frames_np.reshape(lead + (-1,) + frames_np.shape[1:]))
 
     branches = _branches(model, cfg.preset)
     dists = []
@@ -300,21 +394,22 @@ def episode_forward(model: Model, episode: EpisodeBatch, cfg, *,
         branch_frames = frames if name == "normal" else \
             motion_features(model.phi, frames, train=train)
         if train:
-            fakes = _fake_tokens(model.dim, cfg.seed, episode_index, n * k,
+            fakes = _fake_tokens(model.dim, cfg.seed, block.indices, n * k,
                                  n * p, name)
         else:
             fakes = _video_tokens(model.dim, cfg.seed,
-                                  _episode_videos(episode), name)
+                                  [rec for recs in videos for rec in recs],
+                                  name)
         protos, queries, con, numel = _branch_pass(
             branch, branch_frames, np.concatenate([prompts_np, fakes]), n,
             k)
         dists.append(_branch_costs(protos, queries, cfg.gamma))
         con_sum = con if con_sum is None else T.add(con_sum, con)
         con_numel += numel
-    probs, (result,) = _outcomes(dists, [name for name, _ in branches],
-                                 cfg.alpha, n, p)
+    probs, results = _outcomes(dists, [name for name, _ in branches],
+                               cfg.alpha, n, p)
 
-    task = objective.task_loss(T.reshape(probs, (n * p, n)), labels)
+    task = objective.task_loss(T.reshape(probs, lead + (n * p, n)), labels)
     consistency = con_sum
     if cfg.consistency_reduction == "mean":
         consistency = T.scale(consistency, 1.0 / con_numel)
@@ -322,21 +417,33 @@ def episode_forward(model: Model, episode: EpisodeBatch, cfg, *,
         bank_ids, bank_matrix = bank
         positions = {cid: i for i, cid in enumerate(bank_ids)}
         try:
-            video_truth = [positions[rec.class_id]
-                           for rec in _episode_videos(episode)]
+            video_truth = [[positions[rec.class_id] for rec in recs]
+                           for recs in videos]
         except KeyError as exc:
             raise ProtocolError(f"episode class {exc.args[0]} missing from "
                                 f"the prompt bank") from None
-        adapt = objective.dam_loss(frames, bank_matrix, video_truth,
+        adapt = objective.dam_loss(frames, bank_matrix,
+                                   video_truth if lead else video_truth[0],
                                    model.temperature())
     else:
         adapt = Tensor(0.0)
-    result.loss = objective.total_loss(adapt, task, consistency, cfg)
-    result.parts = {"adapt": float(adapt.data),
-                    "task": float(task.data),
-                    "consistency": float(consistency.data),
-                    "total": float(result.loss.data)}
-    return result
+    total = objective.total_loss(adapt, task, consistency, cfg)
+    terms = {"adapt": adapt, "task": task, "consistency": consistency,
+             "total": total}
+    for e, result in enumerate(results):
+        result.parts = {key: float(np.broadcast_to(t.data, lead)[e]
+                                   if lead else t.data)
+                        for key, t in terms.items()}
+    if not lead:
+        results[0].loss = total
+        return results[0]
+    window = cfg.window
+
+    def block_bwd(g):
+        return (np.full(lead, g / window, g.dtype),)
+
+    return BlockResult(T._record(total.data.sum() / window, (total,),
+                                 block_bwd), results)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ numpy forward, one node, and a hand-written backward. The forwards run
 the numpy operations of the primitive-op compositions they replace in
 the same order, so their outputs are bit-identical to those
 compositions; ``tests/oracles.py`` keeps the compositions as references.
+A ``TransformerBlock`` is one op as well, not one per layer. Its
+backward follows selective activation recomputation (Korthikanti et al.
+2022, arXiv:2205.05198): it keeps the matmul outputs its backward needs
+and recomputes the layer norms and the attention core, so it keeps 9D
+floats per row where its layers' nodes kept about 14D and the softmax
+weights, and its gradients keep the composition's bits.
 
 A layer draws its initial weights, in the default dtype, from the
 ``rng`` it is given: a ``data.KeyedStream``, which the model passes and
@@ -62,40 +68,61 @@ class Module:
                 if isinstance(value, Tensor)]
 
 
+def _norm_scale(centered: np.ndarray, axis: int, eps: np.ndarray):
+    """The shifted variance var + eps of centred rows over ``axis``, and
+    its square root, taken as exp(0.5 * log(.)) as the composition that
+    the normalizing layers replace computed it."""
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    shifted = var + eps
+    if (shifted <= 0).any():
+        idx = tuple(np.argwhere(shifted <= 0)[0])
+        raise DomainError(f"log: non-positive input at index {idx}")
+    return var, shifted, np.exp(np.log(shifted) * 0.5)
+
+
+def _norm_backward(g, centered, shifted, denom, normed, gd, bshape,
+                   axis: int):
+    """The (input, gamma, beta) partials of normed * gamma + beta, with
+    normed = centered / denom over ``axis``.
+
+    The composition's chain rule step by step; the textbook closed form
+    doubles the float32 error when the axis is short (4 frames).
+    """
+    count = centered.shape[axis]
+    dn = g * gd
+    t = dn * centered
+    t /= denom * denom
+    ddenom = -t.sum(axis=axis, keepdims=True)
+    dvar = ddenom * denom * 0.5 / shifted / count
+    np.multiply(dvar, centered, out=t)
+    dc = dn / denom
+    del dn
+    dc += t
+    dc += t
+    del t
+    dc -= dc.sum(axis=axis, keepdims=True) / count
+    return dc, T._unbroadcast(g * normed, gd.shape), T._unbroadcast(g, bshape)
+
+
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
                eps: float):
     """(x - mean) / sqrt(var + eps) * gamma + beta over ``axis``, one node.
 
-    The moments are biased and taken over ``axis``. The square root is
-    exp(0.5 * log(.)), which is what the composition this replaces
-    computed. Returns the output and the (mean, var) arrays, which batch
-    norm folds into its running statistics.
+    The moments are biased and taken over ``axis``. Returns the output
+    and the (mean, var) arrays, which batch norm folds into its running
+    statistics.
     """
     xd = x.data
     mean = xd.mean(axis=axis, keepdims=True)
     centered = xd - mean
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    shifted = var + np.asarray(eps, dtype=T.default_dtype())
-    if (shifted <= 0).any():
-        idx = tuple(np.argwhere(shifted <= 0)[0])
-        raise DomainError(f"log: non-positive input at index {idx}")
-    denom = np.exp(np.log(shifted) * 0.5)
-    normed = centered / denom
+    var, shifted, denom = _norm_scale(
+        centered, axis, np.asarray(eps, dtype=T.default_dtype()))
     gd, bd = gamma.data, beta.data
-    out = normed * gd + bd
-    count = xd.shape[axis]
+    out = centered / denom * gd + bd
 
     def bwd(g):
-        # the composition's chain rule step by step; the textbook closed
-        # form doubles the float32 error when the axis is short (4 frames)
-        dn = g * gd
-        ddenom = -(dn * centered / (denom * denom)).sum(axis=axis,
-                                                         keepdims=True)
-        dvar = ddenom * denom * 0.5 / shifted / count
-        dc = dn / denom + dvar * centered + dvar * centered
-        dx = dc - dc.sum(axis=axis, keepdims=True) / count
-        return (dx, T._unbroadcast(g * normed, gd.shape),
-                T._unbroadcast(g, bd.shape))
+        return _norm_backward(g, centered, shifted, denom, centered / denom,
+                              gd, bd.shape, axis)
 
     return T._record(out, (x, gamma, beta), bwd), mean, var
 
@@ -117,6 +144,13 @@ def _normal_init(rng, std: float, shape) -> np.ndarray:
         rng.fill_normal(out, std)
     else:
         out[...] = rng.normal(0.0, std, shape)
+    return out
+
+
+def _affine(rows: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """rows W^T + b over a 2-d block of rows, as ``Linear`` computes it."""
+    out = rows @ wd.swapaxes(0, 1)
+    out += bd
     return out
 
 
@@ -150,8 +184,7 @@ class Linear(Module):
         shape = x.shape
         xd = x.data.reshape(-1, shape[-1]) if x.ndim > 2 else x.data
         wd = self.weight.data
-        out = xd @ wd.swapaxes(0, 1)
-        out += self.bias.data
+        out = _affine(xd, wd, self.bias.data)
         need_x = x.requires_grad
 
         def bwd(g):
@@ -205,6 +238,44 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return total[..., None]
 
 
+def _split_heads(a: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
+    """(B, L, D) rows, or their (B * L, D) block -> (B, H, L, D/H)."""
+    length = a.size // (batch * a.shape[-1])
+    return a.reshape(batch, length, num_heads, -1).swapaxes(1, 2)
+
+
+def _attend(qh, kh, vh, scale: float):
+    """Softmax weights (B, H, L, L) and per-head context of split heads.
+
+    Each head's scores are scaled by ``scale`` and softmaxed over keys.
+    """
+    weights = qh @ kh.swapaxes(2, 3)
+    weights *= scale
+    if np.isnan(weights).any():
+        raise DomainError("softmax: NaN in input")
+    # the row max as a loop over the few key columns: same bits as
+    # weights.max(axis=-1), several times faster at these short rows
+    top = weights[..., 0].copy()
+    for j in range(1, weights.shape[-1]):
+        np.maximum(top, weights[..., j], out=top)
+    # the scores become their softmax weights in place
+    weights -= top[..., None]
+    np.exp(weights, out=weights)
+    weights /= _row_sum(weights)
+    return weights, weights @ vh
+
+
+def _attend_backward(g, qh, kh, vh, weights, scale: float):
+    """The split-head (q, k, v) partials of ``_attend``'s context, from
+    its split-head gradient ``g``."""
+    ds = g @ vh.swapaxes(-1, -2)
+    ds -= _row_sum(ds * weights)
+    ds *= weights
+    ds *= scale
+    return (ds @ kh, (qh.swapaxes(-1, -2) @ ds).swapaxes(2, 3),
+            weights.swapaxes(-1, -2) @ g)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
     """Multi-head scaled dot-product attention over projected inputs.
 
@@ -218,39 +289,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int):
         raise ShapeError(f"attention: shapes {q.shape}, {k.shape}, "
                          f"{v.shape} do not agree")
     shape = q.shape
-    length, dim = shape[-2], shape[-1]
     batch = shape[0] if q.ndim == 3 else 1
-    head_dim = dim // num_heads
-
-    def split(a):
-        # (B, L, D) -> (B, H, L, d)
-        return a.reshape(batch, length, num_heads, head_dim).swapaxes(1, 2)
 
     def merge(a):
         return a.swapaxes(1, 2).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / math.sqrt(head_dim)
-    scores = (qh @ kh.swapaxes(2, 3)) * scale
-    if np.isnan(scores).any():
-        raise DomainError("softmax: NaN in input")
-    # the row max as a loop over the few key columns: same bits as
-    # scores.max(axis=-1), several times faster at these short rows
-    top = scores[..., 0].copy()
-    for j in range(1, length):
-        np.maximum(top, scores[..., j], out=top)
-    e = np.exp(scores - top[..., None])
-    weights = e / _row_sum(e)
-    ctx = weights @ vh
+    qh, kh, vh = (_split_heads(a.data, batch, num_heads)
+                  for a in (q, k, v))
+    scale = 1.0 / math.sqrt(shape[-1] // num_heads)
+    weights, ctx = _attend(qh, kh, vh, scale)
 
     def bwd(g):
-        g = g.reshape(batch, length, num_heads, head_dim).swapaxes(1, 2)
-        dw = g @ vh.swapaxes(-1, -2)
-        ds = (dw - _row_sum(dw * weights)) * weights
-        ds = ds * scale
-        return (merge(ds @ kh),
-                merge((qh.swapaxes(-1, -2) @ ds).swapaxes(2, 3)),
-                merge(weights.swapaxes(-1, -2) @ g))
+        return tuple(merge(d) for d in _attend_backward(
+            _split_heads(g, batch, num_heads), qh, kh, vh, weights, scale))
 
     out = T._record(merge(ctx), (q, k, v), bwd)
     return out, (weights if q.ndim == 3 else weights[0])
@@ -314,8 +365,128 @@ class TransformerBlock(Module):
         self.ffn2 = Linear.zeros(hidden, dim)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.add(x, self.attn.forward(self.ln1.forward(x)))
-        return T.add(h, self.ffn2.forward(T.relu(self.ffn1.forward(self.ln2.forward(h)))))
+        """x + attn(ln1(x)) = h, then h + ffn2(relu(ffn1(ln2(h)))), over a
+        (L, D) sequence or a (B, L, D) batch: one tape node.
+
+        The forward runs the numpy operations of the per-layer
+        composition (``tests/oracles.py``) in its order, so the output
+        and every gradient have its bits. Under a tape the node keeps six
+        arrays: the centred inputs of both layer norms, q, k, v and the
+        ReLU output; its backward recomputes the layer-norm outputs and
+        the attention core (softmax weights and context) from them,
+        which runs none of the block's projections again, and drops each
+        array once it is done with it. Without a tape nothing is kept, and each
+        intermediate is freed no later than in the composition.
+        """
+        attn, ln1, ln2, ffn1, ffn2 = (self.attn, self.ln1, self.ln2,
+                                      self.ffn1, self.ffn2)
+        linears = (attn.query, attn.key, attn.value, attn.out, ffn1, ffn2)
+        params = (ln1.gamma, ln1.beta, ln2.gamma, ln2.beta) + tuple(
+            t for lin in linears for t in (lin.weight, lin.bias))
+        dim = ln1.gamma.shape[0]
+        if x.ndim not in (2, 3) or x.shape[-1] != dim:
+            raise ShapeError(f"transformer block: input {x.shape} for "
+                             f"dim {dim}")
+        shape = x.shape
+        batch = shape[0] if x.ndim == 3 else 1
+        heads = attn.num_heads
+        scale = 1.0 / math.sqrt(attn.head_dim)
+        g1, b1, g2, b2 = (p.data for p in params[:4])
+        (wq, bq), (wk, bk), (wv, bv), (wo, bo), (w1, fb1), (w2, fb2) = (
+            (lin.weight.data, lin.bias.data) for lin in linears)
+        eps1, eps2 = (np.asarray(ln.eps, dtype=T.default_dtype())
+                      for ln in (ln1, ln2))
+        taping = T.active_tape() is not None and any(
+            t.requires_grad for t in (x,) + params)
+
+        xd = x.data
+        c1 = xd - xd.mean(axis=-1, keepdims=True)
+        a = c1 / _norm_scale(c1, -1, eps1)[2] * g1 + b1
+        if not taping:
+            del c1
+        rows = a.reshape(-1, dim)
+        q, k, v = (_affine(rows, w, b)
+                   for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        del a, rows
+        ctx = _attend(*(_split_heads(t, batch, heads) for t in (q, k, v)),
+                      scale)[1]
+        if not taping:
+            del q, k, v
+        ctx = ctx.swapaxes(1, 2).reshape(-1, dim)
+        h = xd + _affine(ctx, wo, bo).reshape(shape)
+        del ctx
+        c2 = h - h.mean(axis=-1, keepdims=True)
+        b = c2 / _norm_scale(c2, -1, eps2)[2] * g2 + b2
+        if not taping:
+            del c2
+        r = _affine(b.reshape(-1, dim), w1, fb1)
+        del b
+        # the ReLU, in place, with the zero row tensor.relu takes
+        np.maximum(r, np.zeros(r.shape[-1:], r.dtype), out=r)
+        out = h + _affine(r, w2, fb2).reshape(shape)
+        del h
+        if not taping:
+            return Tensor(out)
+        keep = [c1, q, k, v, c2, r]
+        del c1, q, k, v, c2, r
+
+        def bwd(g):
+            c1, q, k, v, c2, r = keep
+            keep.clear()
+            # ffn2 and the ReLU; the ReLU output goes before its
+            # gradient, of the same size, is made
+            gr = g.reshape(-1, dim)
+            dw2, db2 = gr.swapaxes(0, 1) @ r, gr.sum(axis=0)
+            mask = r > 0
+            del r
+            df1 = gr @ w2
+            df1 *= mask
+            del gr, mask
+            # ffn1, on the recomputed second layer-norm output
+            s2, d2 = _norm_scale(c2, -1, eps2)[1:]
+            n2 = c2 / d2
+            b = n2 * g2 + b2
+            dw1, db1 = df1.swapaxes(0, 1) @ b.reshape(-1, dim), \
+                df1.sum(axis=0)
+            del b
+            dn2 = (df1 @ w1).reshape(shape)
+            del df1
+            dx2, dg2, db2n = _norm_backward(dn2, c2, s2, d2, n2, g2,
+                                            b2.shape, -1)
+            del dn2, c2, s2, d2, n2
+            dh = g + dx2
+            del dx2
+            # the output projection, on the recomputed attention core
+            qh, kh, vh = (_split_heads(t, batch, heads) for t in (q, k, v))
+            weights, ctx = _attend(qh, kh, vh, scale)
+            ctx = ctx.swapaxes(1, 2).reshape(-1, dim)
+            gh = dh.reshape(-1, dim)
+            dwo, dbo = gh.swapaxes(0, 1) @ ctx, gh.sum(axis=0)
+            del ctx
+            dctx = _split_heads(gh @ wo, batch, heads)
+            del gh
+            dq, dk, dv = (d.swapaxes(1, 2).reshape(-1, dim)
+                          for d in _attend_backward(dctx, qh, kh, vh,
+                                                    weights, scale))
+            del dctx, qh, kh, vh, weights, q, k, v
+            # q, k and v, on the recomputed first layer-norm output; the
+            # gradient of that output adds v's, k's then q's partial
+            s1, d1 = _norm_scale(c1, -1, eps1)[1:]
+            n1 = c1 / d1
+            rows = (n1 * g1 + b1).reshape(-1, dim)
+            da = dv @ wv
+            da += dk @ wk
+            da += dq @ wq
+            dwq, dwk, dwv = (d.swapaxes(0, 1) @ rows for d in (dq, dk, dv))
+            dbq, dbk, dbv = (d.sum(axis=0) for d in (dq, dk, dv))
+            del rows, dq, dk, dv
+            dx, dg1, db1n = _norm_backward(da.reshape(shape), c1, s1, d1,
+                                           n1, g1, b1.shape, -1)
+            dx += dh
+            return (dx, dg1, db1n, dg2, db2n, dwq, dbq, dwk, dbk, dwv, dbv,
+                    dwo, dbo, dw1, db1, dw2, db2)
+
+        return T._record(out, (x,) + params, bwd)
 
 
 class BatchNorm(Module):
@@ -323,7 +494,10 @@ class BatchNorm(Module):
 
     Batched (B, T, D) input is normalized per sequence, matching a loop
     over the individual (T, D) stacks; running statistics then track the
-    average of the per-sequence moments.
+    average of the per-sequence moments. An (E, B, T, D) input is the
+    batches of E episodes: each episode's moments fold into the running
+    statistics in turn, in episode order, as E calls would fold them.
+    The running statistics are updated in place.
     """
 
     _state = ("gamma", "beta", "running_mean", "running_var")
@@ -344,13 +518,14 @@ class BatchNorm(Module):
         correction = n / (n - 1) if n > 1 else 1.0
         m = self.momentum
         dim = self.running_mean.shape[0]
-        batch_mean = mean.reshape(-1, dim).mean(axis=0)
-        batch_var = var.reshape(-1, dim).mean(axis=0)
-        self.running_mean = ((1 - m) * self.running_mean
-                             + m * batch_mean).astype(self.running_mean.dtype)
-        self.running_var = ((1 - m) * self.running_var
-                            + m * correction * batch_var).astype(
-            self.running_var.dtype)
+        for ep_mean, ep_var in (zip(mean, var) if x.ndim == 4
+                                else [(mean, var)]):
+            batch_mean = ep_mean.reshape(-1, dim).mean(axis=0)
+            batch_var = ep_var.reshape(-1, dim).mean(axis=0)
+            self.running_mean[...] = ((1 - m) * self.running_mean
+                                      + m * batch_mean)
+            self.running_var[...] = ((1 - m) * self.running_var
+                                     + m * correction * batch_var)
         return out
 
     def _eval_forward(self, x: Tensor) -> Tensor:

@@ -60,34 +60,44 @@ def dam_probabilities(frames: Tensor, prompt_bank, temperature) -> Tensor:
 def dam_loss(frames: Tensor, prompt_bank, true_indices, temperature) -> Tensor:
     """Cross-entropy of pooled videos against all training-class prompts.
 
-    ``frames``: the (V, T, D) frame stack of the episode's videos;
-    ``prompt_bank``: C x D array of class prompt embeddings, row order
-    defining the index space of ``true_indices``; ``temperature`` divides
-    the cosine logits and may be a learnable scalar tensor.
+    ``frames``: the (V, T, D) frame stack of the episode's videos, or an
+    (..., V, T, D) stack of several episodes' videos, with
+    ``true_indices`` then shaped (..., V); ``prompt_bank``: C x D array
+    of class prompt embeddings, row order defining the index space of
+    ``true_indices``; ``temperature`` divides the cosine logits and may
+    be a learnable scalar tensor. Each episode's loss is the mean over
+    its own videos, so the loss has the leading shape of ``frames``.
     """
-    videos = frames.shape[0] if frames.ndim == 3 else 0
-    if videos != len(true_indices):
-        raise ShapeError(f"{videos} videos vs {len(true_indices)} labels")
+    truth = np.asarray(true_indices, dtype=np.int64)
+    if frames.ndim < 3 or truth.shape != frames.shape[:-2]:
+        raise ShapeError(f"videos {frames.shape[:-2]} vs labels "
+                         f"{truth.shape}")
+    if frames.ndim > 3:
+        frames = T.reshape(frames, (truth.size,) + frames.shape[-2:])
     probs = dam_probabilities(frames, prompt_bank, temperature)
     num_classes = probs.shape[1]
-    for idx in true_indices:
+    labels = truth.reshape(-1)
+    for idx in labels:
         if not 0 <= idx < num_classes:
             raise ShapeError(f"label {idx} outside prompt bank of "
                              f"{num_classes} classes")
-    rows, labels = np.arange(videos), np.asarray(true_indices)
+    rows = np.arange(len(labels))
     picked = probs.data[rows, labels]
     if (picked <= 0).any():
         raise DomainError(f"dam_loss: true-class probability underflows to "
                           f"0 for video {int(np.flatnonzero(picked <= 0)[0])}")
+    per_episode = picked.reshape(truth.shape)
+    videos = truth.shape[-1]
     shape = probs.shape
 
     def bwd(g):
         dprobs = np.zeros(shape, g.dtype)
-        dprobs[rows, labels] = (-g / videos) / picked
+        dprobs[rows, labels] = ((-g[..., None] / videos)
+                                / per_episode).reshape(-1)
         return (dprobs,)
 
     # the mean negative log of the true-class entries, one tape node
-    return T._record(-np.log(picked).mean(), (probs,), bwd)
+    return T._record(-np.log(per_episode).mean(axis=-1), (probs,), bwd)
 
 
 _clamp_lock = threading.Lock()
@@ -109,16 +119,18 @@ def task_loss(probabilities: Tensor, true_indices,
               floor: float = 1e-12) -> Tensor:
     """Mean negative log probability of the true class over the queries.
 
-    ``probabilities``: the (Q, N) class probabilities of the queries. The
-    true-class entries are picked by index; those below ``floor`` are
-    clamped there (and counted) so the log stays finite. One tape node,
-    whose gradient reaches the picked entries only.
+    ``probabilities``: the (Q, N) class probabilities of the queries, or
+    an (..., Q, N) stack of several episodes' queries that share
+    ``true_indices``; the loss has the leading shape. The true-class
+    entries are picked by index; those below ``floor`` are clamped there
+    (and counted) so the log stays finite. One tape node, whose gradient
+    reaches the picked entries only.
     """
     global _clamp_count
-    if probabilities.ndim != 2:
+    if probabilities.ndim < 2:
         raise ShapeError(f"task_loss: probabilities must be Q x N, got "
                          f"{probabilities.shape}")
-    queries, num_classes = probabilities.shape
+    queries, num_classes = probabilities.shape[-2:]
     if queries != len(true_indices):
         raise ShapeError(f"{queries} probability rows vs "
                          f"{len(true_indices)} labels")
@@ -129,7 +141,7 @@ def task_loss(probabilities: Tensor, true_indices,
             raise ShapeError(f"label {idx} outside {num_classes} classes")
     rows = np.arange(queries)
     labels = np.asarray(true_indices)
-    picked = probabilities.data[rows, labels]
+    picked = probabilities.data[..., rows, labels]
     clamped = int((picked < floor).sum())
     if clamped:
         with _clamp_lock:
@@ -140,12 +152,13 @@ def task_loss(probabilities: Tensor, true_indices,
     kept = np.maximum(picked - low, 0)
     safe = kept + low
     scale = 1.0 / queries
-    loss = -(np.log(safe).sum() * scale)
+    loss = -(np.log(safe).sum(axis=-1) * scale)
     shape = probabilities.shape
 
     def bwd(g):
         dprobs = np.zeros(shape, g.dtype)
-        dprobs[rows, labels] = (-g * scale) / safe * (kept > 0)
+        dprobs[..., rows, labels] = (-g[..., None] * scale) / safe \
+            * (kept > 0)
         return (dprobs,)
 
     return T._record(loss, (probabilities,), bwd)

@@ -1,12 +1,15 @@
 """Episodic training, block evaluation, and the model gradient audit.
 
 Training accumulates gradients over a window of episodes per optimizer
-step (the window mean, so window size changes variance but not scale),
-logs one metrics row per step, and aborts on a non-finite gradient
-without corrupting the run: the optimizer refuses the step before it
-touches a parameter, and the BatchNorm running statistics, the only
-state the step's forward passes changed, roll back to their values
-before the step.
+step (the window mean, so window size changes variance but not scale).
+The window runs in blocks of whole episodes, as many as fit in
+``_BLOCK_VIDEOS`` videos: each block is one forward pass under one tape
+and one backward, whose loss is the block's episode losses summed and
+divided by the window. A step logs one metrics row and aborts on a
+non-finite gradient without corrupting the run: the optimizer refuses
+the step before it touches a parameter, and the BatchNorm running
+statistics, the only state the step's forward passes changed, roll back
+to their values before the step.
 Evaluation samples every episode of the call first. Without losses it
 hands them to ``model.score_episodes``, which, one branch at a time,
 enhances each distinct video once per role (support or query) and
@@ -36,8 +39,8 @@ from . import tensor as T
 from .data import SPLITS, DatasetManifest, KeyedStream, episode_rng, \
     sample_episode, write_manifest
 from .errors import ConfigError, DataError, NumericalError
-from .model import HEADS, PRESETS, Model, episode_forward, map_blocks, \
-    score_episodes
+from .model import HEADS, PRESETS, EpisodeBlock, Model, episode_forward, \
+    map_blocks, score_episodes
 from .nn import Adam, apply_state, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 
@@ -178,21 +181,13 @@ class TrainResult:
     metrics_path: Optional[str] = None
 
 
-def _buffers(mdl: Model):
-    """Copies of the model's buffers: the BatchNorm running statistics.
-
-    A training forward pass updates them; they are the only state a step
-    changes before ``Adam.step`` has checked every gradient.
-    """
-    return [(name, value.copy()) for name, value in mdl.named_state()
-            if not isinstance(value, Tensor)]
-
-
-def _restore_buffers(mdl: Model, saved) -> None:
-    state = dict(saved)
-    for name, value in mdl.named_state():
-        if not isinstance(value, Tensor):
-            value[...] = state[name]
+# The most videos a training block runs through one forward; a block
+# holds as many whole episodes as fit, and at least one. A block's
+# activations are live together until its backward, so this bounds a
+# step's memory. On train-5w1s-d64 (10 videos per episode, window 4, so
+# blocks of 2), the traced peak of a step was 3.90 MiB against 2.25 MiB
+# for a one-episode window, and 5.89 MiB with one block of 4 (40 videos).
+_BLOCK_VIDEOS = 20
 
 
 def train(manifest: DatasetManifest, cfg: RunConfig,
@@ -202,7 +197,12 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
 
     Episodes, and the adaptation loss's prompt bank, come from the
     ``"train"`` split. Each step averages gradients over ``cfg.window``
-    episodes. A non-finite gradient aborts the run and a NumericalError
+    episodes. The window runs in blocks of whole episodes, as many as
+    fit in ``_BLOCK_VIDEOS`` videos and at least one; each block is one
+    ``episode_forward`` call under one tape and one backward, whose loss
+    is the block's episode losses summed and divided by the window, so
+    the gradients that add up over the blocks are the window mean. A
+    non-finite gradient aborts the run and a NumericalError
     names the step. ``Adam.step`` refuses such a gradient before it
     touches any parameter or moment, so only the BatchNorm running
     statistics, which the step's forward passes updated, roll back to the
@@ -227,38 +227,41 @@ def train(manifest: DatasetManifest, cfg: RunConfig,
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         metrics_fh = open(metrics_path, "w", encoding="utf-8")
 
+    # the BatchNorm running statistics, updated in place: the only state
+    # a step changes before Adam.step has checked every gradient
+    buffers = [value for _, value in mdl.named_state()
+               if not isinstance(value, Tensor)]
+    per_block = max(1, _BLOCK_VIDEOS // (cfg.way * (cfg.shot + cfg.queries)))
     start = time.perf_counter()
     header_done = False
     try:
         for step in range(cfg.steps):
             optimizer.zero_grad()
-            buffers = _buffers(mdl)
+            saved = [value.copy() for value in buffers]
             sums = {"adapt": 0.0, "task": 0.0, "consistency": 0.0,
                     "total": 0.0}
             nodes = 0
-            for j in range(cfg.window):
-                index = step * cfg.window + j
-                episode = sample_episode(manifest,
-                                         episode_rng(cfg.seed, index),
-                                         cfg.way, cfg.shot, cfg.queries,
-                                         "train")
+            first = step * cfg.window
+            for lo in range(first, first + cfg.window, per_block):
+                indices = tuple(range(lo, min(lo + per_block,
+                                              first + cfg.window)))
+                block = EpisodeBlock(tuple(
+                    sample_episode(manifest, episode_rng(cfg.seed, index),
+                                   cfg.way, cfg.shot, cfg.queries, "train")
+                    for index in indices), indices)
                 with T.Tape() as tape:
-                    res = episode_forward(mdl, episode, cfg,
-                                          episode_index=index, bank=bank,
+                    res = episode_forward(mdl, block, cfg, bank=bank,
                                           train=True)
                 T.backward(res.loss)
                 nodes += len(tape)
-                for key in sums:
-                    sums[key] += res.parts[key]
-            if cfg.window > 1:
-                for _, p in mdl.named_parameters():
-                    if p.grad is not None:
-                        # backward leaves each .grad to its leaf alone
-                        np.divide(p.grad, cfg.window, out=p.grad)
+                for result in res.results:
+                    for key in sums:
+                        sums[key] += result.parts[key]
             try:
                 optimizer.step()
             except NumericalError as exc:
-                _restore_buffers(mdl, buffers)
+                for value, old in zip(buffers, saved):
+                    value[...] = old
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, mdl.named_state())
                 raise NumericalError(

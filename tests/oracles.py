@@ -39,6 +39,8 @@ must reproduce their costs, live-cell weights and gradients bit for bit.
 The ``taped_*_forward`` functions are the layers as compositions of
 primitive tape ops, with the signatures of the methods they stand in
 for; ``taped_stack_token_frames_batch`` is the same for the token stack.
+``taped_transformer_block_forward`` is the transformer block as the
+composition of its layers' own forwards, residual adds and ReLU.
 Each fused layer op must reproduce its composition's forward bit for bit
 and its gradients to rounding. ``patch_layer_oracles`` swaps them all
 in, so a whole model can run on the compositions, and counts their
@@ -260,6 +262,13 @@ def taped_attention_forward(self: nn.MultiHeadAttention, x: Tensor,
     return out
 
 
+def taped_transformer_block_forward(self: nn.TransformerBlock,
+                                    x: Tensor) -> Tensor:
+    h = T.add(x, self.attn.forward(self.ln1.forward(x)))
+    return T.add(h, self.ffn2.forward(T.relu(self.ffn1.forward(
+        self.ln2.forward(h)))))
+
+
 def taped_batchnorm_forward(self: nn.BatchNorm, x: Tensor,
                             train: bool = False) -> Tensor:
     if train:
@@ -315,6 +324,8 @@ _LAYER_ORACLES = (
     ("linear", nn.Linear, "forward", taped_linear_forward),
     ("layernorm", nn.LayerNorm, "forward", taped_layernorm_forward),
     ("attention", nn.MultiHeadAttention, "forward", taped_attention_forward),
+    ("transformer", nn.TransformerBlock, "forward",
+     taped_transformer_block_forward),
     ("batchnorm", nn.BatchNorm, "forward", taped_batchnorm_forward),
     ("stack", cpm, "stack_token_frames_batch",
      taped_stack_token_frames_batch),
@@ -602,7 +613,7 @@ def per_episode_scores(mdl: model.Model, episode, cfg):
     queries under their fake tokens, one pass each per branch."""
     n, k = episode.way, episode.shot
     used = model.PRESETS[cfg.preset]
-    frames_np, prompts_np, labels = model._episode_frames(episode)
+    frames_np, prompts_np, labels = model._block_frames([episode])
     total = frames_np.shape[0]
     support = n * k
     frames = Tensor(frames_np)
@@ -686,7 +697,7 @@ def per_episode_losses(mdl: model.Model, episode, cfg, *,
     loss."""
     n, k, p = episode.way, episode.shot, episode.queries_per_class
     used = model.PRESETS[cfg.preset]
-    frames_np, prompts_np, labels = model._episode_frames(episode)
+    frames_np, prompts_np, labels = model._block_frames([episode])
     frames = Tensor(frames_np)
     videos = [rec for recs in episode.support + episode.query
               for rec in recs]

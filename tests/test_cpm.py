@@ -239,10 +239,17 @@ def test_fake_token_distribution_is_standard_normal():
 
 
 def test_fake_tokens_put_queries_first_in_the_stream():
-    rows = cpm.fake_token(6, 5, [2], 7, "normal")[0]
-    canonical = model._fake_tokens(6, 5, 2, 4, 3, "normal")
-    assert np.array_equal(canonical[4:], rows[:3])
-    assert np.array_equal(canonical[:4], rows[3:])
+    # a block's episodes draw together, each from its own stream, and
+    # each episode's rows land in canonical order in turn
+    rows = cpm.fake_token(6, 5, [2, 9], 7, "normal")
+    canonical = model._fake_tokens(6, 5, [2, 9], 4, 3, "normal")
+    assert canonical.shape == (14, 6)
+    for e in range(2):
+        episode = canonical[7 * e:7 * (e + 1)]
+        assert np.array_equal(episode[4:], rows[e, :3])
+        assert np.array_equal(episode[:4], rows[e, 3:])
+    assert np.array_equal(model._fake_tokens(6, 5, [9], 4, 3, "normal"),
+                          canonical[7:])
 
 
 def test_query_feature_eval_deterministic():
@@ -250,7 +257,7 @@ def test_query_feature_eval_deterministic():
     frames = Tensor(np.random.default_rng(11).normal(size=(2, 3, 6)))
 
     def queries():
-        fakes = model._fake_tokens(6, 5, 2, 1, 2, "normal")[1:]
+        fakes = model._fake_tokens(6, 5, [2], 1, 2, "normal")[1:]
         return cpm.feature_enhance_batch(branch, frames, Tensor(fakes)).data
 
     assert np.array_equal(queries(), queries())

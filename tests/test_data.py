@@ -143,6 +143,21 @@ def test_permuted_mode_orders_are_distinct():
     assert len(as_tuples) == 4
 
 
+def test_synthetic_caches_are_read_only():
+    # the caches hand the same arrays to every caller, so a caller's
+    # write would change every later manifest built from the config
+    cfg = small_cfg(mode="permuted", num_classes=4)
+    frames, perms = data._base_frames(cfg), data._permutations(cfg)
+    assert isinstance(perms, tuple)
+    with pytest.raises(ValueError):
+        frames[0, 0] = 1.0
+    for order in perms:
+        with pytest.raises(ValueError):
+            order[0] = order[-1]
+    assert data._base_frames(cfg) is frames
+    assert data._permutations(cfg) is perms
+
+
 def test_class_prompts_pairwise_distinct():
     for mode in ("static", "permuted"):
         cfg = small_cfg(mode=mode)

@@ -7,7 +7,9 @@ on every input and parameter, and record exactly one node.
 """
 
 import gc
+import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from fdcheck import check_grads
 from oracles import (count_layer_calls, patch_layer_oracles,
                      taped_attention_forward, taped_batchnorm_forward,
                      taped_layernorm_forward, taped_linear_forward,
-                     taped_stack_token_frames_batch)
+                     taped_stack_token_frames_batch,
+                     taped_transformer_block_forward)
 
 CASES = [
     ("linear", (5, 6)), ("linear", (3, 4, 6)),
@@ -27,6 +30,7 @@ CASES = [
     ("batchnorm", (5, 6)), ("batchnorm", (3, 4, 6)),
     ("stack", (3, 4, 6)), ("stack_zero_table", (3, 4, 6)),
     ("batchnorm_eval", (5, 6)), ("batchnorm_eval", (3, 4, 6)),
+    ("transformer", (5, 6)), ("transformer", (3, 4, 6)),
 ]
 
 
@@ -57,6 +61,15 @@ def build(name, shape, seed=0):
         layer = nn.MultiHeadAttention(dim, 2, rng)
         layer.out = nn.Linear(dim, dim, rng)
         return (layer.forward, lambda x: taped_attention_forward(layer, x),
+                inputs, [p for _, p in layer.named_parameters()])
+    if name == "transformer":
+        layer = nn.TransformerBlock(dim, 2, rng=rng)
+        layer.attn.out = nn.Linear(dim, dim, rng)
+        layer.ffn2 = nn.Linear(4 * dim, dim, rng)
+        for norm in (layer.ln1, layer.ln2):
+            norm.gamma, norm.beta = _param(rng, dim), _param(rng, dim)
+        return (layer.forward,
+                lambda x: taped_transformer_block_forward(layer, x),
                 inputs, [p for _, p in layer.named_parameters()])
     if name == "batchnorm":
         layer = nn.BatchNorm(dim)
@@ -133,6 +146,58 @@ def test_fused_layer_records_one_node(name, shape):
         fused(*inputs)
     ops = 5 if name == "attention" else 1
     assert len(tape) == len(inputs) + len(params) + ops
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6), (6, 9, 16)])
+def test_transformer_block_equals_its_composition_bitwise(shape, dtype):
+    # the fused block recomputes the layer-norm outputs and the attention
+    # core in its backward with the composition's own operations, so even
+    # the gradients keep their bits; both residual projections are
+    # nonzero, as they are once training has moved them
+    with T.precision(dtype):
+        fused, oracle, inputs, params = build("transformer", shape, seed=4)
+        leaves = inputs + params
+        got, g_fused = _value_and_grads(fused, inputs, leaves)
+        want, g_taped = _value_and_grads(oracle, inputs, leaves)
+    assert got.dtype == np.dtype(dtype)
+    assert np.array_equal(got, want)
+    assert len(g_fused) == 17
+    for a, b in zip(g_fused, g_taped):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_transformer_block_keeps_nothing_without_a_tape():
+    # evaluation runs the block with no tape: nothing outlives the call,
+    # and each intermediate is freed no later than in the composition,
+    # so the traced peak stays at or under the composition's
+    rng = np.random.default_rng(5)
+    layer = nn.TransformerBlock(64, 8, rng=rng)
+    layer.attn.out = nn.Linear(64, 64, rng)
+    layer.ffn2 = nn.Linear(256, 64, rng)
+    x = Tensor(rng.normal(size=(40, 9, 64)))
+
+    def traced(fn):
+        fn(x)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(x)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not out.requires_grad
+        return now - base - out.data.nbytes, peak - base
+
+    kept, peak = traced(layer.forward)
+    _, composed_peak = traced(
+        lambda t: taped_transformer_block_forward(layer, t))
+    # a few objects' worth of bytes, and none of the six arrays a taped
+    # call keeps, each of which is at least 90 KiB here
+    assert kept < 4096, kept
+    assert peak <= composed_peak, (peak, composed_peak)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -231,10 +296,16 @@ def test_training_episode_is_bit_identical_on_layer_oracles(monkeypatch):
         taped_calls = patch_layer_oracles(monkeypatch)
         taped_train, taped_eval, taped_grads, taped_nodes = run()
     # the compositions really ran: every layer call of the fused run went
-    # to its composition, and every kind of layer was called
-    assert set(fused_calls) == {"linear", "layernorm", "attention",
-                                "batchnorm", "stack"}
-    assert taped_calls == fused_calls
+    # to its composition, and every kind of layer was called; the fused
+    # transformer block calls no other layer, its composition calls two
+    # layer norms, attention with its four projections, and the two FFN
+    # linears
+    assert set(fused_calls) == {"linear", "transformer", "batchnorm",
+                                "stack"}
+    blocks = fused_calls["transformer"]
+    assert blocks > 0
+    assert taped_calls == fused_calls + Counter(
+        linear=6 * blocks, layernorm=2 * blocks, attention=blocks)
     assert taped_nodes > fused_nodes
     assert np.array_equal(fused_train.probabilities, taped_train.probabilities)
     assert fused_train.parts == taped_train.parts

@@ -282,14 +282,16 @@ def test_loss_path_matches_per_episode_oracle(dim, way, shot, queries,
 
 
 def test_training_episode_tape_stays_small():
-    # the soft-alignment DP, every layer, the cost matrix, the motion
-    # arithmetic after Phi, each branch's prototype/query/consistency
-    # reads and the losses are fused nodes, and each branch enhances
-    # under both tokens in one call; taping the DP cell by cell put about
-    # 1650 nodes on a 5-way 1-shot episode at T=8, taping the layers op
-    # by op about 490, slicing the probabilities row by row 234, a
-    # transformer call per token kind 202, and the glue between the
-    # fused layers as primitive ops 180
+    # the soft-alignment DP, every layer and each transformer block as a
+    # whole, the cost matrix, the motion arithmetic after Phi, each
+    # branch's prototype/query/consistency reads and the losses are fused
+    # nodes, and each branch enhances under both tokens in one call;
+    # taping the DP cell by cell put about 1650 nodes on a 5-way 1-shot
+    # episode at T=8, taping the layers op by op about 490, slicing the
+    # probabilities row by row 234, a transformer call per token kind
+    # 202, the glue between the fused layers as primitive ops 180, and
+    # each transformer block as its layers' twelve nodes 98; 43 of the
+    # nodes are parameter leaves
     cfg = data.SyntheticConfig(num_classes=20, dim=8, frames=8, scale=1.0,
                                sigma=0.3, seed=3)
     manifest = data.build_synthetic_manifest(cfg, videos_per_class=2)
@@ -301,7 +303,57 @@ def test_training_episode_tape_stays_small():
                                     episode_index=0,
                                     bank=manifest.prompt_bank(), train=True)
     assert res.loss.tape is tape
-    assert len(tape) < 100, len(tape)
+    assert len(tape) < 80, len(tape)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_a_block_scores_each_episode_as_its_lone_pass(train):
+    # a block of one is the lone episode bit for bit; in a block of
+    # three, each episode's probabilities and losses are its lone pass's
+    # up to the rounding of larger batched products. In train mode the
+    # batch norm normalizes each sequence by its own moments, so the
+    # block's folding of the running statistics moves no output
+    manifest, mdl, _ = tiny_setup(way=2, shot=1, queries=2)
+    cfg = run_cfg()
+    bank = manifest.prompt_bank()
+    episodes = [data.sample_episode(manifest, data.episode_rng(5, i), 2, 1,
+                                    2, "train") for i in range(3)]
+    lone = [model.episode_forward(mdl, ep, cfg, episode_index=i, bank=bank,
+                                  train=train)
+            for i, ep in enumerate(episodes)]
+    one = model.episode_forward(
+        mdl, model.EpisodeBlock((episodes[1],), (1,)), cfg, bank=bank,
+        train=train)
+    (res,) = one.results
+    assert np.array_equal(res.probabilities, lone[1].probabilities)
+    assert res.parts == lone[1].parts
+    assert float(one.loss.data) == lone[1].parts["total"]
+    block = model.episode_forward(
+        mdl, model.EpisodeBlock(tuple(episodes), (0, 1, 2)),
+        run_cfg(window=4), bank=bank, train=train)
+    assert len(block.results) == 3
+    for got, want in zip(block.results, lone):
+        assert got.loss is None
+        assert np.allclose(got.probabilities, want.probabilities,
+                           rtol=0, atol=1e-12)
+        assert got.correct == want.correct
+        for key, value in want.parts.items():
+            assert np.isclose(got.parts[key], value, rtol=1e-12), key
+    # the block's loss is its share of a window of 4
+    assert np.isclose(float(block.loss.data),
+                      sum(r.parts["total"] for r in lone) / 4, rtol=1e-12)
+
+
+def test_a_block_takes_episodes_of_one_shape():
+    manifest, _, _ = tiny_setup()
+    a = data.sample_episode(manifest, data.episode_rng(5, 0), 2, 1, 1,
+                            "train")
+    b = data.sample_episode(manifest, data.episode_rng(5, 1), 2, 2, 1,
+                            "train")
+    with pytest.raises(ProtocolError, match="one way/shot/queries shape"):
+        model.EpisodeBlock((a, b), (0, 1))
+    with pytest.raises(ProtocolError, match="one stream index"):
+        model.EpisodeBlock((a,), (0, 1))
 
 
 def test_backward_frees_the_episode_while_its_result_lives():

@@ -1,11 +1,13 @@
 """Training loop, parallel evaluation, gradient audit, feature dumps."""
 
 import dataclasses
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from cpm2c import data, nn, runner, tensor as T
 from cpm2c.errors import ConfigError, DataError, NumericalError
 from cpm2c.tensor import Tensor
+from oracles import per_episode_losses
 
 
 def tiny_manifest(seed=3):
@@ -103,16 +106,72 @@ def test_zero_steps_checkpoint_is_the_initial_model(tmp_path):
     assert_states_equal(state_arrays(fresh), state_arrays(restored))
 
 
-def test_window_accumulation_matches_manual_mean_of_gradients():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_window_gradients_match_the_mean_of_per_episode_gradients(
+        monkeypatch, dtype):
+    # a window runs as one block under one tape, its loss the sum of the
+    # episode losses over the window, so its gradients are the window
+    # mean up to the rounding of the batched weight sums: bias gradients
+    # of about 7e-3 sum hundreds of rows that cancel, and move by up to
+    # 1.1e-5 in float32
+    tol = {"float32": 5e-5, "float64": 1e-12}[dtype]
     manifest = tiny_manifest()
     cfg = tiny_config(steps=1, window=3)
+    stepped = []
+
+    class Recording(nn.Adam):
+        def step(self):
+            stepped.append({name: p.grad.copy() for name, p in self.named
+                            if p.grad is not None})
+            return super().step()
+
+    monkeypatch.setattr(runner, "Adam", Recording)
+    with T.precision(dtype):
+        result = runner.train(manifest, cfg, log=io.StringIO())
+        mdl = runner.build_model(manifest, cfg)
+        bank = manifest.prompt_bank("train")
+        parts = []
+        for index in range(3):
+            episode = data.sample_episode(manifest,
+                                          data.episode_rng(0, index), 2, 1,
+                                          1, "train")
+            with T.Tape():
+                res = per_episode_losses(mdl, episode, cfg,
+                                         episode_index=index, bank=bank,
+                                         train=True)
+            T.backward(res.loss)
+            parts.append(res.parts)
+    (got,) = stepped
+    want = {name: p.grad / 3 for name, p in mdl.named_parameters()}
+    assert set(got) == set(want)
+    for name, g in want.items():
+        assert got[name].dtype == np.dtype(dtype)
+        scale = max(1.0, float(np.abs(g).max()))
+        assert np.allclose(got[name], g, rtol=0, atol=tol * scale), name
+    # the batch norm statistics folded in once per episode, in order
+    for (name, a), (_, b) in zip(state_arrays(result.model),
+                                 state_arrays(mdl)):
+        if "running" in name:
+            assert np.allclose(a, b, rtol=0, atol=1e-6), name
+    (row,) = result.history
+    for key in ("adapt", "task", "consistency", "total"):
+        assert np.isclose(row[key], sum(p[key] for p in parts) / 3,
+                          rtol=max(tol, 1e-6), atol=0), key
+
+
+def test_window_one_training_equals_the_per_episode_loop_bitwise():
+    # a block of one episode runs the lone episode's numpy operations, so
+    # a window-1 run is the loop of episode passes, backwards and steps
+    manifest = tiny_manifest()
+    cfg = tiny_config(steps=3, window=1)
     result = runner.train(manifest, cfg, log=io.StringIO())
 
     mdl = runner.build_model(manifest, cfg)
     bank = manifest.prompt_bank("train")
-    for _, p in mdl.named_parameters():
-        p.grad = None
+    opt = nn.Adam(mdl.named_parameters(), lr=cfg.lr)
+    totals = []
     for index in range(3):
+        opt.zero_grad()
         episode = data.sample_episode(manifest, data.episode_rng(0, index),
                                       2, 1, 1, "train")
         with T.Tape():
@@ -120,10 +179,10 @@ def test_window_accumulation_matches_manual_mean_of_gradients():
                                          episode_index=index, bank=bank,
                                          train=True)
         T.backward(res.loss)
-    for _, p in mdl.named_parameters():
-        p.grad = p.grad / 3
-    nn.Adam(mdl.named_parameters(), lr=cfg.lr).step()
+        opt.step()
+        totals.append(res.parts["total"])
     assert_states_equal(state_arrays(result.model), state_arrays(mdl))
+    assert [row["total"] for row in result.history] == totals
 
 
 def test_same_seed_training_is_bit_identical():
@@ -175,6 +234,8 @@ def test_history_and_metrics_file_agree(tmp_path):
 
 
 def test_metrics_count_the_tape_nodes_of_each_window(monkeypatch):
+    # blocks of at most 8 videos: a window of 3 four-video episodes runs
+    # as blocks of 2 and 1, one tape each
     manifest = tiny_manifest()
     counted = []
     original = T.backward
@@ -183,12 +244,47 @@ def test_metrics_count_the_tape_nodes_of_each_window(monkeypatch):
         counted.append(len(loss.tape))
         return original(loss)
 
+    monkeypatch.setattr(runner, "_BLOCK_VIDEOS", 8)
     monkeypatch.setattr(T, "backward", counting)
     result = runner.train(manifest, tiny_config(steps=2, window=3),
                           log=io.StringIO())
-    assert len(counted) == 6 and min(counted) > 0
+    assert len(counted) == 4 and min(counted) > 0
     assert [row["tape_nodes"] for row in result.history] == \
-        [sum(counted[:3]), sum(counted[3:])]
+        [sum(counted[:2]), sum(counted[2:])]
+    # a block records each parameter leaf once, whatever its size
+    assert counted[0] == counted[2] < 2 * counted[1]
+
+
+def test_a_window_in_blocks_peaks_under_twice_a_one_episode_step(
+        monkeypatch):
+    # the memory plan of a 5-way 1-shot d64 window of 4: two blocks of 2
+    # episodes, whose transformer blocks keep six arrays per row for
+    # their backward. The traced peak of a step stays under twice that of
+    # a one-episode window, where one block of 4 would not. tracemalloc
+    # does not see the copies numpy makes inside ``reshape`` (CHANGES.md),
+    # so this holds the traced heap only.
+    synth = data.SyntheticConfig(num_classes=20, dim=64, frames=8,
+                                 scale=1.0, sigma=0.3, seed=1)
+    manifest = data.build_synthetic_manifest(synth, videos_per_class=10)
+
+    def step_peak(window: int) -> int:
+        cfg = runner.RunConfig(way=5, shot=1, queries=1, window=window,
+                               steps=1, seed=1, log_every=1000,
+                               consistency_reduction="mean")
+        mdl = runner.build_model(manifest, cfg)
+        runner.train(manifest, cfg, mdl=mdl, log=io.StringIO())  # warm up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            runner.train(manifest, cfg, mdl=mdl, log=io.StringIO())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, window = step_peak(1), step_peak(4)
+    assert window <= 2 * one, (window, one)
+    monkeypatch.setattr(runner, "_BLOCK_VIDEOS", 40)
+    assert step_peak(4) > 2 * one
 
 
 class _FakeMallopt:
@@ -255,16 +351,19 @@ def test_nan_gradient_aborts_and_rolls_back(tmp_path, monkeypatch):
     assert_states_equal(state_arrays(clean.model), state_arrays(restored))
 
 
-def test_nan_in_second_episode_of_a_window_rolls_back_batchnorm_only(
+def test_nan_in_second_block_of_a_window_rolls_back_batchnorm_only(
         tmp_path, monkeypatch):
+    # blocks of at most 8 videos: a window of 4 four-video episodes runs
+    # as two blocks of 2
     manifest = tiny_manifest()
     calls = {"n": 0}
     original = runner.episode_forward
+    monkeypatch.setattr(runner, "_BLOCK_VIDEOS", 8)
 
     def sabotage(*args, **kwargs):
         res = original(*args, **kwargs)
         calls["n"] += 1
-        if calls["n"] == 6:              # step 2, second episode
+        if calls["n"] == 6:              # step 2, second block
             res.loss = T.scale(res.loss, float("nan"))
         return res
 
@@ -285,11 +384,11 @@ def test_nan_in_second_episode_of_a_window_rolls_back_batchnorm_only(
     monkeypatch.setattr(runner, "episode_forward", sabotage)
     aborted = runner.build_model(manifest, tiny_config())
     with pytest.raises(NumericalError, match="step 2"):
-        runner.train(manifest, tiny_config(steps=5, window=2), mdl=aborted,
+        runner.train(manifest, tiny_config(steps=5, window=4), mdl=aborted,
                      out_dir=str(tmp_path), log=io.StringIO())
     assert calls["n"] == 6 and len(buffers_at_step) == 3
     monkeypatch.setattr(runner, "episode_forward", original)
-    clean = runner.train(manifest, tiny_config(steps=2, window=2),
+    clean = runner.train(manifest, tiny_config(steps=2, window=4),
                          log=io.StringIO())
     broken, healthy = optimizers
 
@@ -300,7 +399,7 @@ def test_nan_in_second_episode_of_a_window_rolls_back_batchnorm_only(
     runner.restore_model(restored, os.path.join(str(tmp_path),
                                                 "checkpoint.bin"))
     assert_states_equal(state_arrays(clean.model), state_arrays(restored))
-    # the aborted step's two forward passes had moved the statistics
+    # the aborted step's two block passes had moved the statistics
     current = [v for _, v in aborted.named_state()
                if not isinstance(v, Tensor)]
     assert current and any(not np.array_equal(a, b) for a, b in
